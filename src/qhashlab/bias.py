@@ -95,6 +95,11 @@ class BiasProfile:
     worst_shift_delta: int
     worst_shift_lambda: int
 
+    @property
+    def padded_delta_squared(self) -> float:
+        """(delta * d / 2^ceil(log2 d))^2; see the module function of this name."""
+        return (self.delta * self.d / padded_branch_count(self.d)) ** 2
+
 
 def _angle_index(keys: np.ndarray, shift: int | np.ndarray, modulus: int) -> np.ndarray:
     # Reduce k*l mod N before scaling by 2*pi/N: k*l can reach ~2^40,
@@ -193,9 +198,7 @@ def padded_delta_squared(keyset: KeySet, method: str = "direct") -> float:
     d, because the squared D-normalized sum at l = N/2 can be as small
     as (1/D)^2.
     """
-    profile = bias_profile(keyset, method=method)
-    d = keyset.d
-    return (profile.delta * d / padded_branch_count(d)) ** 2
+    return bias_profile(keyset, method=method).padded_delta_squared
 
 
 def hash_inner_product(keyset: KeySet, m1: int, m2: int) -> float:

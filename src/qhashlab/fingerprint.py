@@ -28,9 +28,10 @@ import numpy as np
 from .qsim import (
     MeasurementRecord,
     StateVector,
-    measure_all,
-    sample_outcomes,
     TestCounts,
+    measure_all,
+    reflect_to_uniform,
+    sample_outcomes,
 )
 from .qhash import ReverseTestResult
 
@@ -146,17 +147,6 @@ def fingerprint_resistance(code: LinearCode) -> float:
     return float(np.max(np.abs(1.0 - 2.0 * weights / code.m)))
 
 
-def _reflect_to_uniform(amp: np.ndarray, branch_count: int) -> np.ndarray:
-    """Self-inverse reflection exchanging |0> and the uniform branch state."""
-    if branch_count == 1:
-        return amp.copy()
-    w = np.zeros(amp.shape[0])
-    w[0] = 1.0 - 1.0 / math.sqrt(branch_count)
-    w[1:branch_count] = -1.0 / math.sqrt(branch_count)
-    w /= math.sqrt(float(np.dot(w, w)))
-    return amp - 2.0 * w * (w @ amp)
-
-
 def _uncompute_fingerprint(code: LinearCode, u, psi: StateVector) -> StateVector:
     if psi.num_qubits != _fingerprint_qubits(code.m):
         raise ValueError(
@@ -168,7 +158,7 @@ def _uncompute_fingerprint(code: LinearCode, u, psi: StateVector) -> StateVector
     word = encode(code, u)
     amp = psi.amplitudes.copy()
     amp[: code.m] *= 1.0 - 2.0 * word.astype(np.float64)
-    return StateVector(psi.num_qubits, _reflect_to_uniform(amp, code.m))
+    return StateVector(psi.num_qubits, reflect_to_uniform(amp, code.m))
 
 
 def fingerprint_reverse_test(

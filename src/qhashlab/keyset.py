@@ -26,17 +26,18 @@ import math
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bias import (
+    BiasProfile,
     KeySet,
     KeySetFile,
+    KeySetFormatError,
     bias_profile,
     load_keyset,
     padded_branch_count,
-    padded_delta_squared,
 )
 from .qsim import make_rng
 
@@ -49,9 +50,19 @@ __all__ = [
     "ga_search",
     "bundled_table_dir",
     "load_table_fixtures",
+    "TABLE_BOUND",
+    "ROUNDING_TOL",
+    "TableRow",
+    "table_row_passes",
+    "check_table_rows",
 ]
 
 OBJECTIVES = ("padded_sq", "delta")
+
+# The tables' pass rule: the padded statistic stays within TABLE_BOUND
+# and matches the declared value to the files' 4-decimal rounding.
+TABLE_BOUND = 0.01
+ROUNDING_TOL = 5e-4
 
 
 @dataclass(frozen=True)
@@ -262,14 +273,14 @@ def ga_search(
         values = values[order]
 
     best = KeySet(modulus=modulus, keys=tuple(int(k) for k in population[0]))
-    achieved_delta = bias_profile(best).delta
+    profile = bias_profile(best)
     if objective == "delta":
-        achieved_objective = achieved_delta
+        achieved_objective = profile.delta
     else:
-        achieved_objective = padded_delta_squared(best)
+        achieved_objective = profile.padded_delta_squared
     return SearchOutcome(
         keyset=best,
-        achieved_delta=achieved_delta,
+        achieved_delta=profile.delta,
         generations_used=generations_used,
         target_met=achieved_objective < target_epsilon,
         objective=objective,
@@ -282,17 +293,74 @@ def bundled_table_dir() -> Path:
     return Path(str(files("qhashlab").joinpath("fixtures/paper-tables")))
 
 
-def load_table_fixtures(
-    directory: str | Path | None = None,
-    max_modulus: int | None = None,
+def _table_files(
+    directory: str | Path | None,
+    max_modulus: int | None,
+    skipped: list[tuple[Path, Exception]] | None,
 ) -> list[tuple[Path, KeySetFile]]:
-    """Load fixture files sorted by (modulus, d); optionally cap the modulus."""
+    """Parse every *.txt fixture, drop rows above max_modulus, sort by (N, d).
+
+    A file that fails to load raises, or is appended to skipped when a
+    list is given.
+    """
     base = bundled_table_dir() if directory is None else Path(directory)
     rows: list[tuple[Path, KeySetFile]] = []
     for path in sorted(base.glob("*.txt")):
-        loaded = load_keyset(path)
+        try:
+            loaded = load_keyset(path)
+        except (KeySetFormatError, OSError) as exc:
+            if skipped is None:
+                raise
+            skipped.append((path, exc))
+            continue
         if max_modulus is not None and loaded.keyset.modulus > max_modulus:
             continue
         rows.append((path, loaded))
     rows.sort(key=lambda item: (item[1].keyset.modulus, item[1].keyset.d))
     return rows
+
+
+def load_table_fixtures(
+    directory: str | Path | None = None,
+    max_modulus: int | None = None,
+) -> list[tuple[Path, KeySetFile]]:
+    """Load fixture files sorted by (modulus, d); optionally cap the modulus."""
+    return _table_files(directory, max_modulus, None)
+
+
+def table_row_passes(padded_sq: float, declared: float | None) -> bool:
+    """Whether a recomputed padded statistic reproduces its declared table value.
+
+    It must stay within TABLE_BOUND and lie within ROUNDING_TOL of the
+    declared value; a row that declares none (``epsilon -``) fails.
+    """
+    return padded_sq <= TABLE_BOUND and (
+        declared is not None and abs(padded_sq - declared) <= ROUNDING_TOL
+    )
+
+
+class TableRow(NamedTuple):
+    """One recomputed fixture row and its verdict under table_row_passes."""
+
+    path: Path
+    loaded: KeySetFile
+    profile: BiasProfile
+    passed: bool
+
+
+def check_table_rows(
+    directory: str | Path | None = None,
+    max_modulus: int | None = None,
+) -> tuple[list[TableRow], list[tuple[Path, Exception]]]:
+    """Recompute every fixture row (one direct scan each) and apply the pass rule.
+
+    Unlike load_table_fixtures, files that fail to load are returned as
+    (path, error) pairs instead of raising.
+    """
+    skipped: list[tuple[Path, Exception]] = []
+    rows = []
+    for path, loaded in _table_files(directory, max_modulus, skipped):
+        profile = bias_profile(loaded.keyset)
+        passed = table_row_passes(profile.padded_delta_squared, loaded.declared_epsilon)
+        rows.append(TableRow(path, loaded, profile, passed))
+    return rows, skipped

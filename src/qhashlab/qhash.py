@@ -50,6 +50,7 @@ from .qsim import (
     apply_single_qubit,
     hadamard_matrix,
     measure_all,
+    reflect_to_uniform,
     ry_matrix,
     sample_outcomes,
 )
@@ -213,18 +214,6 @@ def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") 
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
-def _prepare_uniform_raw(amp: np.ndarray, branch_count: int) -> np.ndarray:
-    """Reflect the index register so |0...0| maps to the uniform d-branch state."""
-    if branch_count == 1:
-        return amp.copy()
-    pairs = amp.reshape(-1, 2)
-    w = np.zeros(pairs.shape[0])
-    w[0] = 1.0 - 1.0 / math.sqrt(branch_count)
-    w[1:branch_count] = -1.0 / math.sqrt(branch_count)
-    w /= math.sqrt(float(np.dot(w, w)))
-    return (pairs - 2.0 * np.outer(w, w @ pairs)).reshape(-1)
-
-
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
     """Run the gate list on |0...0>."""
     s = circuit.qubit_count
@@ -244,9 +233,9 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
                 control_value=gate.condition << 1,
             )
         elif isinstance(gate, PrepareUniform):
-            state = StateVector(
-                s, _prepare_uniform_raw(state.amplitudes, gate.branch_count)
-            )
+            # one row per index branch: the reflection moves target pairs
+            pairs = state.amplitudes.reshape(-1, 2)
+            state = StateVector(s, reflect_to_uniform(pairs, gate.branch_count).reshape(-1))
         else:
             raise ValueError(f"unknown gate {gate!r}")
     return state
@@ -298,7 +287,7 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
         for q in range(1, params.s):
             state = apply_single_qubit(state, q, hadamard_matrix())
         return state
-    return StateVector(params.s, _prepare_uniform_raw(amp, d))
+    return StateVector(params.s, reflect_to_uniform(pairs, d).reshape(-1))
 
 
 def reverse_test(

@@ -41,6 +41,7 @@ __all__ = [
     "ry_matrix",
     "apply_single_qubit",
     "apply_controlled_single_qubit",
+    "reflect_to_uniform",
     "dump_state",
     "load_state",
 ]
@@ -247,6 +248,23 @@ def apply_controlled_single_qubit(
         psi.num_qubits,
         _apply_matrix_pairs(psi.amplitudes, matrix, i0, i0 | (1 << qubit)),
     )
+
+
+def reflect_to_uniform(amp: np.ndarray, branch_count: int) -> np.ndarray:
+    """Householder reflection exchanging |0> and the uniform state on the first rows.
+
+    Acts along axis 0: a 1-D vector reflects its entries, an (M, 2) view
+    reflects its rows, so branch i may be one amplitude or one pair.  The
+    uniform state puts 1/sqrt(branch_count) on each of the first
+    branch_count rows.  The map is its own inverse and exactly unitary.
+    """
+    if branch_count == 1:
+        return amp.copy()
+    w = np.zeros(amp.shape[0])
+    w[0] = 1.0 - 1.0 / math.sqrt(branch_count)
+    w[1:branch_count] = -1.0 / math.sqrt(branch_count)
+    w /= math.sqrt(float(np.dot(w, w)))
+    return amp - 2.0 * np.multiply.outer(w, w @ amp)
 
 
 def dump_state(psi: StateVector, path: str | Path) -> None:

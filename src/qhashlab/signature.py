@@ -33,7 +33,7 @@ import numpy as np
 
 from .bias import fourier_components
 from .qhash import HashParams, hash_state, reverse_test
-from .qsim import StateVector, TestCounts, swap_test
+from .qsim import StateVector
 
 __all__ = [
     "ProtocolParams",
@@ -46,7 +46,6 @@ __all__ = [
     "forgery_prediction",
     "sign_message",
     "verify_message",
-    "public_pair_swap_test",
 ]
 
 
@@ -76,16 +75,25 @@ class SignatureKeyPair:
     public: tuple[StateVector, StateVector]
 
 
+@dataclass(frozen=True)
 class ForgeryReport:
-    """Per-trial log plus the empirical and analytic success rates."""
+    """Per-trial records plus the empirical and analytic success rates.
 
-    def __init__(
-        self, trials: int, successes: int, predicted: float, lines: tuple[str, ...]
-    ) -> None:
-        self.trials = trials
-        self.successes = successes
-        self.predicted = predicted
-        self.lines = lines
+    records holds one (bit, guess, accepted) triple per trial; the log
+    lines are formatted from it only when asked for.
+    """
+
+    trials: int
+    successes: int
+    predicted: float
+    records: tuple[tuple[int, int, bool], ...]
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return tuple(
+            f"trial {trial} bit {b} guess {guess} accepted {int(accepted)}"
+            for trial, (b, guess, accepted) in enumerate(self.records, start=1)
+        )
 
     @property
     def rate(self) -> float:
@@ -170,20 +178,20 @@ def forgery_experiment(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     level = params.security_level
-    lines: list[str] = []
+    records: list[tuple[int, int, bool]] = []
     successes = 0
-    for trial in range(1, trials + 1):
+    for _ in range(trials):
         keypair = keygen(params, rng)
         b = int(rng.integers(0, 2))
         guess = int(rng.integers(1, level + 1))
         accepted = verify(params, keypair.public[b], b, guess, rng)
         successes += accepted
-        lines.append(f"trial {trial} bit {b} guess {guess} accepted {int(accepted)}")
+        records.append((b, guess, accepted))
     return ForgeryReport(
         trials=trials,
         successes=successes,
         predicted=forgery_prediction(params),
-        lines=tuple(lines),
+        records=tuple(records),
     )
 
 
@@ -210,10 +218,3 @@ def verify_message(
         for pub, b, sig in zip(publics, bits, signatures)
     ]
     return all(results)
-
-
-def public_pair_swap_test(
-    keypair: SignatureKeyPair, shots: int, rng: np.random.Generator
-) -> TestCounts:
-    """SWAP-test the two public states: distinct private numbers show up here."""
-    return swap_test(keypair.public[0], keypair.public[1], shots, rng)

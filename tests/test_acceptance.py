@@ -49,9 +49,7 @@ from qhashlab import (
     swap_test,
     verify,
 )
-
-TABLE_BOUND = 0.01
-ROUNDING_TOL = 5e-4
+from qhashlab.keyset import ROUNDING_TOL, TABLE_BOUND
 
 _ROWS = load_table_fixtures()
 _BY_SHAPE = {(f.keyset.modulus, f.keyset.d): f for _, f in _ROWS}

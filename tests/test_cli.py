@@ -73,6 +73,18 @@ class TestHelpAndUsage:
         assert invoke(runner, ["inner", "--m1", "1"]).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["search", "--mode", "ga", "--n", "32", "--d", "15", "--generations", "2"],
+    ["hash", "--keyset", str(N32), "--message", "5"],
+    ["sign", "--keyset", str(N32), "--security-level", "16", "--bit", "0"],
+    ["fingerprint", "--n", "3", "--m", "8", "--u", "101", "--v", "100"],
+], ids=lambda args: args[0])
+def test_unwritable_out_exits_two(runner, tmp_path, args):
+    result = invoke(runner, args + ["--out", str(tmp_path / "missing" / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
 class TestBias:
     def test_fields(self, runner):
         result = invoke(runner, ["bias", "--keyset", str(N32)])

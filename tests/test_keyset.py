@@ -17,7 +17,13 @@ from qhashlab import (
     padded_delta_squared,
     sample_random_keyset,
 )
-from qhashlab.keyset import _objective_values
+from qhashlab.keyset import (
+    ROUNDING_TOL,
+    TABLE_BOUND,
+    _objective_values,
+    check_table_rows,
+    table_row_passes,
+)
 
 
 class TestLemmaSize:
@@ -183,3 +189,46 @@ class TestBundledTables:
 
     def test_bundled_dir_exists(self):
         assert bundled_table_dir().is_dir()
+
+
+class TestTablePassRule:
+    def test_value_at_the_bound_passes(self):
+        assert table_row_passes(TABLE_BOUND, TABLE_BOUND)
+
+    def test_value_above_the_bound_fails(self):
+        above = TABLE_BOUND + 1e-9
+        assert not table_row_passes(above, above)
+
+    def test_undeclared_row_fails(self):
+        # a file whose header reads 'epsilon -'
+        assert not table_row_passes(0.0039, None)
+
+    def test_rounding_tolerance(self):
+        assert table_row_passes(0.0039 + 0.9 * ROUNDING_TOL, 0.0039)
+        assert not table_row_passes(0.0039 + 1.1 * ROUNDING_TOL, 0.0039)
+        assert not table_row_passes(0.0039, 0.0039 + 1.1 * ROUNDING_TOL)
+
+    def test_every_bundled_row_passes(self, table_rows):
+        for path, loaded in table_rows:
+            recomputed = padded_delta_squared(loaded.keyset, method="fft")
+            assert table_row_passes(recomputed, loaded.declared_epsilon), path.name
+
+    def test_check_table_rows_default_range(self):
+        rows, skipped = check_table_rows(max_modulus=1 << 14)
+        assert skipped == []
+        assert [row.path for row in rows] == [
+            path for path, _ in load_table_fixtures(max_modulus=1 << 14)
+        ]
+        assert all(row.passed for row in rows)
+        for row in rows:
+            assert row.profile == bias_profile(row.loaded.keyset)
+
+    def test_check_table_rows_skips_what_the_loader_rejects(self, tmp_path):
+        (tmp_path / "junk.txt").write_text("not a keyset\n")
+        keys = "\n".join(str(k) for k in range(1, 16))
+        (tmp_path / "dash.txt").write_text(f"N 32\nd 15\nepsilon -\n{keys}\n")
+        rows, skipped = check_table_rows(tmp_path)
+        assert [path.name for path, _ in skipped] == ["junk.txt"]
+        assert [(row.path.name, row.passed) for row in rows] == [("dash.txt", False)]
+        with pytest.raises(ValueError, match="junk.txt"):
+            load_table_fixtures(tmp_path)

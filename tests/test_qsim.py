@@ -24,6 +24,7 @@ from qhashlab.qsim import (
     apply_controlled_single_qubit,
     apply_single_qubit,
     hadamard_matrix,
+    reflect_to_uniform,
     ry_matrix,
 )
 
@@ -227,6 +228,43 @@ class TestGates:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="qubit"):
             apply_single_qubit(basis_state(2, 0), 2, ry_matrix(1.0))
+
+
+class TestUniformReflection:
+    """The Householder map shared by hash preparation and fingerprint uncompute."""
+
+    @staticmethod
+    def rows(branch_count, pairs):
+        # room beyond the populated branches, as in a padded register
+        shape = (1 << branch_count.bit_length(),) + ((2,) if pairs else ())
+        rng = make_rng(branch_count)
+        return shape, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["vector", "pairs"])
+    @pytest.mark.parametrize("branch_count", [1, 2, 3, 15, 16, 65])
+    def test_self_inverse(self, branch_count, pairs):
+        _, x = self.rows(branch_count, pairs)
+        twice = reflect_to_uniform(reflect_to_uniform(x, branch_count), branch_count)
+        assert np.max(np.abs(twice - x)) <= 1e-12
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["vector", "pairs"])
+    @pytest.mark.parametrize("branch_count", [1, 2, 3, 15, 16, 65])
+    def test_maps_zero_to_uniform_branches(self, branch_count, pairs):
+        shape, _ = self.rows(branch_count, pairs)
+        zero = np.zeros(shape, dtype=np.complex128)
+        zero.flat[0] = 1.0
+        expected = np.zeros(shape, dtype=np.complex128)
+        expected[:branch_count] = zero[0] / math.sqrt(branch_count)
+        out = reflect_to_uniform(zero, branch_count)
+        assert out.shape == shape
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["vector", "pairs"])
+    @pytest.mark.parametrize("branch_count", [1, 2, 3, 15, 16, 65])
+    def test_preserves_norm(self, branch_count, pairs):
+        _, x = self.rows(branch_count, pairs)
+        out = reflect_to_uniform(x, branch_count)
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
 class TestStateFiles:

@@ -21,7 +21,6 @@ from qhashlab import (
     verify,
     verify_message,
 )
-from qhashlab.signature import public_pair_swap_test
 
 
 def oracle_prediction(params):
@@ -218,9 +217,3 @@ class TestMultiBitMessages:
         with pytest.raises(ValueError, match="equal length"):
             verify_message(tiny_protocol, [], (1,), [1], make_rng(0))
 
-
-class TestPublicPairSwapTest:
-    def test_counts_add_up(self, tiny_protocol):
-        keypair = keygen(tiny_protocol, make_rng(6))
-        counts = public_pair_swap_test(keypair, 400, make_rng(1))
-        assert counts.shots == 400

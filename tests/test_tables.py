@@ -18,9 +18,7 @@ from qhashlab import (
     load_table_fixtures,
     padded_delta_squared,
 )
-
-TABLE_BOUND = 0.01
-ROUNDING_TOL = 5e-4
+from qhashlab.keyset import ROUNDING_TOL, TABLE_BOUND
 
 
 def checksum_lines():
