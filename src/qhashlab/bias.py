@@ -13,8 +13,10 @@ nonzero shifts:
 
 delta(K) bounds the inner product between the hash states of any two
 distinct messages, which is what makes a low-bias K a usable hash
-parameter.  Everything here is evaluated by direct trigonometric
-summation; an FFT-based path exists for cross-validation.
+parameter.  One kernel, worst_character_sums, computes both: an rfft
+locates the shifts near the maximum, and a direct trigonometric
+gather evaluates exactly those; the method="direct" reference gathers
+every shift, so both methods report identical numbers and shifts.
 
 A note on floors: at shift l = N/2 the character values are (-1)^k, so
 Re f_K(N/2) is an integer with the same parity as d.  A key set of odd
@@ -39,13 +41,19 @@ __all__ = [
     "KeySetFormatError",
     "fourier_component",
     "fourier_components",
+    "worst_character_sums",
     "bias_profile",
+    "MAX_SPECTRUM_CELLS",
     "padded_branch_count",
     "padded_delta_squared",
     "hash_inner_product",
     "load_keyset",
     "save_keyset",
 ]
+
+# Largest (rows x N) spectrum a scan may allocate: 2^26 cells admits the
+# GA's 64-row population at N = 2^20.  Larger requests raise ValueError.
+MAX_SPECTRUM_CELLS = 1 << 26
 
 
 class KeySetFormatError(ValueError):
@@ -116,65 +124,95 @@ def fourier_component(keyset: KeySet, shift: int) -> complex:
     return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
-def _component_tables(keyset: KeySet) -> tuple[np.ndarray, np.ndarray]:
-    """Re f_K(l) and Im f_K(l) for every shift l in [0, N)."""
-    n = keyset.modulus
-    shifts = np.arange(n, dtype=np.int64)
-    # cos/sin of 2*pi*j/N for j in [0, N); each key's terms are gathers
-    # into these tables, which is exactly the reduced-angle evaluation.
-    cos_table = np.cos(2.0 * np.pi * shifts / n)
-    sin_table = np.sin(2.0 * np.pi * shifts / n)
-    re = np.zeros(n)
-    im = np.zeros(n)
-    for k in keyset.keys:
-        idx = _angle_index(shifts, int(k), n)
-        re += cos_table[idx]
-        im += sin_table[idx]
-    return re, im
+def _check_cells(rows: int, modulus: int) -> None:
+    cells = rows * modulus
+    if cells > MAX_SPECTRUM_CELLS:
+        raise ValueError(
+            f"spectrum of {rows} x {modulus} = {cells} cells (about "
+            f"{cells * 16 / 2**30:.1f} GiB as complex128) exceeds "
+            f"MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}"
+        )
 
 
-def _component_tables_fft(keyset: KeySet) -> tuple[np.ndarray, np.ndarray]:
-    """FFT path over the multiplicity vector; cross-check for the direct scan."""
-    n = keyset.modulus
-    mult = np.bincount(keyset.key_array(), minlength=n).astype(np.float64)
-    # ifft uses the e^{+2*pi*i*k*l/N} kernel with a 1/N factor.
-    f = n * np.fft.ifft(mult)
-    return f.real.copy(), f.imag.copy()
+def _gather(key_rows: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
+    """f_K(l) for each row of a (rows, d) key array at each shift.
+
+    Each key adds its gather from one table of exp(2*pi*i*j/N) at the
+    reduced index k*l mod N, in stored key order, starting from 0.
+    """
+    angles = 2.0 * np.pi * np.arange(modulus, dtype=np.int64) / modulus
+    table = np.cos(angles) + 1j * np.sin(angles)
+    f = np.zeros((key_rows.shape[0], shifts.size), dtype=np.complex128)
+    for column in key_rows.T:
+        f += table[_angle_index(column[:, None], shifts, modulus)]
+    return f
 
 
-def _tables(keyset: KeySet, method: str) -> tuple[np.ndarray, np.ndarray]:
+def worst_character_sums(
+    key_rows: np.ndarray, modulus: int, method: str = "fft"
+) -> tuple[np.ndarray, ...]:
+    """(max |Re f_K(l)|, its shift, max |f_K(l)|, its shift) over l != 0, per key row.
+
+    "direct" gathers every shift; "fft" gathers only the shifts that an
+    rfft of the multiplicity rows puts near a row's maximum, with
+    bit-identical results.  Shifts are chosen on |Re f|/d and |f|/d;
+    ties resolve to the smallest shift.
+    """
+    rows, d = key_rows.shape
+    _check_cells(rows, modulus)
     if method == "direct":
-        return _component_tables(keyset)
-    if method == "fft":
-        return _component_tables_fft(keyset)
-    raise ValueError(f"unknown method {method!r}")
+        shifts = np.arange(1, modulus, dtype=np.int64)
+    elif method == "fft":
+        counts = np.zeros((rows, modulus))
+        np.add.at(counts, (np.arange(rows)[:, None], key_rows), 1.0)
+        half = np.fft.rfft(counts)[:, 1:]  # shifts 1 .. N/2
+        del counts
+        # A band of 1e-9 in the normalized sums is far wider than the
+        # FFT's rounding error (about d * log2(N) * 2^-52), so it keeps
+        # every shift whose exact value can tie the maximum.
+        near = np.zeros(half.shape[1], dtype=bool)
+        for part in (half.real, half):
+            values = np.abs(part)
+            near |= np.any(values >= values.max(axis=1, keepdims=True) - 1e-9 * d, axis=0)
+        located = np.flatnonzero(near) + 1
+        # The mirrors N - l tie in exact arithmetic, not always in the last bit.
+        shifts = np.concatenate([located, modulus - located])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    f = _gather(key_rows, shifts, modulus)
+    out: list[np.ndarray] = []
+    for values in (np.abs(f.real), np.hypot(f.real, f.imag)):
+        top = values.max(axis=1)
+        # Rounding is monotone, so top / d is the largest normalized value.
+        out += [top, np.where(values / d == (top / d)[:, None], shifts, modulus).min(axis=1)]
+    return tuple(out)
 
 
 def fourier_components(keyset: KeySet, method: str = "direct") -> np.ndarray:
-    """f_K(l) for every shift l in [0, N), as one complex vector."""
-    re, im = _tables(keyset, method)
-    return re + 1j * im
+    """f_K(l) for every shift l in [0, N): the exact gather, or N * ifft."""
+    n = keyset.modulus
+    _check_cells(1, n)
+    if method == "direct":
+        return _gather(keyset.key_array()[None, :], np.arange(n, dtype=np.int64), n)[0]
+    if method == "fft":
+        # ifft uses the e^{+2*pi*i*k*l/N} kernel with a 1/N factor.
+        return n * np.fft.ifft(np.bincount(keyset.key_array(), minlength=n).astype(np.float64))
+    raise ValueError(f"unknown method {method!r}")
 
 
-def bias_profile(keyset: KeySet, method: str = "direct") -> BiasProfile:
-    """Scan every nonzero shift for the worst normalized character sum.
-
-    Ties resolve to the smallest shift (argmax returns the first
-    maximum of an ascending scan).
-    """
-    re, im = _tables(keyset, method)
+def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:
+    """Worst normalized character sums; both methods agree bit for bit."""
     d = keyset.d
-    re_bias = np.abs(re[1:]) / d
-    mag_bias = np.hypot(re[1:], im[1:]) / d
-    i_delta = int(np.argmax(re_bias))
-    i_lambda = int(np.argmax(mag_bias))
+    re_max, l_delta, mag_max, l_lambda = worst_character_sums(
+        keyset.key_array()[None, :], keyset.modulus, method
+    )
     return BiasProfile(
         modulus=keyset.modulus,
         d=d,
-        delta=float(re_bias[i_delta]),
-        lambda_=float(mag_bias[i_lambda]),
-        worst_shift_delta=i_delta + 1,
-        worst_shift_lambda=i_lambda + 1,
+        delta=float(re_max[0] / d),
+        lambda_=float(mag_max[0] / d),
+        worst_shift_delta=int(l_delta[0]),
+        worst_shift_lambda=int(l_lambda[0]),
     )
 
 
@@ -185,7 +223,7 @@ def padded_branch_count(d: int) -> int:
     return 1 << (d - 1).bit_length()
 
 
-def padded_delta_squared(keyset: KeySet, method: str = "direct") -> float:
+def padded_delta_squared(keyset: KeySet, method: str = "fft") -> float:
     """(max_{l != 0} |Re f_K(l)| / 2^ceil(log2 d))^2.
 
     The squared worst-case hash-state overlap under the padded-register

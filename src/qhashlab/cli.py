@@ -83,7 +83,9 @@ def main() -> None:
 
 @main.command("bias")
 @keyset_option
-@click.option("--method", type=click.Choice(["direct", "fft"]), default="direct", show_default=True)
+@click.option("--method", type=click.Choice(["direct", "fft"]), default="fft", show_default=True,
+              help="fft locates the worst shifts by FFT and evaluates them exactly, giving the "
+                   "same output as direct, the O(dN) scan of every shift.")
 @format_option
 def cmd_bias(keyset_path: str, method: str, fmt: str) -> None:
     """Bias profile of a key-set file."""

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import bias as bias_mod
 from .bias import (
     BiasProfile,
     KeySet,
@@ -38,6 +39,7 @@ from .bias import (
     bias_profile,
     load_keyset,
     padded_branch_count,
+    worst_character_sums,
 )
 from .qsim import make_rng
 
@@ -118,6 +120,11 @@ def lemma_size(modulus: int, epsilon: float) -> int:
     return math.ceil((2.0 / (epsilon * epsilon)) * math.log(2 * modulus))
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+
+
 def sample_random_keyset(
     modulus: int,
     epsilon: float,
@@ -130,11 +137,17 @@ def sample_random_keyset(
     target_met=False.  Draws are with replacement: repeats are legal
     keys.
     """
+    _check_modulus(modulus)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    size = lemma_size(modulus, epsilon)
+    if size > bias_mod.MAX_SPECTRUM_CELLS:
+        raise ValueError(
+            f"lemma size {size} keys (about {size * 8 / 2**30:.1f} GiB per draw) "
+            f"exceeds MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
+        )
     if rng is None:
         rng = make_rng(0)
-    size = lemma_size(modulus, epsilon)
     best: KeySet | None = None
     best_delta = math.inf
     for attempt in range(1, max_attempts + 1):
@@ -163,33 +176,14 @@ def sample_random_keyset(
     )
 
 
-def _population_objective(
-    population: np.ndarray, modulus: int, normalizer: float
-) -> np.ndarray:
-    """Objective values for a (pop, d) array of key rows in one pass.
-
-    The worst |Re f_K(l)| over l != 0 is gathered from one shared
-    cosine table, then scaled: normalizer d gives delta(K); normalizer
-    2^ceil(log2 d) squared gives the padded statistic.  The caller
-    applies the squaring; this returns max|Re f| / normalizer.
-    """
-    shifts = np.arange(modulus, dtype=np.int64)
-    cos_table = np.cos(2.0 * np.pi * shifts / modulus)
-    re = np.zeros((population.shape[0], modulus))
-    for column in range(population.shape[1]):
-        re += cos_table[(population[:, column : column + 1] * shifts) % modulus]
-    return np.max(np.abs(re[:, 1:]), axis=1) / normalizer
-
-
 def _objective_values(population: np.ndarray, modulus: int, objective: str) -> np.ndarray:
+    """Objective values for a (pop, d) array of key rows in one kernel call."""
     d = population.shape[1]
+    worst_re = worst_character_sums(population, modulus)[0]
     if objective == "delta":
-        return _population_objective(population, modulus, float(d))
+        return worst_re / d
     if objective == "padded_sq":
-        scaled = _population_objective(
-            population, modulus, float(padded_branch_count(d))
-        )
-        return scaled**2
+        return (worst_re / padded_branch_count(d)) ** 2
     raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
@@ -211,6 +205,7 @@ def ga_search(
     generation can report a line ``gen <g> best_delta <value>`` through
     the progress callback.
     """
+    _check_modulus(modulus)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 0.0 < target_epsilon < 1.0:
@@ -352,7 +347,7 @@ def check_table_rows(
     directory: str | Path | None = None,
     max_modulus: int | None = None,
 ) -> tuple[list[TableRow], list[tuple[Path, Exception]]]:
-    """Recompute every fixture row (one direct scan each) and apply the pass rule.
+    """Recompute every fixture row (one bias_profile each) and apply the pass rule.
 
     Unlike load_table_fixtures, files that fail to load are returned as
     (path, error) pairs instead of raising.

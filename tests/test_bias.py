@@ -39,6 +39,28 @@ keysets = st.integers(min_value=2, max_value=64).flatmap(
     )
 )
 
+# Sets whose spectra are flat or full of exact ties: one key, the key
+# N/2, every residue once, one key repeated, and the moduli 2 and 3.
+degenerate_keysets = st.one_of(
+    st.integers(min_value=2, max_value=64).flatmap(
+        lambda n: st.sampled_from(
+            [KeySet(n, (n // 2,)), KeySet(n, tuple(range(n))), KeySet(n, (0,))]
+        )
+    ),
+    st.integers(min_value=2, max_value=64).flatmap(
+        lambda n: st.builds(
+            lambda k, repeats: KeySet(n, (k,) * repeats),
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=1, max_value=20),
+        )
+    ),
+    st.sampled_from([2, 3]).flatmap(
+        lambda n: st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=20
+        ).map(lambda keys: KeySet(n, tuple(keys)))
+    ),
+)
+
 
 class TestFourierComponent:
     def test_worked_example(self, tiny_keyset):
@@ -83,6 +105,8 @@ class TestFourierComponent:
     def test_unknown_method(self, tiny_keyset):
         with pytest.raises(ValueError, match="method"):
             fourier_components(tiny_keyset, method="dft")
+        with pytest.raises(ValueError, match="method"):
+            bias_profile(tiny_keyset, method="dft")
 
 
 class TestBiasProfile:
@@ -95,6 +119,11 @@ class TestBiasProfile:
             abs(oracle_component(tiny_keyset, 1)) / 2, abs=1e-12
         )
         assert profile.worst_shift_lambda == 1
+
+    @given(st.one_of(keysets, degenerate_keysets))
+    @settings(max_examples=200, deadline=None)
+    def test_fft_locate_matches_the_direct_scan(self, keyset):
+        assert bias_profile(keyset, method="fft") == bias_profile(keyset, method="direct")
 
     @given(keysets)
     @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from qhashlab import (
     load_state,
     save_keyset,
 )
+from qhashlab import bias as bias_mod
 from qhashlab.cli import main
 
 N32 = bundled_table_dir() / "n32_d15.txt"
@@ -83,6 +84,29 @@ def test_unwritable_out_exits_two(runner, tmp_path, args):
     result = invoke(runner, args + ["--out", str(tmp_path / "missing" / "out")])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode,modulus", [
+    ("ga", "1"), ("ga", "0"), ("ga", "-4"), ("random", "0"), ("random", "-4"),
+])
+def test_search_modulus_below_two_exits_two(runner, tmp_path, mode, modulus):
+    result = invoke(runner, ["search", "--mode", mode, "--n", modulus, "--d", "3",
+                             "--epsilon", "0.5", "--out", str(tmp_path / "k.txt")])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: modulus must be >= 2, got {modulus}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--mode", "ga", "--n", "128", "--d", "3"], "spectrum of 64 x 128 = 8192 cells"),
+    (["--mode", "random", "--n", "8192", "--epsilon", "0.5"], "spectrum of 1 x 8192 = 8192 cells"),
+    (["--mode", "random", "--n", "64", "--epsilon", "0.01"], "lemma size 97041 keys"),
+], ids=["ga", "random", "lemma-size"])
+def test_search_beyond_the_spectrum_limit_exits_two(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 1 << 12)
+    result = invoke(runner, ["search", *args, "--out", str(tmp_path / "k.txt")])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert "exceeds MAX_SPECTRUM_CELLS = 4096" in result.stderr
 
 
 class TestBias:

@@ -10,10 +10,12 @@ from qhashlab import (
     SearchConfig,
     bias_profile,
     bundled_table_dir,
+    fourier_components,
     ga_search,
     lemma_size,
     load_table_fixtures,
     make_rng,
+    padded_branch_count,
     padded_delta_squared,
     sample_random_keyset,
 )
@@ -80,8 +82,10 @@ class TestObjectiveValues:
 
         for row, delta, pad in zip(population, deltas, padded):
             ks = KeySet(modulus=32, keys=tuple(int(k) for k in row))
-            assert delta == pytest.approx(bias_profile(ks).delta, abs=1e-12)
-            assert pad == pytest.approx(padded_delta_squared(ks), abs=1e-12)
+            profile = bias_profile(ks, method="direct")
+            worst_re = abs(fourier_components(ks)[profile.worst_shift_delta].real)
+            assert delta == profile.delta
+            assert pad == (worst_re / padded_branch_count(15)) ** 2
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="objective"):
