@@ -55,6 +55,10 @@ __all__ = [
 # GA's 64-row population at N = 2^20.  Larger requests raise ValueError.
 MAX_SPECTRUM_CELLS = 1 << 26
 
+# Character sums within TIE_BAND * d of a row's maximum are ties for
+# the worst shift; the FFT locate band (1e-9 * d) contains this one.
+TIE_BAND = 1e-12
+
 
 class KeySetFormatError(ValueError):
     """A key-set file does not follow the text format."""
@@ -155,8 +159,12 @@ def worst_character_sums(
 
     "direct" gathers every shift; "fft" gathers only the shifts that an
     rfft of the multiplicity rows puts near a row's maximum, with
-    bit-identical results.  Shifts are chosen on |Re f|/d and |f|/d;
-    ties resolve to the smallest shift.
+    bit-identical results.  The maxima are the largest gathered values;
+    a shift ties when its value lies within 1e-12 * d of its row's
+    maximum, far wider than the gather's rounding (about d * 2^-52) and
+    far narrower than any genuine gap, and ties resolve to the smallest
+    shift.  Re f(l) = Re f(N - l) and |f(l)| = |f(N - l)| in exact
+    arithmetic, so the shifts reported are at most N/2.
     """
     rows, d = key_rows.shape
     _check_cells(rows, modulus)
@@ -183,8 +191,8 @@ def worst_character_sums(
     out: list[np.ndarray] = []
     for values in (np.abs(f.real), np.hypot(f.real, f.imag)):
         top = values.max(axis=1)
-        # Rounding is monotone, so top / d is the largest normalized value.
-        out += [top, np.where(values / d == (top / d)[:, None], shifts, modulus).min(axis=1)]
+        tied = values >= (top - TIE_BAND * d)[:, None]
+        out += [top, np.where(tied, shifts, modulus).min(axis=1)]
     return tuple(out)
 
 

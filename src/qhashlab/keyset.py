@@ -218,6 +218,13 @@ def ga_search(
         rng = make_rng(config.rng_seed)
 
     pop_size = config.population_size
+    cells = pop_size * d
+    if cells > bias_mod.MAX_SPECTRUM_CELLS:
+        raise ValueError(
+            f"GA population of {pop_size} x {d} = {cells} keys (about "
+            f"{cells * 8 / 2**30:.1f} GiB as int64) exceeds "
+            f"MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
+        )
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
     values = _objective_values(population, modulus, objective)
     order = np.argsort(values, kind="stable")

@@ -46,13 +46,12 @@ from .qsim import (
     MeasurementRecord,
     StateVector,
     TestCounts,
-    apply_controlled_single_qubit,
-    apply_single_qubit,
+    apply_gate_inplace,
     hadamard_matrix,
     measure_all,
     reflect_to_uniform,
-    ry_matrix,
-    sample_outcomes,
+    ry_matrices,
+    zero_outcome_counts,
 )
 
 __all__ = [
@@ -214,31 +213,57 @@ def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") 
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
+def _gate_batches(gates: "tuple[Gate, ...]"):
+    """Split a gate list into runs to apply as one update each.
+
+    Consecutive rotations on one target with distinct conditions act on
+    disjoint pairs, so they form one run; every other gate is a run of
+    its own.  Order within and across runs is kept.
+    """
+    run: list[Gate] = []
+    conditions: set[int] = set()  # nonempty only while the run holds rotations
+    for gate in gates:
+        if (
+            conditions
+            and isinstance(gate, ControlledRotation)
+            and gate.target == run[0].target
+            and gate.condition not in conditions
+        ):
+            run.append(gate)
+            conditions.add(gate.condition)
+            continue
+        if run:
+            yield run
+        run = [gate]
+        conditions = {gate.condition} if isinstance(gate, ControlledRotation) else set()
+    if run:
+        yield run
+
+
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
-    """Run the gate list on |0...0>."""
+    """Run the gate list on |0...0>; the result is validated once."""
     s = circuit.qubit_count
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0
-    state = StateVector(s, amp)
     index_mask = (1 << s) - 2
-    for gate in circuit.gates:
+    for run in _gate_batches(circuit.gates):
+        gate = run[0]
         if isinstance(gate, Hadamard):
-            state = apply_single_qubit(state, gate.target, hadamard_matrix())
+            apply_gate_inplace(amp, gate.target, hadamard_matrix())
         elif isinstance(gate, ControlledRotation):
-            state = apply_controlled_single_qubit(
-                state,
+            apply_gate_inplace(
+                amp,
                 gate.target,
-                ry_matrix(gate.theta),
+                ry_matrices([g.theta for g in run]),
                 control_mask=index_mask,
-                control_value=gate.condition << 1,
+                control_value=np.array([g.condition << 1 for g in run]),
             )
         elif isinstance(gate, PrepareUniform):
             # one row per index branch: the reflection moves target pairs
-            pairs = state.amplitudes.reshape(-1, 2)
-            state = StateVector(s, reflect_to_uniform(pairs, gate.branch_count).reshape(-1))
+            amp = reflect_to_uniform(amp.reshape(-1, 2), gate.branch_count).reshape(-1)
         else:
             raise ValueError(f"unknown gate {gate!r}")
-    return state
+    return StateVector(s, amp)
 
 
 def dump_circuit(circuit: CircuitDescription) -> str:
@@ -281,12 +306,11 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
     x1 = pairs[:d, 1]
     pairs[:d, 0] = cos_a * x0 + sin_a * x1
     pairs[:d, 1] = -sin_a * x0 + cos_a * x1
-    amp = pairs.reshape(-1)
     if d == params.branch_capacity:
-        state = StateVector(params.s, amp)
+        amp = pairs.reshape(-1)
         for q in range(1, params.s):
-            state = apply_single_qubit(state, q, hadamard_matrix())
-        return state
+            apply_gate_inplace(amp, q, hadamard_matrix())
+        return StateVector(params.s, amp)
     return StateVector(params.s, reflect_to_uniform(pairs, d).reshape(-1))
 
 
@@ -302,9 +326,7 @@ def reverse_test_shots(
     params: HashParams, v: int, psi: StateVector, shots: int, rng: np.random.Generator
 ) -> TestCounts:
     """Repeat the reverse test on fresh copies of psi; count accepts."""
-    outcomes = sample_outcomes(uncompute_hash(params, v, psi), shots, rng)
-    accepted = int(np.count_nonzero(outcomes == 0))
-    return TestCounts(accepted=accepted, rejected=shots - accepted)
+    return zero_outcome_counts(uncompute_hash(params, v, psi), shots, rng)
 
 
 def reverse_test_accept_probability(params: HashParams, v: int, w: int) -> float:

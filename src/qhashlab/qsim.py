@@ -7,6 +7,16 @@ matrices applied to one qubit, optionally conditioned on the value of
 other qubits.  Measurement is Born-rule sampling from an explicit,
 replayable generator.
 
+One kernel, apply_gate_inplace, applies every gate: it views the
+amplitudes as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves
+are the pairs that differ in qubit q, and updates those pairs in place
+(all of them, or the rows a control selects).  apply_single_qubit and
+apply_controlled_single_qubit are validated wrappers that return a new
+StateVector; circuit simulation runs the kernel on one mutable array
+and validates a single StateVector at the end.  A tally of all-zero
+outcomes compares each shot's uniform draw with |amp_0|^2, the same
+draw and the same verdict as sampling the full outcome.
+
 The SWAP test is simulated at the probability level: the analytic
 accept probability 1/2 (1 + |<psi|phi>|^2) drives one Bernoulli draw
 per shot.  This has exactly the statistics of materializing the
@@ -39,8 +49,11 @@ __all__ = [
     "repeated_test",
     "hadamard_matrix",
     "ry_matrix",
+    "ry_matrices",
     "apply_single_qubit",
     "apply_controlled_single_qubit",
+    "apply_gate_inplace",
+    "zero_outcome_counts",
     "reflect_to_uniform",
     "dump_state",
     "load_state",
@@ -135,10 +148,19 @@ def _outcome_probabilities(psi: StateVector) -> np.ndarray:
     return np.abs(psi.amplitudes) ** 2
 
 
-def sample_outcomes(psi: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample basis-state outcomes for repeated full-register measurements."""
+def _check_shots(shots: int) -> None:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+
+
+def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCounts:
+    accepted = int(np.count_nonzero(rng.random(shots) < p))
+    return TestCounts(accepted=accepted, rejected=shots - accepted)
+
+
+def sample_outcomes(psi: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample basis-state outcomes for repeated full-register measurements."""
+    _check_shots(shots)
     probs = _outcome_probabilities(psi)
     edges = np.cumsum(probs)
     # norm is 1 within 1e-10; pin the last edge so a draw near 1 cannot
@@ -146,6 +168,17 @@ def sample_outcomes(psi: StateVector, shots: int, rng: np.random.Generator) -> n
     edges[-1] = 1.0
     draws = rng.random(shots)
     return np.searchsorted(edges, draws, side="right").astype(np.int64)
+
+
+def zero_outcome_counts(psi: StateVector, shots: int, rng: np.random.Generator) -> TestCounts:
+    """Measure fresh copies of psi; accept = the all-zero outcome.
+
+    sample_outcomes reports outcome 0 exactly when a draw is below its
+    first edge, |amp_0|^2, so this tally makes the same draws and
+    reaches the same verdicts without the cumulative table.
+    """
+    _check_shots(shots)
+    return _bernoulli_counts(_outcome_probabilities(psi)[0], shots, rng)
 
 
 def measure_all(psi: StateVector, rng: np.random.Generator) -> MeasurementRecord:
@@ -177,11 +210,8 @@ def swap_test(
     Simulated at the probability level: each shot is a Bernoulli draw at
     the analytic accept probability.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    p = swap_test_accept_probability(psi, phi)
-    accepted = int(np.count_nonzero(rng.random(shots) < p))
-    return TestCounts(accepted=accepted, rejected=shots - accepted)
+    _check_shots(shots)
+    return _bernoulli_counts(swap_test_accept_probability(psi, phi), shots, rng)
 
 
 def repeated_test(single_test_accept_probability: float, k: int) -> float:
@@ -200,32 +230,86 @@ def hadamard_matrix() -> np.ndarray:
 
 def ry_matrix(theta: float) -> np.ndarray:
     """Rotation with R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return ry_matrices([theta])[0]
 
 
-def _apply_matrix_pairs(
-    amp: np.ndarray, matrix: np.ndarray, i0: np.ndarray, i1: np.ndarray
-) -> np.ndarray:
-    out = amp.copy()
-    a0 = amp[i0]
-    a1 = amp[i1]
-    out[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+def ry_matrices(thetas) -> np.ndarray:
+    """A (k, 2, 2) stack holding ry_matrix(theta) for each theta."""
+    c = np.array([math.cos(theta / 2.0) for theta in thetas])
+    s = np.array([math.sin(theta / 2.0) for theta in thetas])
+    out = np.empty((c.size, 2, 2), dtype=np.complex128)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 1, 1] = c
     return out
+
+
+def apply_gate_inplace(
+    amp: np.ndarray,
+    qubit: int,
+    matrix: np.ndarray,
+    control_mask: int = 0,
+    control_value: "int | np.ndarray" = 0,
+) -> None:
+    """Apply a 2x2 matrix to one qubit of a contiguous amplitude array, in place.
+
+    Only basis indices with (index & control_mask) == control_value are
+    touched.  matrix may also be a (k, 2, 2) stack with k distinct
+    control values: matrix[r] acts where the control reads
+    control_value[r], so k gates on disjoint pairs run as one update.
+
+    In the view amp.reshape(-1, 2, 2^qubit), entry [h, b, l] is basis
+    index h 2^(qubit+1) + b 2^qubit + l: the halves b = 0 and b = 1 hold
+    the pairs the gate mixes, and a control selects rows of their (h, l)
+    grid.  Each half is copied before the update, so every amplitude
+    gets the contiguous arithmetic of a one-gate update.
+    """
+    if amp.ndim != 1 or not amp.flags.c_contiguous:
+        raise ValueError("amplitudes must be a contiguous 1-D array to update in place")
+    if amp.size < 2 or amp.size & (amp.size - 1):
+        raise ValueError(f"{amp.size} amplitudes is not a power of two >= 2")
+    num_qubits = amp.size.bit_length() - 1
+    values = np.asarray(control_value, dtype=np.int64).reshape(-1)
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    if matrix.shape not in ((2, 2), (values.size, 2, 2)):
+        raise ValueError(f"expected a 2x2 matrix per control value, got shape {matrix.shape}")
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range [0, {num_qubits - 1}]")
+    if control_mask & (1 << qubit):
+        raise ValueError("target qubit cannot be part of the control mask")
+    if control_mask >> num_qubits:
+        raise ValueError(f"control mask sets bits outside the {num_qubits}-qubit register")
+    if np.any(values & ~control_mask):
+        raise ValueError("control value sets bits outside the control mask")
+    if values.size > 1 and np.unique(values).size < values.size:
+        raise ValueError("control values must be distinct")
+    m = matrix.reshape(-1, 2, 2)
+    if control_mask:
+        # matching indices with bit `qubit` clear, one row per control
+        # value, ascending: set each free bit in turn
+        index = values[:, None]
+        for j in range(num_qubits):
+            if not (control_mask | 1 << qubit) >> j & 1:
+                index = np.concatenate([index, index | 1 << j], axis=1)
+        rows: tuple = (index >> (qubit + 1), index & ((1 << qubit) - 1))
+        m00, m01, m10, m11 = (m[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    else:
+        rows = (...,)
+        m00, m01, m10, m11 = m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1]
+    view = amp.reshape(-1, 2, 1 << qubit)
+    low, high = view[:, 0], view[:, 1]
+    a0 = low[rows].copy()
+    a1 = high[rows].copy()
+    low[rows] = m00 * a0 + m01 * a1
+    high[rows] = m10 * a0 + m11 * a1
 
 
 def apply_single_qubit(psi: StateVector, qubit: int, matrix: np.ndarray) -> StateVector:
     """Apply a 2x2 matrix to one qubit; returns a new state."""
-    if not 0 <= qubit < psi.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range [0, {psi.num_qubits - 1}]")
-    idx = np.arange(psi.dim, dtype=np.int64)
-    i0 = idx[(idx >> qubit) & 1 == 0]
-    return StateVector(
-        psi.num_qubits,
-        _apply_matrix_pairs(psi.amplitudes, matrix, i0, i0 | (1 << qubit)),
-    )
+    amp = psi.amplitudes.copy()
+    apply_gate_inplace(amp, qubit, matrix)
+    return StateVector(psi.num_qubits, amp)
 
 
 def apply_controlled_single_qubit(
@@ -236,18 +320,9 @@ def apply_controlled_single_qubit(
     control_value: int,
 ) -> StateVector:
     """Apply a 2x2 matrix to one qubit where (index & mask) == value."""
-    if not 0 <= qubit < psi.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range [0, {psi.num_qubits - 1}]")
-    if control_mask & (1 << qubit):
-        raise ValueError("target qubit cannot be part of the control mask")
-    if control_value & ~control_mask:
-        raise ValueError("control value sets bits outside the control mask")
-    idx = np.arange(psi.dim, dtype=np.int64)
-    i0 = idx[((idx & control_mask) == control_value) & ((idx >> qubit) & 1 == 0)]
-    return StateVector(
-        psi.num_qubits,
-        _apply_matrix_pairs(psi.amplitudes, matrix, i0, i0 | (1 << qubit)),
-    )
+    amp = psi.amplitudes.copy()
+    apply_gate_inplace(amp, qubit, matrix, control_mask, control_value)
+    return StateVector(psi.num_qubits, amp)
 
 
 def reflect_to_uniform(amp: np.ndarray, branch_count: int) -> np.ndarray:

@@ -23,6 +23,16 @@ dominates; the bundled table sets have delta around 0.2 at the sizes
 used in the experiments, so the overlap term dominates instead and the
 prediction is far above 1/L.  forgery_experiment reports both the
 empirical rate and this prediction.
+
+forgery_experiment samples REVERSE's exact Born probability, as
+qsim.swap_test does for the SWAP test: a claim off by t from the held
+number is accepted with the squared overlap (Re f_K(t)/d)^2, read from
+one table over Z_N that the prediction shares.  Each trial makes the
+draws a full keygen-and-verify run makes, in the same order (the
+private pair, the bit, the guess, then the measurement's one uniform
+draw), and accepts when that draw is below the table entry, where the
+measurement would find the all-zero outcome; verify still runs the
+uncompute-and-measure circuit.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import fourier_components
+from .bias import KeySet, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
 from .qsim import StateVector
 
@@ -150,6 +160,22 @@ def verify(
     return reverse_test(params.hash_params, claimed, public_state_copy, rng).accepted
 
 
+def _overlap_table(keyset: KeySet) -> np.ndarray:
+    """(Re f_K(t)/d)^2 for every t in Z_N: REVERSE's accept chance at offset t."""
+    return (fourier_components(keyset).real / keyset.d) ** 2
+
+
+def _predicted_rate(level: int, overlap_sq: np.ndarray) -> float:
+    if level == 1:
+        return 1.0
+    t = np.arange(1, level)
+    weights = 2.0 * (level - t)
+    mean_sq = float(np.sum(weights * overlap_sq[t % overlap_sq.size])) / float(
+        level * (level - 1)
+    )
+    return 1.0 / level + (1.0 - 1.0 / level) * mean_sq
+
+
 def forgery_prediction(params: ProtocolParams) -> float:
     """Exact success chance of the uniform-guessing forger.
 
@@ -158,39 +184,37 @@ def forgery_prediction(params: ProtocolParams) -> float:
     counts: an integer difference t in [1, L-1] occurs in 2(L - t)
     ordered pairs and contributes the squared overlap at t mod N.
     """
-    level = params.security_level
-    if level == 1:
-        return 1.0
-    keyset = params.hash_params.keyset
-    ip = fourier_components(keyset).real / keyset.d
-    t = np.arange(1, level)
-    weights = 2.0 * (level - t)
-    mean_sq = float(np.sum(weights * ip[t % keyset.modulus] ** 2)) / float(
-        level * (level - 1)
-    )
-    return 1.0 / level + (1.0 - 1.0 / level) * mean_sq
+    return _predicted_rate(params.security_level, _overlap_table(params.hash_params.keyset))
 
 
 def forgery_experiment(
     params: ProtocolParams, trials: int, rng: np.random.Generator
 ) -> ForgeryReport:
-    """Guessing attack: fresh keypair per trial, uniform guess, random bit."""
+    """Guessing attack: fresh keypair per trial, uniform guess, random bit.
+
+    Each trial draws what keygen, then verify of the guess against
+    public[b], would draw, so the generator ends in the same state; a
+    verdict could differ only for a draw between the table entry and the
+    simulated |amp_0|^2, which agree to rounding.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     level = params.security_level
+    overlap_sq = _overlap_table(params.hash_params.keyset)
+    modulus = overlap_sq.size
     records: list[tuple[int, int, bool]] = []
     successes = 0
     for _ in range(trials):
-        keypair = keygen(params, rng)
+        private = rng.integers(1, level + 1, size=2)
         b = int(rng.integers(0, 2))
         guess = int(rng.integers(1, level + 1))
-        accepted = verify(params, keypair.public[b], b, guess, rng)
+        accepted = bool(rng.random() < overlap_sq[(guess - int(private[b])) % modulus])
         successes += accepted
         records.append((b, guess, accepted))
     return ForgeryReport(
         trials=trials,
         successes=successes,
-        predicted=forgery_prediction(params),
+        predicted=_predicted_rate(level, overlap_sq),
         records=tuple(records),
     )
 

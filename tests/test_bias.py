@@ -39,6 +39,11 @@ keysets = st.integers(min_value=2, max_value=64).flatmap(
     )
 )
 
+# K = -K: a real spectrum, so Re f(l) = Re f(N - l) and f(l) = f(N - l).
+symmetric_keysets = keysets.map(
+    lambda ks: KeySet(ks.modulus, ks.keys + tuple(-k % ks.modulus for k in ks.keys))
+)
+
 # Sets whose spectra are flat or full of exact ties: one key, the key
 # N/2, every residue once, one key repeated, and the moduli 2 and 3.
 degenerate_keysets = st.one_of(
@@ -112,9 +117,9 @@ class TestFourierComponent:
 class TestBiasProfile:
     def test_worked_example(self, tiny_keyset):
         profile = bias_profile(tiny_keyset)
-        # |Re f| peaks at 1 for l in {2, 6}; float noise picks the winner
+        # |Re f| peaks at 1 for l in {2, 6}; the tie goes to the smaller
         assert profile.delta == pytest.approx(0.5, abs=1e-12)
-        assert profile.worst_shift_delta in (2, 6)
+        assert profile.worst_shift_delta == 2
         assert profile.lambda_ == pytest.approx(
             abs(oracle_component(tiny_keyset, 1)) / 2, abs=1e-12
         )
@@ -147,6 +152,29 @@ class TestBiasProfile:
         # Re f_K(N/2) = sum of d signs: an integer with d's parity.
         if keyset.modulus % 2 == 0 and keyset.d % 2 == 1:
             assert bias_profile(keyset).delta >= 1.0 / keyset.d - 1e-12
+
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    def test_flat_set_reports_the_smallest_shift(self, n32_keyset, method):
+        # every nonzero shift ties at |Re f| = 1 (the gather gives
+        # 1.000000000000003 at l = 31 and 0.9999999999999998 at l = 1)
+        profile = bias_profile(n32_keyset, method=method)
+        assert profile.worst_shift_delta == 1
+        assert profile.worst_shift_lambda == 1
+
+    @given(st.one_of(keysets, symmetric_keysets, degenerate_keysets))
+    @settings(max_examples=200, deadline=None)
+    def test_ties_resolve_to_the_smallest_shift(self, keyset):
+        n, d = keyset.modulus, keyset.d
+        f = fourier_components(keyset)[1:]
+        profile = bias_profile(keyset)
+        for values, top, shift in (
+            (np.abs(f.real), profile.delta, profile.worst_shift_delta),
+            (np.hypot(f.real, f.imag), profile.lambda_, profile.worst_shift_lambda),
+        ):
+            assert top == values.max() / d
+            assert shift == 1 + np.flatnonzero(values >= values.max() - 1e-12 * d)[0]
+            # l and N - l tie in exact arithmetic
+            assert shift <= n // 2
 
     def test_flat_set_attains_the_floor(self, n32_keyset):
         # {1..16} \ {8} mod 32: |Re f| = 1 at every nonzero shift.

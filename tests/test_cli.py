@@ -109,6 +109,19 @@ def test_search_beyond_the_spectrum_limit_exits_two(runner, tmp_path, monkeypatc
     assert "exceeds MAX_SPECTRUM_CELLS = 4096" in result.stderr
 
 
+def test_ga_population_beyond_the_limit_exits_two(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 1 << 12)
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", "ga", "--n", "32", "--d", "65",
+                             "--epsilon", "0.01", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: GA population of 64 x 65 = 4160 keys (about 0.0 GiB as int64) "
+        "exceeds MAX_SPECTRUM_CELLS = 4096\n"
+    )
+    assert not out.exists()
+
+
 class TestBias:
     def test_fields(self, runner):
         result = invoke(runner, ["bias", "--keyset", str(N32)])

@@ -20,9 +20,14 @@ from qhashlab import (
     load_code,
     make_rng,
     random_linear_code,
+    sample_outcomes,
     save_code,
 )
-from qhashlab.fingerprint import MAX_BRUTE_FORCE_BITS, fingerprint_reverse_test_shots
+from qhashlab.fingerprint import (
+    MAX_BRUTE_FORCE_BITS,
+    _uncompute_fingerprint,
+    fingerprint_reverse_test_shots,
+)
 
 
 def all_messages(n):
@@ -115,6 +120,28 @@ class TestMinDistance:
         ]
         assert code.min_distance() == min(weights)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (3, 8), (5, 17), (9, 64), (12, 100)])
+    def test_weights_match_the_matrix_product_enumeration(self, n, m):
+        # the enumeration the XOR doubling replaced: every message's bits
+        # times the generator, mod 2
+        for seed in range(3):
+            code = random_linear_code(n, m, make_rng(seed))
+            messages = np.arange(1, 1 << n, dtype=np.uint32)
+            bits = (messages[:, None] >> np.arange(n)) & 1
+            weights = (bits.astype(np.uint8) @ code.generator.T % 2).sum(axis=1)
+            assert code.min_distance() == int(weights.min())
+            assert fingerprint_resistance(code) == float(
+                np.max(np.abs(1.0 - 2.0 * weights / m))
+            )
+
+    def test_codewords_enumerated_once(self):
+        code = random_linear_code(6, 20, make_rng(1))
+        code.min_distance()
+        weights = vars(code)["_weights"]
+        fingerprint_resistance(code)
+        code.min_distance()
+        assert vars(code)["_weights"] is weights
+
     def test_brute_force_limit(self):
         n = MAX_BRUTE_FORCE_BITS + 1
         code = LinearCode(n=n, m=n, generator=np.eye(n, dtype=np.uint8))
@@ -181,6 +208,21 @@ class TestFingerprintReverseTest:
         counts = fingerprint_reverse_test_shots(code, "110", psi, shots, make_rng(3))
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(counts.accept_rate - p) <= 3 * sigma + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shots_count_sampled_zeros(self, seed):
+        code = random_linear_code(5, 13 + seed, make_rng(seed))
+        u, v = "10110", "0111" + str(seed % 2)
+        psi = fingerprint_state(code, u)
+        for claim in (u, v):
+            shots = 30000 + seed
+            tally_rng, sample_rng = make_rng(seed), make_rng(seed)
+            counts = fingerprint_reverse_test_shots(code, claim, psi, shots, tally_rng)
+            outcomes = sample_outcomes(
+                _uncompute_fingerprint(code, claim, psi), shots, sample_rng
+            )
+            assert counts.accepted == int(np.count_nonzero(outcomes == 0))
+            assert tally_rng.random() == sample_rng.random()
 
     def test_register_size_checked(self):
         code = random_linear_code(2, 4, make_rng(0))

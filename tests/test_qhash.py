@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhashlab import (
+    CircuitDescription,
     ControlledRotation,
     Hadamard,
     HashParams,
@@ -20,9 +21,11 @@ from qhashlab import (
     reverse_test,
     reverse_test_accept_probability,
     reverse_test_shots,
+    sample_outcomes,
     simulate_circuit,
     uncompute_hash,
 )
+from qhashlab.qsim import hadamard_matrix, reflect_to_uniform, ry_matrix
 
 
 def circuit_state(params, m):
@@ -232,3 +235,108 @@ class TestReverseTest:
         a = reverse_test_shots(params, 9, psi, 300, make_rng(4))
         b = reverse_test_shots(params, 9, psi, 300, make_rng(4))
         assert a == b
+
+
+def gate_by_gate(circuit, gate):
+    """Reference simulation: every gate on its own, through `gate`."""
+    s = circuit.qubit_count
+    amp = np.zeros(1 << s, dtype=np.complex128)
+    amp[0] = 1.0
+    for g in circuit.gates:
+        if isinstance(g, Hadamard):
+            amp = gate(amp, g.target, hadamard_matrix())
+        elif isinstance(g, ControlledRotation):
+            amp = gate(amp, g.target, ry_matrix(g.theta), (1 << s) - 2, g.condition << 1)
+        else:
+            amp = reflect_to_uniform(amp.reshape(-1, 2), g.branch_count).reshape(-1)
+    return amp
+
+
+def reference_uncompute(params, v, amp, gate):
+    """uncompute_hash written with one gate call per Hadamard."""
+    keyset = params.keyset
+    d = keyset.d
+    angles = 2.0 * np.pi * ((keyset.key_array() * v) % keyset.modulus) / keyset.modulus
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    pairs = amp.reshape(-1, 2).copy()
+    x0 = pairs[:d, 0].copy()
+    x1 = pairs[:d, 1]
+    pairs[:d, 0] = cos_a * x0 + sin_a * x1
+    pairs[:d, 1] = -sin_a * x0 + cos_a * x1
+    if d != params.branch_capacity:
+        return reflect_to_uniform(pairs, d).reshape(-1)
+    out = pairs.reshape(-1)
+    for q in range(1, params.s):
+        out = gate(out, q, hadamard_matrix())
+    return out
+
+
+def criterion_3_draws(rng, count):
+    """Random key sets and messages as criterion 3 draws them, plus d = 64."""
+    for modulus, d in [(8, 2), (32, 15), (1024, 65), (8, 15), (1024, 2),
+                       (32, 65), (1024, 64), (256, 16)]:
+        for _ in range(count):
+            keys = tuple(int(k) for k in rng.integers(0, modulus, size=d))
+            yield HashParams(KeySet(modulus=modulus, keys=keys)), int(rng.integers(modulus))
+
+
+class TestFastPathsMatchGateByGate:
+    """Batched and in-place paths against the one-gate-at-a-time formula."""
+
+    def test_simulate_circuit(self, fancy_index_gate):
+        for params, m in criterion_3_draws(make_rng(303), 4):
+            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            assert np.array_equal(
+                simulate_circuit(circuit).amplitudes, gate_by_gate(circuit, fancy_index_gate)
+            )
+
+    def test_hand_built_circuit_with_repeats(self, fancy_index_gate):
+        # a repeated branch, a second target and a Hadamard split the
+        # rotation runs; order must be kept across the splits
+        gates = (
+            Hadamard(target=1), Hadamard(target=2),
+            ControlledRotation(message_bit=1, condition=1, target=0, theta=0.3),
+            ControlledRotation(message_bit=1, condition=2, target=0, theta=1.1),
+            ControlledRotation(message_bit=2, condition=1, target=0, theta=2.9),
+            Hadamard(target=1),
+            ControlledRotation(message_bit=2, condition=3, target=0, theta=-0.7),
+            ControlledRotation(message_bit=2, condition=0, target=0, theta=5.0),
+            PrepareUniform(branch_count=3),
+            ControlledRotation(message_bit=3, condition=0, target=0, theta=0.2),
+        )
+        circuit = CircuitDescription(qubit_count=3, gates=gates)
+        assert np.array_equal(
+            simulate_circuit(circuit).amplitudes, gate_by_gate(circuit, fancy_index_gate)
+        )
+
+    def test_invalid_gate_still_raises(self):
+        bad = ControlledRotation(message_bit=1, condition=4, target=0, theta=0.3)
+        with pytest.raises(ValueError, match="outside the control mask"):
+            simulate_circuit(CircuitDescription(qubit_count=3, gates=(bad,)))
+
+    def test_uncompute_hash(self, fancy_index_gate):
+        rng = make_rng(404)
+        for params, m in criterion_3_draws(make_rng(404), 3):
+            v = int(rng.integers(params.keyset.modulus))
+            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            for psi in (hash_state(params, m), simulate_circuit(circuit)):
+                for claim in (v, m):
+                    assert np.array_equal(
+                        uncompute_hash(params, claim, psi).amplitudes,
+                        reference_uncompute(params, claim, psi.amplitudes, fancy_index_gate),
+                    )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reverse_test_shots_counts_sampled_zeros(self, seed, n32_keyset):
+        rng = make_rng(seed)
+        keys = tuple(int(k) for k in rng.integers(0, 256, size=16))
+        for params in (HashParams(n32_keyset), HashParams(KeySet(256, keys))):
+            n = params.keyset.modulus
+            v, w = (int(x) for x in rng.integers(0, n, size=2))
+            psi = hash_state(params, w)
+            shots = 20000 + seed
+            tally_rng, sample_rng = make_rng(seed), make_rng(seed)
+            counts = reverse_test_shots(params, v, psi, shots, tally_rng)
+            outcomes = sample_outcomes(uncompute_hash(params, v, psi), shots, sample_rng)
+            assert counts.accepted == int(np.count_nonzero(outcomes == 0))
+            assert tally_rng.random() == sample_rng.random()

@@ -22,10 +22,13 @@ from qhashlab import (
 )
 from qhashlab.qsim import (
     apply_controlled_single_qubit,
+    apply_gate_inplace,
     apply_single_qubit,
     hadamard_matrix,
     reflect_to_uniform,
+    ry_matrices,
     ry_matrix,
+    zero_outcome_counts,
 )
 
 
@@ -228,6 +231,105 @@ class TestGates:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="qubit"):
             apply_single_qubit(basis_state(2, 0), 2, ry_matrix(1.0))
+
+    def test_control_mask_outside_register(self):
+        with pytest.raises(ValueError, match="outside the 2-qubit register"):
+            apply_controlled_single_qubit(basis_state(2, 0), 0, ry_matrix(1.0), 0b110, 0b100)
+
+
+def random_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def controlled_gates(draw):
+    """(seed, qubits, target, mask, value): any legal control on any target."""
+    num_qubits = draw(st.integers(min_value=1, max_value=7))
+    qubit = draw(st.integers(min_value=0, max_value=num_qubits - 1))
+    others = ((1 << num_qubits) - 1) & ~(1 << qubit)
+    mask = draw(st.integers(min_value=0, max_value=others)) & others
+    value = draw(st.integers(min_value=0, max_value=mask)) & mask
+    return draw(st.integers(min_value=0, max_value=2**32 - 1)), num_qubits, qubit, mask, value
+
+
+class TestPairViewKernel:
+    """Every gate path is bit-identical to the fancy-index formula it replaced."""
+
+    @given(controlled_gates())
+    @settings(max_examples=200, deadline=None)
+    def test_wrappers_match_the_fancy_index_formula(self, fancy_index_gate, gate):
+        seed, num_qubits, qubit, mask, value = gate
+        rng = make_rng(seed)
+        psi = random_state(num_qubits, rng)
+        for matrix in (hadamard_matrix(), ry_matrix(float(rng.uniform(0, 13))),
+                       random_unitary(rng)):
+            single = apply_single_qubit(psi, qubit, matrix).amplitudes
+            assert np.array_equal(single, fancy_index_gate(psi.amplitudes, qubit, matrix))
+            controlled = apply_controlled_single_qubit(psi, qubit, matrix, mask, value)
+            assert np.array_equal(
+                controlled.amplitudes,
+                fancy_index_gate(psi.amplitudes, qubit, matrix, mask, value),
+            )
+
+    @given(controlled_gates(), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=200, deadline=None)
+    def test_a_stack_matches_its_gates_one_by_one(self, fancy_index_gate, gate, count):
+        seed, num_qubits, qubit, mask, _ = gate
+        rng = make_rng(seed)
+        values = rng.permutation(np.arange(mask + 1)[(np.arange(mask + 1) & ~mask) == 0])
+        values = values[:count]
+        matrices = ry_matrices(rng.uniform(0, 13, size=values.size))
+        amp = random_state(num_qubits, rng).amplitudes.copy()
+        want = amp
+        for value, matrix in zip(values, matrices):
+            want = fancy_index_gate(want, qubit, matrix, mask, int(value))
+        apply_gate_inplace(amp, qubit, matrices, mask, values)
+        assert np.array_equal(amp, want)
+
+    def test_ry_matrices_match_ry_matrix(self):
+        thetas = make_rng(6).uniform(-20, 20, size=50)
+        for theta, matrix in zip(thetas, ry_matrices(thetas)):
+            assert np.array_equal(matrix, ry_matrix(float(theta)))
+
+    def test_validation(self):
+        m = ry_matrix(0.4)
+        with pytest.raises(ValueError, match="power of two"):
+            apply_gate_inplace(np.zeros(6, dtype=np.complex128), 0, m)
+        with pytest.raises(ValueError, match="contiguous 1-D"):
+            apply_gate_inplace(np.zeros(16, dtype=np.complex128)[::2], 0, m)
+        with pytest.raises(ValueError, match="matrix per control value"):
+            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0] * 3),
+                               0b110, np.array([0, 2]))
+        with pytest.raises(ValueError, match="distinct"):
+            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0, 2.0]),
+                               0b110, np.array([2, 2]))
+        with pytest.raises(ValueError, match="outside"):
+            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0, 2.0]),
+                               0b110, np.array([2, 1]))
+
+
+class TestZeroOutcomeCounts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_sampled_outcomes(self, seed):
+        rng = make_rng(100 + seed)
+        psi = random_state(1 + seed % 5, rng)
+        shots = 5000 + 977 * seed
+        tally_rng, sample_rng = make_rng(seed), make_rng(seed)
+        counts = zero_outcome_counts(psi, shots, tally_rng)
+        sampled = sample_outcomes(psi, shots, sample_rng)
+        assert counts.accepted == int(np.count_nonzero(sampled == 0))
+        assert counts.shots == shots
+        assert tally_rng.random() == sample_rng.random()
+
+    def test_certain_outcomes(self):
+        assert zero_outcome_counts(basis_state(3, 0), 100, make_rng(0)).accepted == 100
+        assert zero_outcome_counts(basis_state(3, 5), 100, make_rng(0)).accepted == 0
+
+    def test_shots_validation(self):
+        with pytest.raises(ValueError, match="shots"):
+            zero_outcome_counts(basis_state(1, 0), 0, make_rng(0))
 
 
 class TestUniformReflection:

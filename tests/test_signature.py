@@ -3,18 +3,21 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from qhashlab import (
     HashParams,
     KeySet,
     ProtocolParams,
+    bundled_table_dir,
     forgery_experiment,
     forgery_prediction,
     hash_inner_product,
     hash_state,
     inner_product,
     keygen,
+    load_keyset,
     make_rng,
     sign,
     sign_message,
@@ -189,6 +192,49 @@ class TestForgeryExperiment:
     def test_trials_validation(self, tiny_protocol):
         with pytest.raises(ValueError, match="trials"):
             forgery_experiment(tiny_protocol, 0, make_rng(0))
+
+
+def keygen_verify_records(params, trials, rng):
+    """The per-trial protocol run: keygen, a bit, a guess, verify."""
+    records = []
+    for _ in range(trials):
+        keypair = keygen(params, rng)
+        b = int(rng.integers(0, 2))
+        guess = int(rng.integers(1, params.security_level + 1))
+        records.append((b, guess, verify(params, keypair.public[b], b, guess, rng)))
+    return tuple(records)
+
+
+def forgery_cases():
+    table = bundled_table_dir()
+    n32 = load_keyset(table / "n32_d15.txt").keyset
+    n1024 = load_keyset(table / "n1024_d65.txt").keyset
+    keys = make_rng(64).choice(256, size=64, replace=False)
+    return [
+        pytest.param(KeySet(modulus=8, keys=(1, 2)), 4, id="tiny"),
+        pytest.param(KeySet(modulus=8, keys=(1, 2)), 8, id="tiny-wraparound"),
+        pytest.param(n32, 32, id="n32-wraparound"),
+        pytest.param(n1024, 1024, id="n1024-prepare-uniform"),
+        pytest.param(KeySet(modulus=256, keys=tuple(int(k) for k in keys)), 256,
+                     id="d64-hadamard"),
+        pytest.param(n1024, 100, id="n1024-level-below-modulus"),
+    ]
+
+
+class TestForgeryExperimentOracle:
+    """The overlap-table verdicts replay the per-trial protocol exactly."""
+
+    @pytest.mark.parametrize("keyset,level", forgery_cases())
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_match_keygen_and_verify(self, keyset, level, seed):
+        params = ProtocolParams(HashParams(keyset), security_level=level)
+        fast_rng, slow_rng = make_rng(seed), make_rng(seed)
+        report = forgery_experiment(params, 250, fast_rng)
+        assert report.records == keygen_verify_records(params, 250, slow_rng)
+        assert report.successes == sum(accepted for _, _, accepted in report.records)
+        assert report.predicted == forgery_prediction(params)
+        # the same number of draws: both generators continue alike
+        assert fast_rng.random() == slow_rng.random()
 
 
 class TestMultiBitMessages:
