@@ -39,6 +39,7 @@ __all__ = [
     "KeySet",
     "BiasProfile",
     "KeySetFormatError",
+    "phase_angles",
     "fourier_component",
     "fourier_components",
     "worst_character_sums",
@@ -119,12 +120,17 @@ def _angle_index(keys: np.ndarray, shift: int | np.ndarray, modulus: int) -> np.
     return (keys * shift) % modulus
 
 
+def phase_angles(keys: np.ndarray, m: int, modulus: int) -> np.ndarray:
+    """2*pi*(k*m mod N)/N for each key k: the branch phases of message m."""
+    return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
+
+
 def fourier_component(keyset: KeySet, shift: int) -> complex:
     """f_K(l): the character sum of the key multiset at a given shift."""
     n = keyset.modulus
     if not 0 <= shift < n:
         raise ValueError(f"shift must be in [0, {n - 1}], got {shift}")
-    angles = 2.0 * np.pi * _angle_index(keyset.key_array(), int(shift), n) / n
+    angles = phase_angles(keyset.key_array(), int(shift), n)
     return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
@@ -196,16 +202,11 @@ def worst_character_sums(
     return tuple(out)
 
 
-def fourier_components(keyset: KeySet, method: str = "direct") -> np.ndarray:
-    """f_K(l) for every shift l in [0, N): the exact gather, or N * ifft."""
+def fourier_components(keyset: KeySet) -> np.ndarray:
+    """f_K(l) for every shift l in [0, N), by the exact gather."""
     n = keyset.modulus
     _check_cells(1, n)
-    if method == "direct":
-        return _gather(keyset.key_array()[None, :], np.arange(n, dtype=np.int64), n)[0]
-    if method == "fft":
-        # ifft uses the e^{+2*pi*i*k*l/N} kernel with a 1/N factor.
-        return n * np.fft.ifft(np.bincount(keyset.key_array(), minlength=n).astype(np.float64))
-    raise ValueError(f"unknown method {method!r}")
+    return _gather(keyset.key_array()[None, :], np.arange(n, dtype=np.int64), n)[0]
 
 
 def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:
@@ -257,8 +258,7 @@ def hash_inner_product(keyset: KeySet, m1: int, m2: int) -> float:
     for m in (m1, m2):
         if not 0 <= m < n:
             raise ValueError(f"message must be in [0, {n - 1}], got {m}")
-    diff = (m1 - m2) % n
-    angles = 2.0 * np.pi * _angle_index(keyset.key_array(), diff, n) / n
+    angles = phase_angles(keyset.key_array(), (m1 - m2) % n, n)
     return float(np.cos(angles).sum() / keyset.d)
 
 

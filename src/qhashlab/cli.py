@@ -188,7 +188,6 @@ def cmd_search(mode: str, modulus: int, d: int | None, epsilon: float | None, ob
             mutation_rate=mutation_rate,
             crossover_rate=crossover_rate,
             elitism_count=elitism_count,
-            rng_seed=seed,
         )
         sink = (click.echo if fmt == "text" else progress_lines.append) if progress else None
         outcome = keyset_mod.ga_search(
@@ -307,7 +306,7 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
     else:
         psi, source = qsim.load_state(state_path), ("state", state_path)
     uncomputed = qhash.uncompute_hash(params, claim, psi)
-    counts = qhash.reverse_test_shots(params, claim, psi, shots, qsim.make_rng(seed))
+    counts = qsim.zero_outcome_counts(uncomputed, shots, qsim.make_rng(seed))
     _emit(fmt, [
         ("claim", claim),
         source,
@@ -331,6 +330,8 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
 def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | None,
                       count: int, seed: int, fmt: str) -> None:
     """Compare the rotation circuit against the analytic state."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = qsim.make_rng(seed)
     fixed = None
     if keyset_path is not None:

@@ -28,15 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qsim import (
-    MeasurementRecord,
-    StateVector,
-    TestCounts,
-    measure_all,
-    reflect_to_uniform,
-    zero_outcome_counts,
-)
-from .qhash import ReverseTestResult
+from .qsim import StateVector, TestCounts, reflect_to_uniform, zero_outcome_counts
 
 __all__ = [
     "LinearCode",
@@ -172,10 +164,9 @@ def _uncompute_fingerprint(code: LinearCode, u, psi: StateVector) -> StateVector
 
 def fingerprint_reverse_test(
     code: LinearCode, u, psi: StateVector, rng: np.random.Generator
-) -> ReverseTestResult:
-    """Uncompute the fingerprint of a claimed message; accept on all-zero."""
-    record: MeasurementRecord = measure_all(_uncompute_fingerprint(code, u, psi), rng)
-    return ReverseTestResult(accepted=record.outcome == 0, record=record)
+) -> bool:
+    """One shot: uncompute the fingerprint of a claimed message, accept on all-zero."""
+    return fingerprint_reverse_test_shots(code, u, psi, 1, rng).accepted == 1
 
 
 def fingerprint_reverse_test_shots(

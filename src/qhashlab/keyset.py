@@ -69,14 +69,16 @@ ROUNDING_TOL = 5e-4
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """GA knobs; defaults are the ones every budget in this package assumes."""
+    """GA knobs; defaults are the ones every budget in this package assumes.
+
+    The random stream is not among them: ga_search takes it as rng.
+    """
 
     population_size: int = 64
     generations: int = 500
     mutation_rate: float = 0.1
     crossover_rate: float = 0.7
     elitism_count: int = 2
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 1:
@@ -201,9 +203,9 @@ def ga_search(
     Tournament selection of size 3, one-point crossover on sort-aligned
     key lists, per-key uniform resampling mutation, elitism, early stop
     as soon as the best objective value drops below target_epsilon.
-    With rng omitted, the stream derives from config.rng_seed.  Each
-    generation can report a line ``gen <g> best_delta <value>`` through
-    the progress callback.
+    With rng omitted, the stream is make_rng(0), as in
+    sample_random_keyset.  Each generation can report a line
+    ``gen <g> best_delta <value>`` through the progress callback.
     """
     _check_modulus(modulus)
     if d < 1:
@@ -215,7 +217,7 @@ def ga_search(
     if config is None:
         config = SearchConfig()
     if rng is None:
-        rng = make_rng(config.rng_seed)
+        rng = make_rng(0)
 
     pop_size = config.population_size
     cells = pop_size * d

@@ -26,29 +26,27 @@ circuit reproduces the analytic state exactly.
 
 The REVERSE test checks a claimed message v against a held state by
 running the construction backward and accepting only the all-zero
-outcome.  For an honest claim the uncomputation is exact and the test
-always accepts; for v != w it accepts with probability equal to the
-squared overlap.  (Descriptions that bound this error by the overlap
-itself, unsquared, are looser; the squared quantity is what the circuit
-yields.)
+outcome, by the verdict rule stated in qsim.  For an honest claim the
+uncomputation is exact and the test always accepts; for v != w it
+accepts with probability equal to the squared overlap.  (Descriptions
+that bound this error by the overlap itself, unsquared, are looser; the
+squared quantity is what the circuit yields.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .bias import KeySet, padded_branch_count
+from .bias import KeySet, padded_branch_count, phase_angles
 from .qsim import (
-    MeasurementRecord,
     StateVector,
     TestCounts,
     apply_gate_inplace,
     hadamard_matrix,
-    measure_all,
     reflect_to_uniform,
     ry_matrices,
     zero_outcome_counts,
@@ -61,7 +59,6 @@ __all__ = [
     "PrepareUniform",
     "Gate",
     "CircuitDescription",
-    "ReverseTestResult",
     "message_bits",
     "hash_state",
     "build_hash_circuit",
@@ -146,11 +143,6 @@ class CircuitDescription:
     gates: tuple[Gate, ...]
 
 
-class ReverseTestResult(NamedTuple):
-    accepted: bool
-    record: MeasurementRecord
-
-
 def message_bits(m: int, n: int) -> tuple[int, ...]:
     """LSB-first bits of m: bit j (1-based) carries weight 2^(j-1)."""
     if not 0 <= m < (1 << n):
@@ -158,18 +150,12 @@ def message_bits(m: int, n: int) -> tuple[int, ...]:
     return tuple((m >> j) & 1 for j in range(n))
 
 
-def _branch_angles(keyset: KeySet, m: int) -> np.ndarray:
-    # (k*m mod N) before the 2*pi/N scaling; k*m can reach ~2^40.
-    n = keyset.modulus
-    return 2.0 * np.pi * ((keyset.key_array() * m) % n) / n
-
-
 def hash_state(params: HashParams, m: int) -> StateVector:
     """Materialize |h_K(M)| analytically; amplitudes are real."""
     keyset = params.keyset
     if not 0 <= m < keyset.modulus:
         raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
-    angles = _branch_angles(keyset, m)
+    angles = phase_angles(keyset.key_array(), m, keyset.modulus)
     scale = 1.0 / math.sqrt(keyset.d)
     amp = np.zeros(1 << params.s, dtype=np.complex128)
     amp[0 : 2 * keyset.d : 2] = scale * np.cos(angles)
@@ -194,7 +180,6 @@ def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") 
         raise ValueError("message bits must be 0 or 1")
 
     keyset = params.keyset
-    modulus = keyset.modulus
     d = keyset.d
     gates: list[Gate] = []
     if d == params.branch_capacity:
@@ -204,12 +189,12 @@ def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") 
     for j, bit in enumerate(bits, start=1):
         if not bit:
             continue
-        weight = 1 << (j - 1)
-        for i, k in enumerate(keyset.keys):
-            theta = 4.0 * np.pi * ((k * weight) % modulus) / modulus
-            gates.append(
-                ControlledRotation(message_bit=j, condition=i, target=0, theta=theta)
-            )
+        # Python floats, so dump_circuit prints each theta by plain repr.
+        thetas = 2.0 * phase_angles(keyset.key_array(), 1 << (j - 1), keyset.modulus)
+        gates.extend(
+            ControlledRotation(message_bit=j, condition=i, target=0, theta=theta)
+            for i, theta in enumerate(thetas.tolist())
+        )
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
@@ -298,7 +283,7 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
     if not 0 <= v < keyset.modulus:
         raise ValueError(f"message {v} out of range [0, {keyset.modulus - 1}]")
     d = keyset.d
-    angles = _branch_angles(keyset, v)
+    angles = phase_angles(keyset.key_array(), v, keyset.modulus)
     cos_a = np.cos(angles)
     sin_a = np.sin(angles)
     pairs = psi.amplitudes.reshape(-1, 2).copy()
@@ -316,10 +301,9 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
 
 def reverse_test(
     params: HashParams, v: int, psi: StateVector, rng: np.random.Generator
-) -> ReverseTestResult:
-    """Uncompute for claimed message v, measure, accept on all-zero."""
-    record = measure_all(uncompute_hash(params, v, psi), rng)
-    return ReverseTestResult(accepted=record.outcome == 0, record=record)
+) -> bool:
+    """One shot of the reverse test: uncompute for claimed message v, accept on all-zero."""
+    return reverse_test_shots(params, v, psi, 1, rng).accepted == 1
 
 
 def reverse_test_shots(

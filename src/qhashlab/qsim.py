@@ -13,9 +13,15 @@ are the pairs that differ in qubit q, and updates those pairs in place
 (all of them, or the rows a control selects).  apply_single_qubit and
 apply_controlled_single_qubit are validated wrappers that return a new
 StateVector; circuit simulation runs the kernel on one mutable array
-and validates a single StateVector at the end.  A tally of all-zero
-outcomes compares each shot's uniform draw with |amp_0|^2, the same
-draw and the same verdict as sampling the full outcome.
+and validates a single StateVector at the end.
+
+Every REVERSE verdict (hash, fingerprint, signature verification) uses
+one rule, the one zero_outcome_counts applies: a shot accepts when its
+uniform draw is below |amp_0|^2 of the uncomputed state.  That is the
+draw, and the verdict, of a full-register measurement finding the
+all-zero outcome; measure_all and sample_outcomes stay as the oracle
+that tests pin the rule to.  Shots are drawn in chunks of SHOT_CHUNK,
+so a huge shot count never allocates more than one chunk of draws.
 
 The SWAP test is simulated at the probability level: the analytic
 accept probability 1/2 (1 + |<psi|phi>|^2) drives one Bernoulli draw
@@ -64,6 +70,9 @@ __all__ = [
 MAX_QUBITS = 24
 
 NORM_TOL = 1e-10
+
+# Uniform draws per chunk of a shot tally: 8 MiB of float64.
+SHOT_CHUNK = 1 << 20
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -154,7 +163,10 @@ def _check_shots(shots: int) -> None:
 
 
 def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCounts:
-    accepted = int(np.count_nonzero(rng.random(shots) < p))
+    # Chunked draws continue one stream: the same values as rng.random(shots).
+    accepted = 0
+    for start in range(0, shots, SHOT_CHUNK):
+        accepted += int(np.count_nonzero(rng.random(min(SHOT_CHUNK, shots - start)) < p))
     return TestCounts(accepted=accepted, rejected=shots - accepted)
 
 

@@ -2,13 +2,10 @@
 
 The signer draws a private pair (x_0, x_1) uniformly from {1, ..., L}
 and publishes the pair of hash states (|h_K(x_0)>, |h_K(x_1)>) as the
-public key, one copy per recipient (state copies are value copies here;
-a physical run could not clone them, which is what makes the published
-key safe to hand out only in limited numbers).  Signing a bit b reveals
-x_b; a recipient verifies by running the REVERSE test of the claimed
-number against the held public state, which always accepts an honest
-signature and accepts a wrong number x' with probability
-|<h_K(x')|h_K(x_b)>|^2.
+public key.  Signing a bit b reveals x_b; a recipient verifies by
+running the REVERSE test of the claimed number against the held public
+state, which always accepts an honest signature and accepts a wrong
+number x' with probability |<h_K(x')|h_K(x_b)>|^2.
 
 A forger who never saw the private pair can only guess: naming x_b
 outright happens with probability 1/L, and any other guess sneaks
@@ -29,10 +26,9 @@ qsim.swap_test does for the SWAP test: a claim off by t from the held
 number is accepted with the squared overlap (Re f_K(t)/d)^2, read from
 one table over Z_N that the prediction shares.  Each trial makes the
 draws a full keygen-and-verify run makes, in the same order (the
-private pair, the bit, the guess, then the measurement's one uniform
-draw), and accepts when that draw is below the table entry, where the
-measurement would find the all-zero outcome; verify still runs the
-uncompute-and-measure circuit.
+private pair, the bit, the guess, then the verdict's one uniform draw),
+and accepts when that draw is below the table entry, the verdict rule
+verify applies to the simulated |amp_0|^2.
 """
 
 from __future__ import annotations
@@ -61,11 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Public protocol configuration: the hash, the key range, the audience."""
+    """Public protocol configuration: the hash and the key range."""
 
     hash_params: HashParams
     security_level: int
-    recipients: int = 1
 
     def __post_init__(self) -> None:
         modulus = self.hash_params.keyset.modulus
@@ -73,8 +68,6 @@ class ProtocolParams:
             raise ValueError(
                 f"security_level must be in [1, {modulus}], got {self.security_level}"
             )
-        if self.recipients < 1:
-            raise ValueError(f"recipients must be >= 1, got {self.recipients}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,7 @@ def verify(
             f"signature must be in [1, {params.security_level}], got {signature}"
         )
     claimed = signature % params.hash_params.keyset.modulus
-    return reverse_test(params.hash_params, claimed, public_state_copy, rng).accepted
+    return reverse_test(params.hash_params, claimed, public_state_copy, rng)
 
 
 def _overlap_table(keyset: KeySet) -> np.ndarray:

@@ -375,6 +375,13 @@ class TestEqualityTests:
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_circuit_check_rejects_an_empty_count(self, runner, count):
+        result = invoke(runner, ["circuit-check", "--keyset", str(N32), "--count", count])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: count must be >= 1, got {count}\n"
+
 
 class TestFingerprintCommand:
     def test_generated_code_round_trips(self, runner, tmp_path):

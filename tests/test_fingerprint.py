@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qhashlab import (
     CodeFormatError,
@@ -19,6 +20,7 @@ from qhashlab import (
     inner_product,
     load_code,
     make_rng,
+    measure_all,
     random_linear_code,
     sample_outcomes,
     save_code,
@@ -195,10 +197,7 @@ class TestFingerprintReverseTest:
         code = random_linear_code(4, 11, make_rng(2))
         rng = make_rng(0)
         psi = fingerprint_state(code, "1010")
-        assert all(
-            fingerprint_reverse_test(code, "1010", psi, rng).accepted
-            for _ in range(30)
-        )
+        assert all(fingerprint_reverse_test(code, "1010", psi, rng) for _ in range(30))
 
     def test_wrong_claim_statistics(self):
         code = random_linear_code(3, 8, make_rng(6))
@@ -224,6 +223,17 @@ class TestFingerprintReverseTest:
             assert counts.accepted == int(np.count_nonzero(outcomes == 0))
             assert tally_rng.random() == sample_rng.random()
 
+    @pytest.mark.parametrize("m", [8, 13])
+    def test_verdict_is_the_measured_zero_outcome(self, m):
+        code = random_linear_code(4, m, make_rng(m))
+        psi = fingerprint_state(code, "1010")
+        for claim in ("1010", "0110", "1011"):
+            test_rng, oracle_rng = make_rng(m), make_rng(m)
+            for _ in range(40):
+                oracle = measure_all(_uncompute_fingerprint(code, claim, psi), oracle_rng)
+                assert fingerprint_reverse_test(code, claim, psi, test_rng) is (oracle.outcome == 0)
+            assert test_rng.random() == oracle_rng.random()
+
     def test_register_size_checked(self):
         code = random_linear_code(2, 4, make_rng(0))
         other = random_linear_code(2, 16, make_rng(0))
@@ -233,14 +243,27 @@ class TestFingerprintReverseTest:
             )
 
 
+# Generator matrices of codes with 1 <= n <= m <= 40.
+generators = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.integers(min_value=n, max_value=40).flatmap(
+        lambda m: arrays(np.uint8, (m, n), elements=st.integers(0, 1))
+    )
+)
+
+
 class TestCodeFiles:
-    def test_round_trip(self, tmp_path):
-        code = random_linear_code(3, 7, make_rng(5))
-        path = tmp_path / "code.txt"
-        save_code(code, path)
-        loaded = load_code(path)
-        assert loaded.n == 3 and loaded.m == 7
+    @given(generators)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip(self, tmp_path, generator):
+        code = LinearCode(n=generator.shape[1], m=generator.shape[0], generator=generator)
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_code(code, first)
+        loaded = load_code(first)
+        assert (loaded.n, loaded.m) == (code.n, code.m)
         assert np.array_equal(loaded.generator, code.generator)
+        save_code(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_text_layout(self, tmp_path):
         code = LinearCode(n=2, m=3, generator=np.array([[1, 0], [0, 1], [1, 1]]))

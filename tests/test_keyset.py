@@ -134,14 +134,14 @@ class TestGaSearch:
         assert out.achieved_objective == padded_delta_squared(out.keyset)
 
     def test_deterministic_under_seed(self):
-        config = SearchConfig(rng_seed=12, generations=30)
-        assert ga_search(32, 15, 0.01, config).keyset == ga_search(
-            32, 15, 0.01, config
+        config = SearchConfig(generations=30)
+        assert ga_search(32, 15, 0.01, config, rng=make_rng(12)).keyset == ga_search(
+            32, 15, 0.01, config, rng=make_rng(12)
         ).keyset
 
-    def test_seed_flows_from_config(self):
-        config = SearchConfig(rng_seed=12, generations=30)
-        explicit = ga_search(32, 15, 0.01, config, rng=make_rng(12))
+    def test_default_stream_is_make_rng_zero(self):
+        config = SearchConfig(generations=30)
+        explicit = ga_search(32, 15, 0.01, config, rng=make_rng(0))
         assert ga_search(32, 15, 0.01, config).keyset == explicit.keyset
 
     def test_progress_is_monotone(self):

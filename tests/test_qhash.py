@@ -17,6 +17,7 @@ from qhashlab import (
     hash_inner_product,
     hash_state,
     make_rng,
+    measure_all,
     message_bits,
     reverse_test,
     reverse_test_accept_probability,
@@ -125,6 +126,19 @@ class TestCircuit:
         assert rotations[0].theta == pytest.approx(math.pi, abs=1e-12)
         assert rotations[1].theta == pytest.approx(2 * math.pi, abs=1e-12)
 
+    def test_rotation_angles_match_the_scalar_formula(self):
+        for params, m in criterion_3_draws(make_rng(6), 2):
+            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            rotations = [g for g in circuit.gates if isinstance(g, ControlledRotation)]
+            modulus = params.keyset.modulus
+            expected = [
+                4.0 * np.pi * ((params.keyset.keys[g.condition] << (g.message_bit - 1)) % modulus)
+                / modulus
+                for g in rotations
+            ]
+            assert [g.theta for g in rotations] == expected
+            assert all(type(g.theta) is float for g in rotations)
+
     @pytest.mark.parametrize("modulus", [8, 32, 1024])
     @pytest.mark.parametrize("d", [2, 15, 65])
     def test_equivalence_sweep(self, modulus, d):
@@ -208,7 +222,7 @@ class TestReverseTest:
         params = HashParams(n32_keyset)
         rng = make_rng(0)
         psi = hash_state(params, 21)
-        assert all(reverse_test(params, 21, psi, rng).accepted for _ in range(50))
+        assert all(reverse_test(params, 21, psi, rng) for _ in range(50))
 
     def test_accept_probability(self, n32_keyset):
         params = HashParams(n32_keyset)
@@ -340,3 +354,19 @@ class TestFastPathsMatchGateByGate:
             outcomes = sample_outcomes(uncompute_hash(params, v, psi), shots, sample_rng)
             assert counts.accepted == int(np.count_nonzero(outcomes == 0))
             assert tally_rng.random() == sample_rng.random()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reverse_test_is_the_measured_zero_outcome(self, seed, n32_keyset):
+        rng = make_rng(seed)
+        keys = tuple(int(k) for k in rng.integers(0, 256, size=16))
+        # d = 15 prepares by reflection, d = 16 by the Hadamard layer
+        for params in (HashParams(n32_keyset), HashParams(KeySet(256, keys))):
+            n = params.keyset.modulus
+            w = int(rng.integers(0, n))
+            psi = hash_state(params, w)
+            for v in (w, (w + 1) % n, int(rng.integers(0, n))):
+                test_rng, oracle_rng = make_rng(seed), make_rng(seed)
+                for _ in range(40):
+                    oracle = measure_all(uncompute_hash(params, v, psi), oracle_rng)
+                    assert reverse_test(params, v, psi, test_rng) is (oracle.outcome == 0)
+                assert test_rng.random() == oracle_rng.random()

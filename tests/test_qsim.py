@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qhashlab import qsim
 from qhashlab import (
     StateVector,
     basis_state,
@@ -331,6 +333,16 @@ class TestZeroOutcomeCounts:
         with pytest.raises(ValueError, match="shots"):
             zero_outcome_counts(basis_state(1, 0), 0, make_rng(0))
 
+    @pytest.mark.parametrize("shots", [1, 6, 7, 8, 14, 30])
+    def test_chunked_draws_match_one_draw(self, monkeypatch, shots):
+        psi = random_state(3, make_rng(8))
+        whole = make_rng(shots)
+        accepted = int(np.count_nonzero(whole.random(shots) < abs(psi.amplitudes[0]) ** 2))
+        monkeypatch.setattr(qsim, "SHOT_CHUNK", 7)
+        chunked = make_rng(shots)
+        assert zero_outcome_counts(psi, shots, chunked) == (accepted, shots - accepted)
+        assert chunked.random() == whole.random()
+
 
 class TestUniformReflection:
     """The Householder map shared by hash preparation and fingerprint uncompute."""
@@ -369,14 +381,31 @@ class TestUniformReflection:
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
+# Real and imaginary parts of 1- to 4-qubit states; parts include -0.0.
+amplitude_parts = st.integers(min_value=1, max_value=4).flatmap(
+    lambda q: arrays(
+        np.float64, (2, 1 << q), elements=st.one_of(st.just(-0.0), st.floats(-1.0, 1.0))
+    )
+)
+
+
 class TestStateFiles:
-    def test_round_trip_exact(self, tmp_path):
-        psi = random_state(4, make_rng(21))
-        path = tmp_path / "psi.state"
-        dump_state(psi, path)
-        loaded = load_state(path)
-        assert loaded.num_qubits == 4
+    @given(amplitude_parts)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_exact(self, tmp_path, parts):
+        amp = parts[0] + 1j * parts[1]
+        norm = float(np.linalg.norm(amp))
+        assume(norm > 1e-6)
+        # division keeps the sign of each zero part
+        psi = StateVector(amp.size.bit_length() - 1, amp / norm)
+        first, second = tmp_path / "a.state", tmp_path / "b.state"
+        dump_state(psi, first)
+        loaded = load_state(first)
+        assert loaded.num_qubits == psi.num_qubits
         assert np.array_equal(loaded.amplitudes, psi.amplitudes)
+        dump_state(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_dump_format(self, tmp_path):
         path = tmp_path / "b.state"

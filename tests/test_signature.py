@@ -56,10 +56,6 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match="security_level"):
             ProtocolParams(HashParams(tiny_keyset), security_level=0)
 
-    def test_recipients_positive(self, tiny_keyset):
-        with pytest.raises(ValueError, match="recipients"):
-            ProtocolParams(HashParams(tiny_keyset), 4, recipients=0)
-
 
 class TestKeygenAndSign:
     def test_private_numbers_in_range(self, tiny_protocol):
