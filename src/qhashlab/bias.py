@@ -13,10 +13,18 @@ nonzero shifts:
 
 delta(K) bounds the inner product between the hash states of any two
 distinct messages, which is what makes a low-bias K a usable hash
-parameter.  One kernel, worst_character_sums, computes both: an rfft
-locates the shifts near the maximum, and a direct trigonometric
-gather evaluates exactly those; the method="direct" reference gathers
-every shift, so both methods report identical numbers and shifts.
+parameter.  One kernel, worst_character_sums, computes both for a
+batch of key sets.  An rfft of each set's multiplicities locates the
+shifts near that set's own maximum, and a direct trigonometric gather
+evaluates exactly those (row, shift) pairs, computing only the roots
+of unity it reads; the full table of N roots is built only for a
+gather that reads at least N of them, such as the method="direct"
+reference over every shift.  Both methods report identical numbers
+and shifts, and a set's result does not depend on the rest of the
+batch.
+
+Phases are exact at any modulus: phase_angles reduces k*m mod N as
+Python ints once the int64 product could wrap.
 
 A note on floors: at shift l = N/2 the character values are (-1)^k, so
 Re f_K(N/2) is an integer with the same parity as d.  A key set of odd
@@ -60,6 +68,11 @@ MAX_SPECTRUM_CELLS = 1 << 26
 # the worst shift; the FFT locate band (1e-9 * d) contains this one.
 TIE_BAND = 1e-12
 
+# Largest block of (key, shift) terms a sparse gather computes at once.
+GATHER_TERMS = 1 << 18
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class KeySetFormatError(ValueError):
     """A key-set file does not follow the text format."""
@@ -94,7 +107,8 @@ class KeySet:
         return len(self.keys)
 
     def key_array(self) -> np.ndarray:
-        return np.asarray(self.keys, dtype=np.int64)
+        """The keys as int64, or as Python ints once N - 1 exceeds int64."""
+        return np.asarray(self.keys, dtype=np.int64 if self.modulus - 1 <= _INT64_MAX else object)
 
 
 @dataclass(frozen=True)
@@ -116,13 +130,33 @@ class BiasProfile:
 
 def _angle_index(keys: np.ndarray, shift: int | np.ndarray, modulus: int) -> np.ndarray:
     # Reduce k*l mod N before scaling by 2*pi/N: k*l can reach ~2^40,
-    # where cos() of the unreduced angle loses precision.
+    # where cos() of the unreduced angle loses precision.  The int64
+    # product is exact while (N - 1)^2 fits, which holds for every
+    # spectrum scan (N <= MAX_SPECTRUM_CELLS); phase_angles covers the rest.
     return (keys * shift) % modulus
 
 
+def _unit_roots(index: np.ndarray, modulus: int) -> np.ndarray:
+    """exp(2*pi*i*j/N) at each index j.
+
+    Every root a gather sums comes from this one formula, evaluated on
+    a fresh (so contiguous) float64 array, so a root computed where it
+    is needed equals the same entry of a full table.
+    """
+    angles = 2.0 * np.pi * index / modulus
+    return np.cos(angles) + 1j * np.sin(angles)
+
+
 def phase_angles(keys: np.ndarray, m: int, modulus: int) -> np.ndarray:
-    """2*pi*(k*m mod N)/N for each key k: the branch phases of message m."""
-    return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
+    """2*pi*(k*m mod N)/N for each key k: the branch phases of message m.
+
+    Exact at any modulus.  Once (N - 1)^2 exceeds int64, k*m is reduced
+    as Python ints and divided exactly by N, which for a power-of-two N
+    gives the int64 formula's bits.
+    """
+    if (modulus - 1) ** 2 <= _INT64_MAX:
+        return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
+    return 2.0 * np.pi * np.array([int(k) * m % modulus / modulus for k in keys])
 
 
 def fourier_component(keyset: KeySet, shift: int) -> complex:
@@ -144,17 +178,32 @@ def _check_cells(rows: int, modulus: int) -> None:
         )
 
 
-def _gather(key_rows: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
-    """f_K(l) for each row of a (rows, d) key array at each shift.
+def _gather(columns: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
+    """f_K(l) at each shift l, for the key set paired with that shift.
 
-    Each key adds its gather from one table of exp(2*pi*i*j/N) at the
-    reduced index k*l mod N, in stored key order, starting from 0.
+    columns[j] holds the j-th key of each set: a (d, P) array pairs one
+    set with each of the P shifts, a (d, 1) array pairs one set with
+    all of them.  Each key adds its root of unity at the reduced index
+    k*l mod N, in stored key order, starting from 0.  A gather that
+    reads at least N roots (every shift of a set, as method="direct"
+    and fourier_components ask, or a GA population's few shifts per
+    row) takes them from one table of all N.  A smaller one computes
+    only the roots it reads, GATHER_TERMS at a time, and add.accumulate
+    sums them down the key axis one term after another, the order of
+    the table loop, so both give the same bits.
     """
-    angles = 2.0 * np.pi * np.arange(modulus, dtype=np.int64) / modulus
-    table = np.cos(angles) + 1j * np.sin(angles)
-    f = np.zeros((key_rows.shape[0], shifts.size), dtype=np.complex128)
-    for column in key_rows.T:
-        f += table[_angle_index(column[:, None], shifts, modulus)]
+    d = columns.shape[0]
+    f = np.zeros(shifts.size, dtype=np.complex128)
+    if d * shifts.size >= modulus:
+        table = _unit_roots(np.arange(modulus, dtype=np.int64), modulus)
+        for column in columns:
+            f += table[_angle_index(column, shifts, modulus)]
+        return f
+    step = max(1, GATHER_TERMS // shifts.size)
+    for start in range(0, d, step):
+        terms = _unit_roots(_angle_index(columns[start : start + step], shifts, modulus), modulus)
+        terms[0] += f
+        f = np.add.accumulate(terms)[-1]
     return f
 
 
@@ -163,42 +212,54 @@ def worst_character_sums(
 ) -> tuple[np.ndarray, ...]:
     """(max |Re f_K(l)|, its shift, max |f_K(l)|, its shift) over l != 0, per key row.
 
-    "direct" gathers every shift; "fft" gathers only the shifts that an
-    rfft of the multiplicity rows puts near a row's maximum, with
-    bit-identical results.  The maxima are the largest gathered values;
-    a shift ties when its value lies within 1e-12 * d of its row's
-    maximum, far wider than the gather's rounding (about d * 2^-52) and
-    far narrower than any genuine gap, and ties resolve to the smallest
-    shift.  Re f(l) = Re f(N - l) and |f(l)| = |f(N - l)| in exact
-    arithmetic, so the shifts reported are at most N/2.
+    "direct" gathers every shift of every row; "fft" gathers each row
+    only at the shifts that an rfft of its multiplicities puts near the
+    row's own maximum, plus their mirrors, with bit-identical results.
+    The maxima are the largest gathered values; a shift ties when its
+    value lies within 1e-12 * d of its row's maximum, far wider than the
+    gather's rounding (about d * 2^-52) and far narrower than any
+    genuine gap, and ties resolve to the smallest shift.
+    Re f(l) = Re f(N - l) and |f(l)| = |f(N - l)| in exact arithmetic,
+    so the shifts reported are at most N/2.  A row's result does not
+    depend on the other rows.
     """
     rows, d = key_rows.shape
     _check_cells(rows, modulus)
     if method == "direct":
-        shifts = np.arange(1, modulus, dtype=np.int64)
+        every = np.arange(1, modulus, dtype=np.int64)
+        owner = np.repeat(np.arange(rows), every.size)
+        shifts = np.tile(every, rows)
+        f = np.concatenate([_gather(row[:, None], every, modulus) for row in key_rows])
     elif method == "fft":
-        counts = np.zeros((rows, modulus))
-        np.add.at(counts, (np.arange(rows)[:, None], key_rows), 1.0)
+        # Multiplicities as exact float64 integers: a float rfft input
+        # skips the cast an int64 one pays.
+        offsets = (np.arange(rows)[:, None] * modulus + key_rows).ravel()
+        counts = np.bincount(offsets, weights=np.ones(offsets.size), minlength=rows * modulus)
+        counts = counts.reshape(rows, modulus)
         half = np.fft.rfft(counts)[:, 1:]  # shifts 1 .. N/2
         del counts
         # A band of 1e-9 in the normalized sums is far wider than the
         # FFT's rounding error (about d * log2(N) * 2^-52), so it keeps
-        # every shift whose exact value can tie the maximum.
-        near = np.zeros(half.shape[1], dtype=bool)
+        # every shift whose exact value can tie its row's maximum.
+        near = np.zeros(half.shape, dtype=bool)
         for part in (half.real, half):
             values = np.abs(part)
-            near |= np.any(values >= values.max(axis=1, keepdims=True) - 1e-9 * d, axis=0)
-        located = np.flatnonzero(near) + 1
+            near |= values >= values.max(axis=1, keepdims=True) - 1e-9 * d
+        owner, located = np.nonzero(near)
+        located += 1
         # The mirrors N - l tie in exact arithmetic, not always in the last bit.
-        shifts = np.concatenate([located, modulus - located])
+        owner = np.repeat(owner, 2)
+        shifts = np.stack([located, modulus - located], axis=1).ravel()
+        f = _gather(np.ascontiguousarray(key_rows[owner].T), shifts, modulus)
     else:
         raise ValueError(f"unknown method {method!r}")
-    f = _gather(key_rows, shifts, modulus)
+    # owner is sorted and names every row, so each row's pairs form one run.
+    starts = np.searchsorted(owner, np.arange(rows))
     out: list[np.ndarray] = []
     for values in (np.abs(f.real), np.hypot(f.real, f.imag)):
-        top = values.max(axis=1)
-        tied = values >= (top - TIE_BAND * d)[:, None]
-        out += [top, np.where(tied, shifts, modulus).min(axis=1)]
+        top = np.maximum.reduceat(values, starts)
+        tied = values >= (top - TIE_BAND * d)[owner]
+        out += [top, np.minimum.reduceat(np.where(tied, shifts, modulus), starts)]
     return tuple(out)
 
 
@@ -206,7 +267,7 @@ def fourier_components(keyset: KeySet) -> np.ndarray:
     """f_K(l) for every shift l in [0, N), by the exact gather."""
     n = keyset.modulus
     _check_cells(1, n)
-    return _gather(keyset.key_array()[None, :], np.arange(n, dtype=np.int64), n)[0]
+    return _gather(keyset.key_array()[:, None], np.arange(n, dtype=np.int64), n)
 
 
 def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:

@@ -42,6 +42,7 @@ from .qhash import HashParams, hash_state, reverse_test
 from .qsim import StateVector
 
 __all__ = [
+    "MAX_RECORD_BYTES",
     "ProtocolParams",
     "SignatureKeyPair",
     "ForgeryReport",
@@ -53,6 +54,15 @@ __all__ = [
     "sign_message",
     "verify_message",
 ]
+
+# Bytes one forgery trial's record keeps: a 3-tuple (64), a guess int
+# past the small-int cache (32) and its slots in the list and the
+# returned tuple (16); tracemalloc measured 104 at L = 2^20.
+RECORD_BYTES = 112
+
+# Largest record memory a forgery experiment may keep: 1 GiB admits
+# about 9.6 million trials.  Larger requests raise ValueError.
+MAX_RECORD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -192,6 +202,12 @@ def forgery_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials * RECORD_BYTES > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"{trials} trials keep about {trials * RECORD_BYTES / 2**30:.1f} GiB "
+            f"of per-trial records ({RECORD_BYTES} B each), exceeding "
+            f"MAX_RECORD_BYTES = {MAX_RECORD_BYTES}"
+        )
     level = params.security_level
     overlap_sq = _overlap_table(params.hash_params.keyset)
     modulus = overlap_sq.size

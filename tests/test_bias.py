@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qhashlab import bias as bias_mod
 from qhashlab import (
     KeySet,
     KeySetFormatError,
@@ -101,6 +102,140 @@ class TestFourierComponent:
     def test_unknown_method(self, tiny_keyset):
         with pytest.raises(ValueError, match="method"):
             bias_profile(tiny_keyset, method="dft")
+
+
+def is_prime(n):
+    """Miller-Rabin with the first 13 prime bases: exact below 3.3e24 > 2^80."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# Moduli up to 2^80 on both sides of the int64 limit: powers of two,
+# primes and any integer.
+huge_moduli = st.one_of(
+    st.integers(min_value=1, max_value=80).map(lambda e: 1 << e),
+    st.integers(min_value=2, max_value=(1 << 80) - 1000).map(next_prime),
+    st.integers(min_value=2, max_value=1 << 80),
+)
+
+
+class TestPhaseAngles:
+    @given(huge_moduli, st.data())
+    @example(10**12 + 39, None)
+    @settings(max_examples=200, deadline=None)
+    def test_match_python_int_reduction(self, modulus, data):
+        if data is None:  # the set whose int64 product k * m wraps
+            keys, m = [modulus - 3, 1], 500000012364
+        else:
+            below = st.integers(min_value=0, max_value=modulus - 1)
+            keys = data.draw(st.lists(below, min_size=1, max_size=8))
+            m = data.draw(below)
+        got = bias_mod.phase_angles(KeySet(modulus, tuple(keys)).key_array(), m, modulus)
+        want = np.array([math.tau * (k * m % modulus / modulus) for k in keys])
+        # two roundings of a value below 2*pi apart: 4 ulps of 2*pi
+        assert np.all(np.abs(got - want) <= 4 * math.ulp(math.tau))
+
+    @pytest.mark.parametrize("exponent", [32, 40, 62])
+    def test_power_of_two_bits_unchanged(self, exponent):
+        # the int64 formula is exact at these moduli; the Python-int
+        # reduction beyond (N - 1)^2 > 2^63 - 1 must give the same bits
+        modulus = 1 << exponent
+        rng = np.random.default_rng(exponent)
+        keys = rng.integers(0, modulus, size=64, dtype=np.int64)
+        for m in rng.integers(0, modulus, size=16).tolist():
+            int64_formula = 2.0 * np.pi * ((keys * m) % modulus) / modulus
+            assert np.array_equal(bias_mod.phase_angles(keys, m, modulus), int64_formula)
+
+
+def worst_rows(population, modulus, method="fft"):
+    return bias_mod.worst_character_sums(population, modulus, method)
+
+
+# Rows whose spectra tie widely (one key repeated, the keys 0 and N/2,
+# a symmetric set) beside random rows, so per-row bands differ in width.
+def row_kinds(modulus, d):
+    below = st.integers(min_value=0, max_value=modulus - 1)
+    symmetric = st.lists(below, min_size=d // 2, max_size=d // 2).map(
+        lambda half: half + [-k % modulus for k in half] + [0] * (d % 2)
+    )
+    return st.one_of(
+        st.lists(below, min_size=d, max_size=d),
+        below.map(lambda k: [k] * d),
+        st.just([(i % 2) * (modulus // 2) for i in range(d)]),
+        symmetric,
+    )
+
+
+populations = st.tuples(
+    st.one_of(st.sampled_from([2, 3]), st.integers(min_value=2, max_value=96)),
+    st.integers(min_value=1, max_value=12),
+).flatmap(
+    lambda nd: st.tuples(
+        st.just(nd[0]),
+        st.lists(row_kinds(*nd), min_size=1, max_size=6).map(
+            lambda rows: np.array(rows, dtype=np.int64)
+        ),
+    )
+)
+
+
+class TestWorstCharacterSums:
+    @given(populations)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_independent_and_match_direct(self, case):
+        modulus, population = case
+        batch = worst_rows(population, modulus)
+        single = [worst_rows(row[None, :], modulus) for row in population]
+        for column, value in enumerate(batch):
+            assert np.array_equal(value, np.concatenate([s[column] for s in single]))
+        for value, reference in zip(batch, worst_rows(population, modulus, "direct")):
+            assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("gather_terms", [1, 7, 1 << 18])
+    def test_gather_blocks_give_the_same_bits(self, monkeypatch, gather_terms):
+        # a random row reads fewer than N roots, so it takes the blocked
+        # path; the repeated key ties at every shift and takes the table
+        population = np.random.default_rng(6).integers(0, 65536, size=(4, 33))
+        population[1] = 17
+        reference = worst_rows(population, 65536, "direct")
+        monkeypatch.setattr(bias_mod, "GATHER_TERMS", gather_terms)
+        for i, row in enumerate(population):
+            for value, want in zip(worst_rows(row[None, :], 65536), reference):
+                assert np.array_equal(value, want[i : i + 1])
+
+    def test_random_search_shape(self):
+        # sample_random_keyset's draw at N = 65536, epsilon = 0.1
+        population = np.random.default_rng(7).integers(0, 65536, size=(3, 2356))
+        batch = worst_rows(population, 65536)
+        for i, row in enumerate(population):
+            alone = worst_rows(row[None, :], 65536)
+            assert all(np.array_equal(b[i : i + 1], a) for b, a in zip(batch, alone))
+        direct = worst_rows(population[:1], 65536, "direct")
+        assert all(np.array_equal(b[:1], a) for b, a in zip(batch, direct))
 
 
 class TestBiasProfile:

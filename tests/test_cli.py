@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, report fields, replayability."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qhashlab import (
     save_keyset,
 )
 from qhashlab import bias as bias_mod
+from qhashlab import signature as sig_mod
 from qhashlab.cli import main
 
 N32 = bundled_table_dir() / "n32_d15.txt"
@@ -295,6 +297,33 @@ class TestHashAndInner:
         assert report["squared"] == repr(expected * expected)
 
 
+    @pytest.mark.parametrize("modulus,keys,m1,m2,exact", [
+        # (N - 3) * m passes 2^63, where int64 products wrap
+        (10**12 + 39, (10**12 + 36, 1), 500000012364, 0, -1.0),
+        (2**65 + 13, (2**65 - 1, 3, 2**64), 2**64 + 12345, 7, None),
+        (2**70, (2**70 - 3, 2**69 + 1), 2**69 + 5, 2**68, None),
+    ], ids=["1e12+39", "2^65+13", "2^70"])
+    def test_inner_is_exact_at_huge_moduli(self, runner, tmp_path, modulus, keys, m1, m2, exact):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(modulus, keys), path)
+        result = invoke(runner, ["inner", "--keyset", str(path),
+                                 "--m1", str(m1), "--m2", str(m2)])
+        assert result.exit_code == 0
+        if exact is None:
+            exact = sum(math.cos(math.tau * (k * (m1 - m2) % modulus / modulus)) for k in keys) / len(keys)
+        assert float(parse_report(result.output)["inner_product"]) == pytest.approx(exact, abs=1e-9)
+
+    def test_huge_modulus_hash_works_and_bias_exits_two(self, runner, tmp_path):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(2**65, (2**64 + 5, 3)), path)
+        hashed = invoke(runner, ["hash", "--keyset", str(path), "--message", str(2**65 - 1)])
+        assert hashed.exit_code == 0
+        biased = invoke(runner, ["bias", "--keyset", str(path)])
+        assert biased.exit_code == 2
+        assert biased.stderr.startswith("error: spectrum of 1 x 36893488147419103232 = ")
+        assert biased.stderr.endswith("exceeds MAX_SPECTRUM_CELLS = 67108864\n")
+
+
 class TestEqualityTests:
     def test_swap_test_equal_messages_always_accept(self, runner):
         result = invoke(runner, [
@@ -485,6 +514,18 @@ class TestSignatureCommands:
         args = ["forge-experiment", "--keyset", str(N32), "--security-level",
                 "16", "--trials", "50", "--seed", "4", "--log"]
         assert invoke(runner, args).output == invoke(runner, args).output
+
+    def test_forge_experiment_beyond_the_record_limit_exits_two(self, runner, monkeypatch):
+        monkeypatch.setattr(sig_mod, "MAX_RECORD_BYTES", 1 << 20)
+        result = invoke(runner, [
+            "forge-experiment", "--keyset", str(N32), "--security-level", "16",
+            "--trials", "10000",
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: 10000 trials keep about 0.0 GiB of per-trial records "
+            "(112 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
+        )
 
     def test_forge_experiment_json_identity(self, runner):
         assert_json_matches_text(runner, [

@@ -24,6 +24,7 @@ from qhashlab import (
     verify,
     verify_message,
 )
+from qhashlab import signature as signature_mod
 
 
 def oracle_prediction(params):
@@ -188,6 +189,15 @@ class TestForgeryExperiment:
     def test_trials_validation(self, tiny_protocol):
         with pytest.raises(ValueError, match="trials"):
             forgery_experiment(tiny_protocol, 0, make_rng(0))
+
+    def test_record_memory_guard_leaves_the_stream_untouched(self, tiny_protocol, monkeypatch):
+        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
+        assert forgery_experiment(tiny_protocol, 100, make_rng(5)).trials == 100
+        rng = make_rng(5)
+        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 11200"):
+            forgery_experiment(tiny_protocol, 101, rng)
+        # no draw was taken: the stream continues as a fresh one would
+        assert np.array_equal(rng.integers(0, 2**62, 8), make_rng(5).integers(0, 2**62, 8))
 
 
 def keygen_verify_records(params, trials, rng):
