@@ -132,8 +132,12 @@ def _angle_index(keys: np.ndarray, shift: int | np.ndarray, modulus: int) -> np.
     # Reduce k*l mod N before scaling by 2*pi/N: k*l can reach ~2^40,
     # where cos() of the unreduced angle loses precision.  The int64
     # product is exact while (N - 1)^2 fits, which holds for every
-    # spectrum scan (N <= MAX_SPECTRUM_CELLS); phase_angles covers the rest.
-    return (keys * shift) % modulus
+    # spectrum scan (N <= MAX_SPECTRUM_CELLS).  Beyond that k*l is
+    # reduced as Python ints and the residues are rounded to float64
+    # once, as the int64 residues are when they are scaled.
+    if (modulus - 1) ** 2 <= _INT64_MAX:
+        return (keys * shift) % modulus
+    return np.array([int(k) * int(shift) % modulus for k in keys], dtype=np.float64)
 
 
 def _unit_roots(index: np.ndarray, modulus: int) -> np.ndarray:
@@ -150,13 +154,9 @@ def _unit_roots(index: np.ndarray, modulus: int) -> np.ndarray:
 def phase_angles(keys: np.ndarray, m: int, modulus: int) -> np.ndarray:
     """2*pi*(k*m mod N)/N for each key k: the branch phases of message m.
 
-    Exact at any modulus.  Once (N - 1)^2 exceeds int64, k*m is reduced
-    as Python ints and divided exactly by N, which for a power-of-two N
-    gives the int64 formula's bits.
+    Exact reduction at any modulus; see _angle_index.
     """
-    if (modulus - 1) ** 2 <= _INT64_MAX:
-        return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
-    return 2.0 * np.pi * np.array([int(k) * m % modulus / modulus for k in keys])
+    return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
 
 
 def fourier_component(keyset: KeySet, shift: int) -> complex:
@@ -178,30 +178,37 @@ def _check_cells(rows: int, modulus: int) -> None:
         )
 
 
-def _gather(columns: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
-    """f_K(l) at each shift l, for the key set paired with that shift.
+def _gather(key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
+    """f_K(l) at each shift l, for the row of key_rows paired with it.
 
-    columns[j] holds the j-th key of each set: a (d, P) array pairs one
-    set with each of the P shifts, a (d, 1) array pairs one set with
-    all of them.  Each key adds its root of unity at the reduced index
-    k*l mod N, in stored key order, starting from 0.  A gather that
-    reads at least N roots (every shift of a set, as method="direct"
-    and fourier_components ask, or a GA population's few shifts per
-    row) takes them from one table of all N.  A smaller one computes
-    only the roots it reads, GATHER_TERMS at a time, and add.accumulate
-    sums them down the key axis one term after another, the order of
-    the table loop, so both give the same bits.
+    owner[p] names the row paired with shifts[p]; a one-entry owner
+    pairs its row with every shift.  Each key adds its root of unity at
+    the reduced index k*l mod N, in stored key order, starting from 0.
+    Keys are read one column, or one block of GATHER_TERMS terms, at a
+    time, so no temporary grows with d * len(shifts).
+
+    A gather that reads at least N roots (every shift of a set, as
+    method="direct" and fourier_components ask, or a GA population's
+    few shifts per row) takes them from one table of all N.  Building
+    the table costs about N computed roots; timed, it wins from between
+    N/2 and N reads at N = 2^14 .. 2^20, and on the bundled rows' full
+    gathers it is 1.3x (N = 2^20) to 8x (N = 2^12) faster than
+    computing each root.  A smaller gather computes only the
+    roots it reads, and add.accumulate sums them down the key axis one
+    term after another, the order of the table loop, so both give the
+    same bits.
     """
-    d = columns.shape[0]
+    d = key_rows.shape[1]
     f = np.zeros(shifts.size, dtype=np.complex128)
     if d * shifts.size >= modulus:
         table = _unit_roots(np.arange(modulus, dtype=np.int64), modulus)
-        for column in columns:
-            f += table[_angle_index(column, shifts, modulus)]
+        for column in key_rows.T:
+            f += table[_angle_index(column[owner], shifts, modulus)]
         return f
     step = max(1, GATHER_TERMS // shifts.size)
     for start in range(0, d, step):
-        terms = _unit_roots(_angle_index(columns[start : start + step], shifts, modulus), modulus)
+        block = np.ascontiguousarray(key_rows[owner, start : start + step].T)
+        terms = _unit_roots(_angle_index(block, shifts, modulus), modulus)
         terms[0] += f
         f = np.add.accumulate(terms)[-1]
     return f
@@ -226,16 +233,21 @@ def worst_character_sums(
     rows, d = key_rows.shape
     _check_cells(rows, modulus)
     if method == "direct":
-        every = np.arange(1, modulus, dtype=np.int64)
-        owner = np.repeat(np.arange(rows), every.size)
-        shifts = np.tile(every, rows)
-        f = np.concatenate([_gather(row[:, None], every, modulus) for row in key_rows])
+        shifts = np.arange(1, modulus, dtype=np.int64)
+        # Row r's values are line r of f; owner broadcasts its threshold.
+        owner = np.arange(rows)[:, None]
+        f = np.empty((rows, shifts.size), dtype=np.complex128)
+        for row in range(rows):
+            f[row] = _gather(key_rows, owner[row], shifts, modulus)
+        starts = np.arange(rows) * shifts.size
     elif method == "fft":
         # Multiplicities as exact float64 integers: a float rfft input
         # skips the cast an int64 one pays.
-        offsets = (np.arange(rows)[:, None] * modulus + key_rows).ravel()
-        counts = np.bincount(offsets, weights=np.ones(offsets.size), minlength=rows * modulus)
-        counts = counts.reshape(rows, modulus)
+        counts = np.bincount(
+            (np.arange(rows)[:, None] * modulus + key_rows).ravel(),
+            weights=np.ones(key_rows.size),
+            minlength=rows * modulus,
+        ).reshape(rows, modulus)
         half = np.fft.rfft(counts)[:, 1:]  # shifts 1 .. N/2
         del counts
         # A band of 1e-9 in the normalized sums is far wider than the
@@ -245,21 +257,22 @@ def worst_character_sums(
         for part in (half.real, half):
             values = np.abs(part)
             near |= values >= values.max(axis=1, keepdims=True) - 1e-9 * d
+            del values  # so two |part| arrays never coexist with near
         owner, located = np.nonzero(near)
         located += 1
         # The mirrors N - l tie in exact arithmetic, not always in the last bit.
         owner = np.repeat(owner, 2)
         shifts = np.stack([located, modulus - located], axis=1).ravel()
-        f = _gather(np.ascontiguousarray(key_rows[owner].T), shifts, modulus)
+        f = _gather(key_rows, owner, shifts, modulus)
+        # owner is sorted and names every row, so each row's pairs form one run.
+        starts = np.searchsorted(owner, np.arange(rows))
     else:
         raise ValueError(f"unknown method {method!r}")
-    # owner is sorted and names every row, so each row's pairs form one run.
-    starts = np.searchsorted(owner, np.arange(rows))
     out: list[np.ndarray] = []
     for values in (np.abs(f.real), np.hypot(f.real, f.imag)):
-        top = np.maximum.reduceat(values, starts)
+        top = np.maximum.reduceat(values.ravel(), starts)
         tied = values >= (top - TIE_BAND * d)[owner]
-        out += [top, np.minimum.reduceat(np.where(tied, shifts, modulus), starts)]
+        out += [top, np.minimum.reduceat(np.where(tied, shifts, modulus).ravel(), starts)]
     return tuple(out)
 
 
@@ -267,7 +280,7 @@ def fourier_components(keyset: KeySet) -> np.ndarray:
     """f_K(l) for every shift l in [0, N), by the exact gather."""
     n = keyset.modulus
     _check_cells(1, n)
-    return _gather(keyset.key_array()[:, None], np.arange(n, dtype=np.int64), n)
+    return _gather(keyset.key_array()[None, :], np.zeros(1, dtype=np.intp), np.arange(n, dtype=np.int64), n)
 
 
 def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:

@@ -38,7 +38,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(fmt: str, pairs: list[tuple[str, object]], records: "dict[str, list] | None" = None) -> None:
+def _emit(fmt: str, pairs: list[tuple[str, object]], records: "dict[str, list | tuple] | None" = None) -> None:
     """Print a report: scalar pairs plus optional named record lists."""
     if fmt == "json":
         payload: dict[str, object] = {}
@@ -482,8 +482,8 @@ def cmd_forge_experiment(keyset_path: str, security_level: int, trials: int,
     params = sig_mod.ProtocolParams(
         qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset), security_level
     )
-    report = sig_mod.forgery_experiment(params, trials, qsim.make_rng(seed))
-    records = {"trials_detail": list(report.lines)} if show_log else None
+    report = sig_mod.forgery_experiment(params, trials, qsim.make_rng(seed), keep_records=show_log)
+    records = {"trials_detail": report.lines} if show_log else None
     _emit(fmt, [
         ("security_level", security_level),
         ("trials", trials),

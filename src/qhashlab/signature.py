@@ -55,13 +55,15 @@ __all__ = [
     "verify_message",
 ]
 
-# Bytes one forgery trial's record keeps: a 3-tuple (64), a guess int
-# past the small-int cache (32) and its slots in the list and the
-# returned tuple (16); tracemalloc measured 104 at L = 2^20.
-RECORD_BYTES = 112
+# Bytes one kept trial costs through to the printed log: its record
+# (a 3-tuple and a guess int, about 104), its log line and, for JSON
+# output, its share of the encoded report.  Peak RSS of forge-experiment
+# --log over 400000 trials grew 177 B per trial as text, 324 B as JSON.
+RECORD_BYTES = 336
 
 # Largest record memory a forgery experiment may keep: 1 GiB admits
-# about 9.6 million trials.  Larger requests raise ValueError.
+# about 3.2 million kept trials.  Larger requests raise ValueError; an
+# experiment that keeps no records has no limit.
 MAX_RECORD_BYTES = 1 << 30
 
 
@@ -92,8 +94,9 @@ class SignatureKeyPair:
 class ForgeryReport:
     """Per-trial records plus the empirical and analytic success rates.
 
-    records holds one (bit, guess, accepted) triple per trial; the log
-    lines are formatted from it only when asked for.
+    records holds one (bit, guess, accepted) triple per trial, or none
+    when the experiment ran without keeping them; the log lines are
+    formatted from it only when asked for.
     """
 
     trials: int
@@ -191,21 +194,23 @@ def forgery_prediction(params: ProtocolParams) -> float:
 
 
 def forgery_experiment(
-    params: ProtocolParams, trials: int, rng: np.random.Generator
+    params: ProtocolParams, trials: int, rng: np.random.Generator, keep_records: bool = True
 ) -> ForgeryReport:
     """Guessing attack: fresh keypair per trial, uniform guess, random bit.
 
     Each trial draws what keygen, then verify of the guess against
     public[b], would draw, so the generator ends in the same state; a
     verdict could differ only for a draw between the table entry and the
-    simulated |amp_0|^2, which agree to rounding.
+    simulated |amp_0|^2, which agree to rounding.  The per-trial
+    records, which the log lines are formatted from, are kept only
+    with keep_records, and only then limited by MAX_RECORD_BYTES.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials * RECORD_BYTES > MAX_RECORD_BYTES:
+    if keep_records and trials * RECORD_BYTES > MAX_RECORD_BYTES:
         raise ValueError(
             f"{trials} trials keep about {trials * RECORD_BYTES / 2**30:.1f} GiB "
-            f"of per-trial records ({RECORD_BYTES} B each), exceeding "
+            f"of per-trial records and log lines ({RECORD_BYTES} B each), exceeding "
             f"MAX_RECORD_BYTES = {MAX_RECORD_BYTES}"
         )
     level = params.security_level
@@ -219,7 +224,8 @@ def forgery_experiment(
         guess = int(rng.integers(1, level + 1))
         accepted = bool(rng.random() < overlap_sq[(guess - int(private[b])) % modulus])
         successes += accepted
-        records.append((b, guess, accepted))
+        if keep_records:
+            records.append((b, guess, accepted))
     return ForgeryReport(
         trials=trials,
         successes=successes,

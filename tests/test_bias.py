@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestPhaseAngles:
             m = data.draw(below)
         got = bias_mod.phase_angles(KeySet(modulus, tuple(keys)).key_array(), m, modulus)
         want = np.array([math.tau * (k * m % modulus / modulus) for k in keys])
-        # two roundings of a value below 2*pi apart: 4 ulps of 2*pi
+        # a few roundings of values below 2*pi apart: 4 ulps of 2*pi
         assert np.all(np.abs(got - want) <= 4 * math.ulp(math.tau))
 
     @pytest.mark.parametrize("exponent", [32, 40, 62])
@@ -226,6 +227,23 @@ class TestWorstCharacterSums:
         for i, row in enumerate(population):
             for value, want in zip(worst_rows(row[None, :], 65536), reference):
                 assert np.array_equal(value, want[i : i + 1])
+
+    def test_wide_band_gather_memory_stays_per_pair(self):
+        # One key repeated 257 times ties at every shift, so the fft path
+        # gathers every (row, shift) pair.  Its temporaries must stay a
+        # few arrays of one entry per pair; a d x pairs array of keys or
+        # indices would be about 67 MiB here.
+        modulus = 1 << 14
+        rows = np.array([[1] * 257, [3] * 257])
+        tracemalloc.start()
+        try:
+            batch = worst_rows(rows, modulus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * rows.shape[0] * modulus
+        for value, reference in zip(batch, worst_rows(rows, modulus, "direct")):
+            assert np.array_equal(value, reference)
 
     def test_random_search_shape(self):
         # sample_random_keyset's draw at N = 65536, epsilon = 0.1

@@ -515,16 +515,21 @@ class TestSignatureCommands:
                 "16", "--trials", "50", "--seed", "4", "--log"]
         assert invoke(runner, args).output == invoke(runner, args).output
 
-    def test_forge_experiment_beyond_the_record_limit_exits_two(self, runner, monkeypatch):
+    def test_forge_experiment_log_beyond_the_record_limit_exits_two(self, runner, monkeypatch):
         monkeypatch.setattr(sig_mod, "MAX_RECORD_BYTES", 1 << 20)
         result = invoke(runner, [
             "forge-experiment", "--keyset", str(N32), "--security-level", "16",
             "--trials", "10000",
         ])
+        assert result.exit_code == 0
+        result = invoke(runner, [
+            "forge-experiment", "--keyset", str(N32), "--security-level", "16",
+            "--trials", "10000", "--log",
+        ])
         assert result.exit_code == 2
         assert result.stderr == (
-            "error: 10000 trials keep about 0.0 GiB of per-trial records "
-            "(112 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
+            "error: 10000 trials keep about 0.0 GiB of per-trial records and log "
+            "lines (336 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
         )
 
     def test_forge_experiment_json_identity(self, runner):

@@ -194,10 +194,20 @@ class TestForgeryExperiment:
         monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
         assert forgery_experiment(tiny_protocol, 100, make_rng(5)).trials == 100
         rng = make_rng(5)
-        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 11200"):
+        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 33600"):
             forgery_experiment(tiny_protocol, 101, rng)
         # no draw was taken: the stream continues as a fresh one would
         assert np.array_equal(rng.integers(0, 2**62, 8), make_rng(5).integers(0, 2**62, 8))
+
+    def test_unkept_records_have_no_limit(self, tiny_protocol, monkeypatch):
+        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
+        bare_rng, kept_rng = make_rng(5), make_rng(5)
+        bare = forgery_experiment(tiny_protocol, 300, bare_rng, keep_records=False)
+        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 300 * signature_mod.RECORD_BYTES)
+        kept = forgery_experiment(tiny_protocol, 300, kept_rng)
+        assert bare.records == () and bare.lines == ()
+        assert (bare.successes, bare.predicted) == (kept.successes, kept.predicted)
+        assert bare_rng.random() == kept_rng.random()
 
 
 def keygen_verify_records(params, trials, rng):
