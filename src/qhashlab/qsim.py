@@ -359,9 +359,10 @@ def dump_state(psi: StateVector, path: str | Path) -> None:
 
     Floats are rendered with repr, so a dump/load round trip is exact.
     """
+    amp = psi.amplitudes
     lines = [
-        f"{i} {float(amp.real)!r} {float(amp.imag)!r}"
-        for i, amp in enumerate(psi.amplitudes)
+        f"{i} {real!r} {imag!r}"
+        for i, (real, imag) in enumerate(zip(amp.real.tolist(), amp.imag.tolist()))
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -29,10 +29,43 @@ draws a full keygen-and-verify run makes, in the same order (the
 private pair, the bit, the guess, then the verdict's one uniform draw),
 and accepts when that draw is below the table entry, the verdict rule
 verify applies to the simulated |amp_0|^2.
+
+forgery_experiment makes those draws in bulk where it can show the
+result is the same.  Each trial's scalar calls, integers(1, L+1,
+size=2), integers(0, 2), integers(1, L+1) and random(), read exactly
+3 Philox 64-bit words, and the helper reads them with random_raw:
+
+    word 0: low 32-bit half x_0, high half x_1
+    word 1: low half the bit b, high half the guess
+    word 2: the uniform draw, (w >> 11) * 2^-53
+
+Each bounded value is Lemire's (x * L) >> 32 (plus the low end of the
+range; b is x >> 31), and a draw is rejected and redrawn when the low
+32 bits of x * L fall below (2^32 - L) mod L, which never happens for
+a power-of-two L and otherwise with chance below L / 2^32.  Chunks of
+at most DRAW_CHUNK trials are decoded at once, so memory stays bounded
+for any trial count.  At the first trial with a rejected draw the
+helper restores the chunk's starting state, advances 3t words, runs
+that one trial through the scalar calls and resumes decoding.  Each
+rejected draw takes one more 32-bit half, so after an odd count of
+them the generator keeps a half buffered (has_uint32) and the next
+trials read the halves shifted by one: x_0 is the buffered half, word 0 gives x_1 and
+b, and word 1's low half the guess.  The decoder reads both layouts,
+and whichever it starts from.  After each chunk it sets the
+generator's stale uinteger field to the last word 1's high half, as
+the scalar calls leave it, so the whole state dict, not only the next
+draw, equals the loop's.
+
+The bulk path runs only for a Philox generator and 2 <= L < 2^32 (L = 1
+draws nothing for the bounded calls; L = 2^32 takes raw halves), and
+only once a probe, run on first use, finds it equal to the scalar
+calls on fixed draws: so a numpy whose generator changes cannot alter
+a report, only slow it down.  Everything else runs the scalar calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +89,14 @@ __all__ = [
 ]
 
 # Bytes one kept trial costs through to the printed log: its record
-# (a 3-tuple and a guess int, about 104), its log line and, for JSON
-# output, its share of the encoded report.  Peak RSS of forge-experiment
-# --log over 400000 trials grew 177 B per trial as text, 324 B as JSON.
-RECORD_BYTES = 336
+# (int8 bit, int64 guess, bool verdict: 10 B), its log line and, for
+# JSON output, its share of the encoded report.  Peak RSS of
+# forge-experiment --log over 400000 trials grew 182 B per trial as
+# text, 283 B as JSON.
+RECORD_BYTES = 296
 
 # Largest record memory a forgery experiment may keep: 1 GiB admits
-# about 3.2 million kept trials.  Larger requests raise ValueError; an
+# about 3.6 million kept trials.  Larger requests raise ValueError; an
 # experiment that keeps no records has no limit.
 MAX_RECORD_BYTES = 1 << 30
 
@@ -90,25 +124,34 @@ class SignatureKeyPair:
     public: tuple[StateVector, StateVector]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForgeryReport:
     """Per-trial records plus the empirical and analytic success rates.
 
-    records holds one (bit, guess, accepted) triple per trial, or none
-    when the experiment ran without keeping them; the log lines are
-    formatted from it only when asked for.
+    bits (int8), guesses (int64) and accepted (bool) hold one entry per
+    trial, or none when the experiment ran without keeping them; the
+    (bit, guess, accepted) records and the log lines are built from
+    them only when asked for.
     """
 
     trials: int
     successes: int
     predicted: float
-    records: tuple[tuple[int, int, bool], ...]
+    bits: np.ndarray
+    guesses: np.ndarray
+    accepted: np.ndarray
+
+    @property
+    def records(self) -> tuple[tuple[int, int, bool], ...]:
+        return tuple(zip(self.bits.tolist(), self.guesses.tolist(), self.accepted.tolist()))
 
     @property
     def lines(self) -> tuple[str, ...]:
         return tuple(
             f"trial {trial} bit {b} guess {guess} accepted {int(accepted)}"
-            for trial, (b, guess, accepted) in enumerate(self.records, start=1)
+            for trial, b, guess, accepted in zip(
+                range(1, self.bits.size + 1), self.bits.tolist(), self.guesses.tolist(),
+                self.accepted.tolist())
         )
 
     @property
@@ -215,23 +258,115 @@ def forgery_experiment(
         )
     level = params.security_level
     overlap_sq = _overlap_table(params.hash_params.keyset)
-    modulus = overlap_sq.size
-    records: list[tuple[int, int, bool]] = []
+    kept: list[tuple[np.ndarray, ...]] = []
     successes = 0
-    for _ in range(trials):
-        private = rng.integers(1, level + 1, size=2)
-        b = int(rng.integers(0, 2))
-        guess = int(rng.integers(1, level + 1))
-        accepted = bool(rng.random() < overlap_sq[(guess - int(private[b])) % modulus])
-        successes += accepted
+    for bits, guesses, targets, uniforms in _trial_draws(rng, level, trials):
+        accepted = uniforms < overlap_sq[(guesses - targets) % overlap_sq.size]
+        successes += int(np.count_nonzero(accepted))
         if keep_records:
-            records.append((b, guess, accepted))
-    return ForgeryReport(
-        trials=trials,
-        successes=successes,
-        predicted=_predicted_rate(level, overlap_sq),
-        records=tuple(records),
-    )
+            kept.append((bits, guesses, accepted))
+    columns = ([np.concatenate(c) for c in zip(*kept)] if kept
+               else [np.zeros(0, dtype) for dtype in (np.int8, np.int64, bool)])
+    return ForgeryReport(trials, successes, _predicted_rate(level, overlap_sq), *columns)
+
+
+# Most trials a bulk chunk decodes at once (3 words each, 24 KiB):
+# bounds the memory of any --trials.  On 10^4 trials a chunk of 4096
+# raised peak RSS 1.2 MiB above a trial-by-trial loop's, 1024 only 0.7.
+DRAW_CHUNK = 1024
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _trial_draws(rng: np.random.Generator, level: int, trials: int):
+    """Yield (bit, guess, target, uniform) arrays for consecutive trials.
+
+    target is private[bit].  Both paths leave rng in the state the
+    scalar calls leave it in; the bulk path runs where it can be shown
+    to decode those calls exactly (see the module docstring).
+    """
+    if isinstance(rng.bit_generator, np.random.Philox) and 2 <= level < 2**32 and _bulk_decoder_matches():
+        return _bulk_draws(rng, level, trials)
+    return _scalar_draws(rng, level, trials)
+
+
+def _scalar_trial(rng: np.random.Generator, level: int) -> tuple[int, int, int, float]:
+    private = rng.integers(1, level + 1, size=2)
+    b = int(rng.integers(0, 2))
+    guess = int(rng.integers(1, level + 1))
+    return b, guess, int(private[b]), rng.random()
+
+
+def _columns(rows: list[tuple[int, int, int, float]]) -> tuple[np.ndarray, ...]:
+    bits, guesses, targets, uniforms = zip(*rows)
+    return (np.array(bits, dtype=np.int8), np.array(guesses, dtype=np.int64),
+            np.array(targets, dtype=np.int64), np.array(uniforms, dtype=np.float64))
+
+
+def _scalar_draws(rng: np.random.Generator, level: int, trials: int):
+    for start in range(0, trials, DRAW_CHUNK):
+        yield _columns([_scalar_trial(rng, level) for _ in range(min(DRAW_CHUNK, trials - start))])
+
+
+def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
+    """The scalar calls' values, decoded from 3 raw Philox words per trial."""
+    bitgen = rng.bit_generator
+    scale = np.uint64(level)
+    threshold = np.uint64((2**32 - level) % level)
+    done, size = 0, DRAW_CHUNK
+    while done < trials:
+        n = min(size, trials - done)
+        snapshot = bitgen.state
+        words = bitgen.random_raw(3 * n).reshape(n, 3)
+        low, high = words[:, :2] & _LOW_HALF, words[:, :2] >> np.uint64(32)
+        if snapshot["has_uint32"]:
+            # A buffered half opens the first trial, and each trial
+            # leaves the high half of its word 1 buffered for the next.
+            x0 = np.concatenate(([np.uint64(snapshot["uinteger"])], high[:-1, 1]))
+            x1, coin, guess = low[:, 0], high[:, 0], low[:, 1]
+        else:
+            x0, x1, coin, guess = low[:, 0], high[:, 0], low[:, 1], high[:, 1]
+        products = np.stack([x0, x1, guess]) * scale
+        rejecting = np.flatnonzero(((products & _LOW_HALF) < threshold).any(axis=0))
+        t = int(rejecting[0]) if rejecting.size else n
+        if t < n:
+            bitgen.state = snapshot
+            bitgen.random_raw(3 * t)
+        if t:
+            # The scalar calls leave word 1's high half in uinteger,
+            # buffered or stale; random_raw never touches it.
+            state = bitgen.state
+            state["uinteger"] = int(high[t - 1, 1])
+            bitgen.state = state
+            values = (products[:, :t] >> np.uint64(32)).astype(np.int64) + 1
+            bits = (coin[:t] >> np.uint64(31)).astype(np.int8)
+            uniforms = (words[:t, 2] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+            yield bits, values[2], np.where(bits == 1, values[1], values[0]), uniforms
+        if t < n:
+            yield _columns([_scalar_trial(rng, level)])
+        # The words past a rejecting trial are drawn again, so a chunk
+        # is sized to twice the last rejection-free run.
+        size = min(DRAW_CHUNK, 2 * size) if t == n else max(16, 2 * t)
+        done += min(t + 1, n)
+
+
+@functools.cache
+def _bulk_decoder_matches() -> bool:
+    """Whether _bulk_draws reproduces the scalar calls on this numpy.
+
+    Checked once per process on 32 fixed trials at L = 1000 and at
+    L = 3 * 2^30, which rejects a quarter of its bounded draws and so
+    runs the rejection path with both word alignments.
+    """
+    for level in (1000, 3 << 30):
+        fast, slow = (np.random.Generator(np.random.Philox(20130901)) for _ in range(2))
+        got = [np.concatenate(c) for c in zip(*_bulk_draws(fast, level, 32))]
+        want = [np.concatenate(c) for c in zip(*_scalar_draws(slow, level, 32))]
+        if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+            return False
+        if repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
+            return False
+    return True
 
 
 def sign_message(

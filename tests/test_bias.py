@@ -171,6 +171,26 @@ class TestPhaseAngles:
             int64_formula = 2.0 * np.pi * ((keys * m) % modulus) / modulus
             assert np.array_equal(bias_mod.phase_angles(keys, m, modulus), int64_formula)
 
+    @given(st.integers(min_value=0, max_value=31).flatmap(
+        lambda e: st.tuples(
+            st.just(1 << e),
+            st.lists(st.one_of(st.integers(0, (1 << e) - 1), st.just((1 << e) - 1)),
+                     min_size=1, max_size=16),
+            st.one_of(st.integers(0, (1 << e) - 1), st.just((1 << e) - 1)),
+        )))
+    @example((1 << 31, [(1 << 31) - 1, (1 << 31) - 2, 0, 1], (1 << 31) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_mask_equals_modulo(self, case):
+        # products reach (2^31 - 1)^2, just under the int64 limit
+        modulus, keys, shift = case
+        keys = np.array(keys, dtype=np.int64)
+        got = bias_mod._angle_index(keys, shift, modulus)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (keys * shift) % modulus)
+        assert got.tolist() == [int(k) * shift % modulus for k in keys.tolist()]
+        shifts = np.full(keys.size, shift, dtype=np.int64)
+        assert np.array_equal(bias_mod._angle_index(keys, shifts, modulus), got)
+
 
 def worst_rows(population, modulus, method="fft"):
     return bias_mod.worst_character_sums(population, modulus, method)

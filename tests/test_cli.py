@@ -529,7 +529,7 @@ class TestSignatureCommands:
         assert result.exit_code == 2
         assert result.stderr == (
             "error: 10000 trials keep about 0.0 GiB of per-trial records and log "
-            "lines (336 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
+            "lines (296 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
         )
 
     def test_forge_experiment_json_identity(self, runner):

@@ -10,9 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from qhashlab import qsim
 from qhashlab import (
+    HashParams,
+    KeySet,
     StateVector,
     basis_state,
     dump_state,
+    hash_state,
     inner_product,
     load_state,
     make_rng,
@@ -406,6 +409,21 @@ class TestStateFiles:
         assert np.array_equal(loaded.amplitudes, psi.amplitudes)
         dump_state(loaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("case", ["random", "hash"])
+    def test_dump_matches_the_scalar_formatter(self, tmp_path, case):
+        # the line format of float() on each numpy complex scalar
+        if case == "random":
+            states = [random_state(q, np.random.default_rng(q)) for q in (1, 5, 9)]
+        else:
+            keyset = KeySet(modulus=1024, keys=tuple(range(3, 1024, 16)))
+            states = [hash_state(HashParams(keyset), m) for m in (0, 1, 513, 1023)]
+        for psi in states:
+            path = tmp_path / "s.state"
+            dump_state(psi, path)
+            want = "".join(f"{i} {float(amp.real)!r} {float(amp.imag)!r}\n"
+                           for i, amp in enumerate(psi.amplitudes))
+            assert path.read_text() == want
 
     def test_dump_format(self, tmp_path):
         path = tmp_path / "b.state"

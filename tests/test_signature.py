@@ -194,7 +194,7 @@ class TestForgeryExperiment:
         monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
         assert forgery_experiment(tiny_protocol, 100, make_rng(5)).trials == 100
         rng = make_rng(5)
-        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 33600"):
+        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 29600"):
             forgery_experiment(tiny_protocol, 101, rng)
         # no draw was taken: the stream continues as a fresh one would
         assert np.array_equal(rng.integers(0, 2**62, 8), make_rng(5).integers(0, 2**62, 8))
@@ -251,6 +251,119 @@ class TestForgeryExperimentOracle:
         assert report.predicted == forgery_prediction(params)
         # the same number of draws: both generators continue alike
         assert fast_rng.random() == slow_rng.random()
+
+
+def scalar_trials(rng, level, trials):
+    """(bit, guess, target, uniform) per trial, from the scalar calls."""
+    rows = []
+    for _ in range(trials):
+        private = rng.integers(1, level + 1, size=2)
+        b = int(rng.integers(0, 2))
+        guess = int(rng.integers(1, level + 1))
+        rows.append((b, guess, int(private[b]), rng.random()))
+    return rows
+
+
+def drawn_trials(rng, level, trials):
+    chunks = list(signature_mod._trial_draws(rng, level, trials))
+    return list(zip(*(np.concatenate(column).tolist() for column in zip(*chunks))))
+
+
+def assert_same_state(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_state(a[key], b[key])
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
+@pytest.fixture()
+def bulk_calls(monkeypatch):
+    """Count the chunks the bulk path yields."""
+    calls = []
+    bulk = signature_mod._bulk_draws
+
+    def counted(*args):
+        for chunk in bulk(*args):
+            calls.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(signature_mod, "_bulk_draws", counted)
+    return calls
+
+
+BULK_LEVELS = [
+    pytest.param(1, False, id="L=1"),
+    pytest.param(2, True, id="L=2"),
+    pytest.param(3, True, id="L=3"),
+    pytest.param(1000, True, id="L=1000"),
+    pytest.param(1024, True, id="L=1024"),
+    pytest.param(10**6, True, id="L=1e6"),
+    pytest.param(2**31 + 12345, True, id="L=2^31+12345"),
+    pytest.param(2**32 - 1, True, id="L=2^32-1"),
+    pytest.param(2**32, False, id="L=2^32"),
+    pytest.param(2**32 + 1, False, id="L=2^32+1"),
+]
+
+
+class TestBulkDraws:
+    """The bulk decoder replays the scalar calls: values, state, next draw."""
+
+    @pytest.mark.parametrize("level,bulk", BULK_LEVELS)
+    @pytest.mark.parametrize("trials", [1, 2 * signature_mod.DRAW_CHUNK + 3])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+    def test_matches_the_scalar_calls(self, level, bulk, trials, buffered, bulk_calls):
+        for seed in (0, 5):
+            fast, slow = make_rng(seed), make_rng(seed)
+            if buffered:  # one 32-bit draw leaves has_uint32 == 1
+                fast.integers(0, 2), slow.integers(0, 2)
+                assert fast.bit_generator.state["has_uint32"] == 1
+            assert drawn_trials(fast, level, trials) == scalar_trials(slow, level, trials)
+            assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+            assert fast.random() == slow.random()
+        assert bool(bulk_calls) == bulk
+
+    @pytest.mark.parametrize("level", [3, 10**6, 3 << 30, 2**31 + 12345])
+    def test_rejections_on_many_seeds(self, level, bulk_calls):
+        # rejection-heavy levels run the redraw path with both alignments
+        for seed in range(10, 30):
+            fast, slow = make_rng(seed), make_rng(seed)
+            assert drawn_trials(fast, level, 300) == scalar_trials(slow, level, 300)
+            assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+        assert sum(bulk_calls) > 0
+
+    def test_other_bit_generators_fall_back(self, bulk_calls):
+        fast, slow = (np.random.Generator(np.random.PCG64(3)) for _ in range(2))
+        assert drawn_trials(fast, 1000, 500) == scalar_trials(slow, 1000, 500)
+        assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+        assert bulk_calls == []
+
+    def test_probe_passes_on_this_numpy(self):
+        # a numpy whose Philox draws decode differently turns this red
+        # instead of silently running the scalar calls
+        signature_mod._bulk_decoder_matches.cache_clear()
+        assert signature_mod._bulk_decoder_matches()
+
+    def test_failed_probe_gives_the_same_report(self, n1024_keyset, monkeypatch, bulk_calls):
+        params = ProtocolParams(HashParams(n1024_keyset), security_level=1000)
+        fast_rng, slow_rng = make_rng(7), make_rng(7)
+        fast = forgery_experiment(params, 5000, fast_rng)
+        assert bulk_calls
+        monkeypatch.setattr(signature_mod, "_bulk_decoder_matches", lambda: False)
+        calls_before = len(bulk_calls)
+        slow = forgery_experiment(params, 5000, slow_rng)
+        assert len(bulk_calls) == calls_before
+        assert (fast.text(), fast.successes, fast.predicted) == (slow.text(), slow.successes, slow.predicted)
+        assert fast.records == slow.records
+        assert_same_state(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
+
+    def test_records_are_compact_arrays(self, tiny_protocol):
+        report = forgery_experiment(tiny_protocol, 20, make_rng(1))
+        assert (report.bits.dtype, report.guesses.dtype, report.accepted.dtype) == (
+            np.int8, np.int64, np.bool_)
+        assert report.records[0] == (int(report.bits[0]), int(report.guesses[0]),
+                                     bool(report.accepted[0]))
 
 
 class TestMultiBitMessages:
