@@ -47,8 +47,8 @@ __all__ = [
     "KeySet",
     "BiasProfile",
     "KeySetFormatError",
+    "KeySetFile",
     "phase_angles",
-    "fourier_component",
     "fourier_components",
     "worst_character_sums",
     "bias_profile",
@@ -161,15 +161,6 @@ def phase_angles(keys: np.ndarray, m: int, modulus: int) -> np.ndarray:
     Exact reduction at any modulus; see _angle_index.
     """
     return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
-
-
-def fourier_component(keyset: KeySet, shift: int) -> complex:
-    """f_K(l): the character sum of the key multiset at a given shift."""
-    n = keyset.modulus
-    if not 0 <= shift < n:
-        raise ValueError(f"shift must be in [0, {n - 1}], got {shift}")
-    angles = phase_angles(keyset.key_array(), int(shift), n)
-    return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
 def _check_cells(rows: int, modulus: int) -> None:

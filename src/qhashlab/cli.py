@@ -342,6 +342,8 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         raise ValueError("need --keyset, or --n and --d for random sets")
     elif modulus & (modulus - 1) or modulus < 2:
         raise _no_circuit(modulus)
+    else:
+        qhash.hash_qubits(d)  # refuse an oversized register before drawing keys
     worst = 0.0
     for _ in range(count):
         ks = fixed

@@ -28,12 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .qsim import StateVector, TestCounts, reflect_to_uniform, zero_outcome_counts
+from .qsim import MAX_QUBITS, StateVector, TestCounts, reflect_to_uniform, zero_outcome_counts
 
 __all__ = [
     "LinearCode",
     "CodeFormatError",
     "MAX_BRUTE_FORCE_BITS",
+    "MAX_GENERATOR_BYTES",
     "random_linear_code",
     "encode",
     "fingerprint_state",
@@ -47,6 +48,10 @@ __all__ = [
 
 # Exhaustive codeword enumeration is 2^n work; past this it is refused.
 MAX_BRUTE_FORCE_BITS = 20
+
+# Largest m x n generator, one byte per entry: the 256 MiB a dense state
+# of MAX_QUBITS qubits may take.  Larger codes raise ValueError.
+MAX_GENERATOR_BYTES = 16 << MAX_QUBITS
 
 # Set bits of each byte value.
 _BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
@@ -67,8 +72,7 @@ class LinearCode:
     generator: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"need m >= n >= 1, got n={self.n}, m={self.m}")
+        _check_size(self.n, self.m)
         gen = np.asarray(self.generator, dtype=np.uint8) & 1
         if gen.shape != (self.m, self.n):
             raise ValueError(
@@ -98,8 +102,24 @@ class LinearCode:
         return int(self._weights.min())
 
 
+def _check_size(n: int, m: int) -> None:
+    if not 1 <= n <= m:
+        raise ValueError(f"need m >= n >= 1, got n={n}, m={m}")
+    if _fingerprint_qubits(m) > MAX_QUBITS:
+        raise ValueError(
+            f"m = {m} needs {_fingerprint_qubits(m)} qubits; "
+            f"states hold at most MAX_QUBITS = {MAX_QUBITS}"
+        )
+    if n * m > MAX_GENERATOR_BYTES:
+        raise ValueError(
+            f"generator of {m} x {n} = {n * m} bytes exceeds "
+            f"MAX_GENERATOR_BYTES = {MAX_GENERATOR_BYTES}"
+        )
+
+
 def random_linear_code(n: int, m: int, rng: np.random.Generator) -> LinearCode:
     """Uniform random generator matrix; deterministic under the seed."""
+    _check_size(n, m)
     return LinearCode(n=n, m=m, generator=rng.integers(0, 2, size=(m, n), dtype=np.uint8))
 
 

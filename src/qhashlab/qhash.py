@@ -14,15 +14,17 @@ resistance to the bias module: |<h(M1)|h(M2)>| <= delta(K) for any
 distinct messages.
 
 The circuit realization prepares the uniform index superposition and
-then, for every set message bit b_j (LSB first, so bit j carries weight
-2^{j-1}) and every branch i, rotates the target by
+then applies one rotation layer per set message bit b_j (LSB first, so
+bit j carries weight 2^{j-1}).  The layer of bit j turns the target of
+every branch i at once, by
 
     theta_{i,j} = 4 pi (k_i 2^{j-1} mod N) / N
 
-conditioned on the index register holding i.  With the convention
-R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>, the rotations on a
-branch share an axis and sum to twice the amplitude angle, so the
-circuit reproduces the analytic state exactly.
+on the pair the index register holding i selects: d controlled
+rotations on disjoint pairs, applied as one stacked kernel update.
+With the convention R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>,
+the rotations on a branch share an axis and sum to twice the amplitude
+angle, so the circuit reproduces the analytic state exactly.
 
 The REVERSE test checks a claimed message v against a held state by
 running the construction backward and accepting only the all-zero
@@ -43,6 +45,7 @@ import numpy as np
 
 from .bias import KeySet, padded_branch_count, phase_angles
 from .qsim import (
+    MAX_QUBITS,
     StateVector,
     TestCounts,
     apply_gate_inplace,
@@ -55,10 +58,11 @@ from .qsim import (
 __all__ = [
     "HashParams",
     "Hadamard",
-    "ControlledRotation",
+    "RotationLayer",
     "PrepareUniform",
     "Gate",
     "CircuitDescription",
+    "hash_qubits",
     "message_bits",
     "hash_state",
     "build_hash_circuit",
@@ -67,7 +71,6 @@ __all__ = [
     "uncompute_hash",
     "reverse_test",
     "reverse_test_shots",
-    "reverse_test_accept_probability",
 ]
 
 
@@ -89,7 +92,7 @@ class HashParams:
         modulus = self.keyset.modulus
         n = modulus.bit_length() - 1 if modulus & (modulus - 1) == 0 else None
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", (self.keyset.d - 1).bit_length() + 1)
+        object.__setattr__(self, "s", hash_qubits(self.keyset.d))
 
     @property
     def index_qubits(self) -> int:
@@ -107,17 +110,16 @@ class Hadamard:
 
 
 @dataclass(frozen=True)
-class ControlledRotation:
-    """Rotate `target` by theta when the index register holds `condition`.
+class RotationLayer:
+    """Rotate qubit 0 by thetas[i] on index branch i, for every i at once.
 
     message_bit records which classical bit j (1-based, LSB first)
-    produced the gate; it does not affect simulation.
+    produced the layer; it does not affect simulation.  thetas holds
+    Python floats, so repr prints them plainly.
     """
 
     message_bit: int
-    condition: int
-    target: int
-    theta: float
+    thetas: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,23 @@ class PrepareUniform:
     branch_count: int
 
 
-Gate = Union[Hadamard, ControlledRotation, PrepareUniform]
+Gate = Union[Hadamard, RotationLayer, PrepareUniform]
 
 
 @dataclass(frozen=True)
 class CircuitDescription:
     qubit_count: int
     gates: tuple[Gate, ...]
+
+
+def hash_qubits(d: int) -> int:
+    """Qubits of a d-branch hash state, ceil(log2 d) + 1, at most MAX_QUBITS."""
+    s = (d - 1).bit_length() + 1
+    if s > MAX_QUBITS:
+        raise ValueError(
+            f"{d} keys need {s} qubits; states hold at most MAX_QUBITS = {MAX_QUBITS}"
+        )
+    return s
 
 
 def message_bits(m: int, n: int) -> tuple[int, ...]:
@@ -166,8 +178,7 @@ def hash_state(params: HashParams, m: int) -> StateVector:
 def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") -> CircuitDescription:
     """Emit the rotation circuit for a message given as LSB-first bits.
 
-    Rotations appear only for set bits, ordered by message bit then
-    branch index.
+    One rotation layer per set bit, in message-bit order.
     """
     if params.n is None:
         raise ValueError(
@@ -180,49 +191,17 @@ def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") 
         raise ValueError("message bits must be 0 or 1")
 
     keyset = params.keyset
-    d = keyset.d
+    keys = keyset.key_array()
     gates: list[Gate] = []
-    if d == params.branch_capacity:
+    if keyset.d == params.branch_capacity:
         gates.extend(Hadamard(target=q) for q in range(1, params.s))
     else:
-        gates.append(PrepareUniform(branch_count=d))
+        gates.append(PrepareUniform(branch_count=keyset.d))
     for j, bit in enumerate(bits, start=1):
-        if not bit:
-            continue
-        # Python floats, so dump_circuit prints each theta by plain repr.
-        thetas = 2.0 * phase_angles(keyset.key_array(), 1 << (j - 1), keyset.modulus)
-        gates.extend(
-            ControlledRotation(message_bit=j, condition=i, target=0, theta=theta)
-            for i, theta in enumerate(thetas.tolist())
-        )
+        if bit:
+            thetas = 2.0 * phase_angles(keys, 1 << (j - 1), keyset.modulus)
+            gates.append(RotationLayer(message_bit=j, thetas=tuple(thetas.tolist())))
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
-
-
-def _gate_batches(gates: "tuple[Gate, ...]"):
-    """Split a gate list into runs to apply as one update each.
-
-    Consecutive rotations on one target with distinct conditions act on
-    disjoint pairs, so they form one run; every other gate is a run of
-    its own.  Order within and across runs is kept.
-    """
-    run: list[Gate] = []
-    conditions: set[int] = set()  # nonempty only while the run holds rotations
-    for gate in gates:
-        if (
-            conditions
-            and isinstance(gate, ControlledRotation)
-            and gate.target == run[0].target
-            and gate.condition not in conditions
-        ):
-            run.append(gate)
-            conditions.add(gate.condition)
-            continue
-        if run:
-            yield run
-        run = [gate]
-        conditions = {gate.condition} if isinstance(gate, ControlledRotation) else set()
-    if run:
-        yield run
 
 
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
@@ -231,18 +210,13 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0
     index_mask = (1 << s) - 2
-    for run in _gate_batches(circuit.gates):
-        gate = run[0]
+    for gate in circuit.gates:
         if isinstance(gate, Hadamard):
             apply_gate_inplace(amp, gate.target, hadamard_matrix())
-        elif isinstance(gate, ControlledRotation):
-            apply_gate_inplace(
-                amp,
-                gate.target,
-                ry_matrices([g.theta for g in run]),
-                control_mask=index_mask,
-                control_value=np.array([g.condition << 1 for g in run]),
-            )
+        elif isinstance(gate, RotationLayer):
+            # branch i is the pair the index register holding i selects
+            branches = np.arange(len(gate.thetas))
+            apply_gate_inplace(amp, 0, ry_matrices(gate.thetas), index_mask, branches << 1)
         elif isinstance(gate, PrepareUniform):
             # one row per index branch: the reflection moves target pairs
             amp = reflect_to_uniform(amp.reshape(-1, 2), gate.branch_count).reshape(-1)
@@ -252,13 +226,17 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
 
 
 def dump_circuit(circuit: CircuitDescription) -> str:
-    """Text form: ``qubits <s>`` then one gate per line."""
+    """Text form: ``qubits <s>`` then one gate per line.
+
+    A rotation layer prints one ``CRY <branch> 0 <theta>`` line per
+    branch, in branch order.
+    """
     lines = [f"qubits {circuit.qubit_count}"]
     for gate in circuit.gates:
         if isinstance(gate, Hadamard):
             lines.append(f"H {gate.target}")
-        elif isinstance(gate, ControlledRotation):
-            lines.append(f"CRY {gate.condition} {gate.target} {gate.theta!r}")
+        elif isinstance(gate, RotationLayer):
+            lines.extend(f"CRY {i} 0 {theta!r}" for i, theta in enumerate(gate.thetas))
         elif isinstance(gate, PrepareUniform):
             lines.append(f"PREP {gate.branch_count}")
         else:
@@ -311,10 +289,3 @@ def reverse_test_shots(
 ) -> TestCounts:
     """Repeat the reverse test on fresh copies of psi; count accepts."""
     return zero_outcome_counts(uncompute_hash(params, v, psi), shots, rng)
-
-
-def reverse_test_accept_probability(params: HashParams, v: int, w: int) -> float:
-    """Squared hash overlap: the reverse test's accept chance for claim v on h(w)."""
-    from .bias import hash_inner_product
-
-    return hash_inner_product(params.keyset, v, w) ** 2

@@ -46,13 +46,11 @@ __all__ = [
     "MeasurementRecord",
     "TestCounts",
     "make_rng",
-    "basis_state",
     "inner_product",
     "measure_all",
     "sample_outcomes",
     "swap_test_accept_probability",
     "swap_test",
-    "repeated_test",
     "hadamard_matrix",
     "ry_matrix",
     "ry_matrices",
@@ -129,15 +127,6 @@ class TestCounts(NamedTuple):
     @property
     def accept_rate(self) -> float:
         return self.accepted / self.shots
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    dim = 1 << num_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range [0, {dim - 1}]")
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[index] = 1.0
-    return StateVector(num_qubits, amp)
 
 
 def _check_same_register(psi: StateVector, phi: StateVector) -> None:
@@ -224,16 +213,6 @@ def swap_test(
     """
     _check_shots(shots)
     return _bernoulli_counts(swap_test_accept_probability(psi, phi), shots, rng)
-
-
-def repeated_test(single_test_accept_probability: float, k: int) -> float:
-    """Probability that k independent repetitions of a test all accept: p^k."""
-    p = single_test_accept_probability
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return p**k
 
 
 def hadamard_matrix() -> np.ndarray:

@@ -84,8 +84,6 @@ __all__ = [
     "verify",
     "forgery_experiment",
     "forgery_prediction",
-    "sign_message",
-    "verify_message",
 ]
 
 # Bytes one kept trial costs through to the printed log: its record
@@ -367,28 +365,3 @@ def _bulk_decoder_matches() -> bool:
         if repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
             return False
     return True
-
-
-def sign_message(
-    params: ProtocolParams, bits: "tuple[int, ...] | list[int]", rng: np.random.Generator
-) -> tuple[list[SignatureKeyPair], list[int]]:
-    """Sign a multi-bit message bit by bit with independent keypairs."""
-    keypairs = [keygen(params, rng) for _ in bits]
-    return keypairs, [sign(kp, b) for kp, b in zip(keypairs, bits)]
-
-
-def verify_message(
-    params: ProtocolParams,
-    publics: "list[tuple[StateVector, StateVector]]",
-    bits: "tuple[int, ...] | list[int]",
-    signatures: "list[int]",
-    rng: np.random.Generator,
-) -> bool:
-    """Accept iff every bit's signature verifies against its public pair."""
-    if not len(publics) == len(bits) == len(signatures):
-        raise ValueError("publics, bits and signatures must have equal length")
-    results = [
-        verify(params, pub[b], b, sig, rng)
-        for pub, b, sig in zip(publics, bits, signatures)
-    ]
-    return all(results)

@@ -14,7 +14,6 @@ from qhashlab import (
     KeySet,
     KeySetFormatError,
     bias_profile,
-    fourier_component,
     fourier_components,
     hash_inner_product,
     load_keyset,
@@ -72,16 +71,16 @@ degenerate_keysets = st.one_of(
 class TestFourierComponent:
     def test_worked_example(self, tiny_keyset):
         # K={1,2} mod 8 at l=2: i + (-1)
-        assert fourier_component(tiny_keyset, 2) == pytest.approx(-1 + 1j, abs=1e-12)
+        assert fourier_components(tiny_keyset)[2] == pytest.approx(-1 + 1j, abs=1e-12)
 
     def test_zero_shift_counts_keys(self, tiny_keyset):
-        assert fourier_component(tiny_keyset, 0) == pytest.approx(2.0)
+        assert fourier_components(tiny_keyset)[0] == pytest.approx(2.0)
 
     @given(keysets, st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, keyset, data):
         shift = data.draw(st.integers(min_value=0, max_value=keyset.modulus - 1))
-        assert fourier_component(keyset, shift) == pytest.approx(
+        assert fourier_components(keyset)[shift] == pytest.approx(
             oracle_component(keyset, shift), abs=1e-9
         )
 
@@ -95,10 +94,6 @@ class TestFourierComponent:
     @settings(max_examples=60, deadline=None)
     def test_magnitude_bounded_by_d(self, keyset):
         assert np.all(np.abs(fourier_components(keyset)) <= keyset.d + 1e-9)
-
-    def test_shift_out_of_range(self, tiny_keyset):
-        with pytest.raises(ValueError, match="shift"):
-            fourier_component(tiny_keyset, 8)
 
     def test_unknown_method(self, tiny_keyset):
         with pytest.raises(ValueError, match="method"):
@@ -303,8 +298,8 @@ class TestBiasProfile:
     @settings(max_examples=60, deadline=None)
     def test_worst_shifts_attain_the_maxima(self, keyset):
         profile = bias_profile(keyset)
-        f_delta = fourier_component(keyset, profile.worst_shift_delta)
-        f_lambda = fourier_component(keyset, profile.worst_shift_lambda)
+        f_delta = oracle_component(keyset, profile.worst_shift_delta)
+        f_lambda = oracle_component(keyset, profile.worst_shift_lambda)
         assert abs(f_delta.real) / keyset.d == pytest.approx(profile.delta, abs=1e-12)
         assert abs(f_lambda) / keyset.d == pytest.approx(profile.lambda_, abs=1e-12)
 

@@ -404,6 +404,16 @@ class TestEqualityTests:
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
 
+    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25)])
+    def test_circuit_check_refuses_an_oversized_register(self, runner, d, qubits):
+        # refused before any key is drawn: 2^40 keys would be 8 TiB
+        result = invoke(runner, ["circuit-check", "--n", "8", "--d", str(d), "--count", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {d} keys need {qubits} qubits; states hold at most MAX_QUBITS = 24\n"
+        )
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_circuit_check_rejects_an_empty_count(self, runner, count):
         result = invoke(runner, ["circuit-check", "--keyset", str(N32), "--count", count])
@@ -442,6 +452,18 @@ class TestFingerprintCommand:
         assert invoke(runner, [
             "fingerprint", "--u", "101", "--v", "100",
         ]).exit_code == 2
+
+    @pytest.mark.parametrize("n,m,message", [
+        ("1", str(1 << 40), "needs 40 qubits"),
+        ("17", str(1 << 24), "exceeds MAX_GENERATOR_BYTES"),
+    ])
+    def test_oversized_code_exits_two(self, runner, n, m, message):
+        # refused before the generator is drawn: 2^40 entries would be 1 TiB
+        result = invoke(runner, ["fingerprint", "--n", n, "--m", m, "--u", "1", "--v", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
 
     def test_bad_bits_exit_two(self, runner):
         assert invoke(runner, [

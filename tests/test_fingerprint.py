@@ -78,6 +78,18 @@ class TestLinearCode:
         b = random_linear_code(3, 6, make_rng(4))
         assert np.array_equal(a.generator, b.generator)
 
+    @pytest.mark.parametrize("n,m,message", [
+        (1, (1 << 24) + 1, "needs 25 qubits"),
+        (17, 1 << 24, "exceeds MAX_GENERATOR_BYTES = 268435456"),
+        (1, 1 << 40, "needs 40 qubits"),
+        (3, 2, "m >= n"),
+    ])
+    def test_oversized_random_code_refused_before_drawing(self, n, m, message):
+        rng = make_rng(4)
+        with pytest.raises(ValueError, match=message):
+            random_linear_code(n, m, rng)
+        assert rng.random() == make_rng(4).random()
+
 
 class TestEncode:
     def test_manual_example(self):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from qhashlab import qhash as qhash_mod
 from qhashlab import (
     CircuitDescription,
-    ControlledRotation,
     Hadamard,
     HashParams,
     KeySet,
     PrepareUniform,
+    RotationLayer,
     build_hash_circuit,
     dump_circuit,
     hash_inner_product,
@@ -20,7 +21,6 @@ from qhashlab import (
     measure_all,
     message_bits,
     reverse_test,
-    reverse_test_accept_probability,
     reverse_test_shots,
     sample_outcomes,
     simulate_circuit,
@@ -52,6 +52,15 @@ class TestHashParams:
     def test_branch_capacity(self):
         params = HashParams(KeySet(modulus=32, keys=tuple(range(15))))
         assert params.branch_capacity == 16
+
+    def test_register_beyond_max_qubits_raises(self, monkeypatch):
+        assert qhash_mod.hash_qubits(1 << 23) == 24
+        with pytest.raises(ValueError, match="8388609 keys need 25 qubits"):
+            qhash_mod.hash_qubits((1 << 23) + 1)
+        monkeypatch.setattr(qhash_mod, "MAX_QUBITS", 3)
+        HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4)))
+        with pytest.raises(ValueError, match="5 keys need 4 qubits"):
+            HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4, 5)))
 
 
 class TestMessageBits:
@@ -114,30 +123,29 @@ class TestCircuit:
 
     def test_rotations_only_for_set_bits(self, n32_keyset):
         circuit = build_hash_circuit(HashParams(n32_keyset), message_bits(5, 5))
-        rotations = [g for g in circuit.gates if isinstance(g, ControlledRotation)]
-        assert len(rotations) == 2 * 15  # bits 1 and 3 of M=5
-        assert {g.message_bit for g in rotations} == {1, 3}
-        assert all(g.target == 0 for g in rotations)
+        layers = [g for g in circuit.gates if isinstance(g, RotationLayer)]
+        assert [g.message_bit for g in layers] == [1, 3]  # bits 1 and 3 of M=5
+        assert all(len(g.thetas) == 15 for g in layers)
 
     def test_rotation_angles(self, tiny_keyset):
         circuit = build_hash_circuit(HashParams(tiny_keyset), (0, 1, 0))
-        rotations = [g for g in circuit.gates if isinstance(g, ControlledRotation)]
+        (layer,) = [g for g in circuit.gates if isinstance(g, RotationLayer)]
         # bit 2 carries weight 2: theta = 4*pi*(2k mod 8)/8
-        assert rotations[0].theta == pytest.approx(math.pi, abs=1e-12)
-        assert rotations[1].theta == pytest.approx(2 * math.pi, abs=1e-12)
+        assert layer.thetas[0] == pytest.approx(math.pi, abs=1e-12)
+        assert layer.thetas[1] == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_rotation_angles_match_the_scalar_formula(self):
         for params, m in criterion_3_draws(make_rng(6), 2):
             circuit = build_hash_circuit(params, message_bits(m, params.n))
-            rotations = [g for g in circuit.gates if isinstance(g, ControlledRotation)]
+            layers = [g for g in circuit.gates if isinstance(g, RotationLayer)]
             modulus = params.keyset.modulus
-            expected = [
-                4.0 * np.pi * ((params.keyset.keys[g.condition] << (g.message_bit - 1)) % modulus)
-                / modulus
-                for g in rotations
-            ]
-            assert [g.theta for g in rotations] == expected
-            assert all(type(g.theta) is float for g in rotations)
+            for layer in layers:
+                expected = tuple(
+                    4.0 * np.pi * ((k << (layer.message_bit - 1)) % modulus) / modulus
+                    for k in params.keyset.keys
+                )
+                assert layer.thetas == expected
+                assert all(type(theta) is float for theta in layer.thetas)
 
     @pytest.mark.parametrize("modulus", [8, 32, 1024])
     @pytest.mark.parametrize("d", [2, 15, 65])
@@ -170,13 +178,25 @@ class TestCircuit:
 class TestDumpCircuit:
     def test_text_form(self, tiny_keyset):
         text = dump_circuit(build_hash_circuit(HashParams(tiny_keyset), (1, 0, 0)))
-        lines = text.splitlines()
-        assert lines[0] == "qubits 2"
-        assert lines[1] == "H 1"
-        assert lines[2].startswith("CRY 0 0 ")
-        assert lines[3].startswith("CRY 1 0 ")
-        theta = float(lines[2].split()[3])
-        assert theta == pytest.approx(math.pi / 2)
+        assert text == "qubits 2\nH 1\nCRY 0 0 1.5707963267948966\nCRY 1 0 3.141592653589793\n"
+
+    @pytest.mark.parametrize("fixture,m,head", [
+        ("tiny_keyset", 5, ["qubits 2", "H 1"]),  # bits 1 and 3
+        ("n32_keyset", 13, ["qubits 5", "PREP 15"]),  # bits 1, 3 and 4
+    ])
+    def test_every_line_matches_the_scalar_formula(self, request, fixture, m, head):
+        keyset = request.getfixturevalue(fixture)
+        params = HashParams(keyset)
+        n = keyset.modulus
+        # one block of d CRY lines, in branch order, per set message bit
+        expected = head + [
+            f"CRY {i} 0 {4.0 * math.pi * ((k << (j - 1)) % n) / n!r}"
+            for j, bit in enumerate(message_bits(m, params.n), start=1) if bit
+            for i, k in enumerate(keyset.keys)
+        ]
+        assert dump_circuit(build_hash_circuit(params, message_bits(m, params.n))) == (
+            "\n".join(expected) + "\n"
+        )
 
     def test_preparation_line(self, n32_keyset):
         text = dump_circuit(build_hash_circuit(HashParams(n32_keyset), (0,) * 5))
@@ -225,16 +245,13 @@ class TestReverseTest:
         assert all(reverse_test(params, 21, psi, rng) for _ in range(50))
 
     def test_accept_probability(self, n32_keyset):
-        params = HashParams(n32_keyset)
         # the flat set: every wrong pair accepts with (1/15)^2
-        assert reverse_test_accept_probability(params, 4, 9) == pytest.approx(
-            (1 / 15) ** 2, abs=1e-12
-        )
-        assert reverse_test_accept_probability(params, 4, 4) == pytest.approx(1.0)
+        assert hash_inner_product(n32_keyset, 4, 9) ** 2 == pytest.approx((1 / 15) ** 2, abs=1e-12)
+        assert hash_inner_product(n32_keyset, 4, 4) ** 2 == pytest.approx(1.0)
 
     def test_dishonest_statistics(self, tiny_keyset):
         params = HashParams(tiny_keyset)
-        p = reverse_test_accept_probability(params, 1, 3)
+        p = hash_inner_product(tiny_keyset, 1, 3) ** 2
         assert p == pytest.approx(0.25, abs=1e-12)
         shots = 20000
         counts = reverse_test_shots(
@@ -252,15 +269,19 @@ class TestReverseTest:
 
 
 def gate_by_gate(circuit, gate):
-    """Reference simulation: every gate on its own, through `gate`."""
+    """Reference simulation: every gate on its own, through `gate`.
+
+    A rotation layer runs as one controlled rotation per branch.
+    """
     s = circuit.qubit_count
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0
     for g in circuit.gates:
         if isinstance(g, Hadamard):
             amp = gate(amp, g.target, hadamard_matrix())
-        elif isinstance(g, ControlledRotation):
-            amp = gate(amp, g.target, ry_matrix(g.theta), (1 << s) - 2, g.condition << 1)
+        elif isinstance(g, RotationLayer):
+            for i, theta in enumerate(g.thetas):
+                amp = gate(amp, 0, ry_matrix(theta), (1 << s) - 2, i << 1)
         else:
             amp = reflect_to_uniform(amp.reshape(-1, 2), g.branch_count).reshape(-1)
     return amp
@@ -305,18 +326,18 @@ class TestFastPathsMatchGateByGate:
             )
 
     def test_hand_built_circuit_with_repeats(self, fancy_index_gate):
-        # a repeated branch, a second target and a Hadamard split the
-        # rotation runs; order must be kept across the splits
+        # layers that turn the same branches again, Hadamards between
+        # them, a layer shorter than the four branches and a preparation
         gates = (
             Hadamard(target=1), Hadamard(target=2),
-            ControlledRotation(message_bit=1, condition=1, target=0, theta=0.3),
-            ControlledRotation(message_bit=1, condition=2, target=0, theta=1.1),
-            ControlledRotation(message_bit=2, condition=1, target=0, theta=2.9),
+            RotationLayer(message_bit=1, thetas=(0.3, 1.1, 2.9, -0.7)),
             Hadamard(target=1),
-            ControlledRotation(message_bit=2, condition=3, target=0, theta=-0.7),
-            ControlledRotation(message_bit=2, condition=0, target=0, theta=5.0),
+            RotationLayer(message_bit=2, thetas=(5.0, 0.2)),
+            RotationLayer(message_bit=3, thetas=(-1.3, 0.4, 2.2, 0.9)),
             PrepareUniform(branch_count=3),
-            ControlledRotation(message_bit=3, condition=0, target=0, theta=0.2),
+            RotationLayer(message_bit=4, thetas=(0.6, -2.4, 1.7)),
+            Hadamard(target=2),
+            RotationLayer(message_bit=5, thetas=(3.3,)),
         )
         circuit = CircuitDescription(qubit_count=3, gates=gates)
         assert np.array_equal(
@@ -324,7 +345,8 @@ class TestFastPathsMatchGateByGate:
         )
 
     def test_invalid_gate_still_raises(self):
-        bad = ControlledRotation(message_bit=1, condition=4, target=0, theta=0.3)
+        # five thetas for the four index branches of a 3-qubit register
+        bad = RotationLayer(message_bit=1, thetas=(0.3, 1.1, 2.9, -0.7, 0.5))
         with pytest.raises(ValueError, match="outside the control mask"):
             simulate_circuit(CircuitDescription(qubit_count=3, gates=(bad,)))
 

@@ -13,14 +13,12 @@ from qhashlab import (
     HashParams,
     KeySet,
     StateVector,
-    basis_state,
     dump_state,
     hash_state,
     inner_product,
     load_state,
     make_rng,
     measure_all,
-    repeated_test,
     sample_outcomes,
     swap_test,
     swap_test_accept_probability,
@@ -35,6 +33,12 @@ from qhashlab.qsim import (
     ry_matrix,
     zero_outcome_counts,
 )
+
+
+def basis_state(num_qubits, index):
+    amp = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amp[index] = 1.0
+    return StateVector(num_qubits, amp)
 
 
 def random_state(num_qubits, rng):
@@ -75,16 +79,6 @@ class TestStateVector:
         psi = basis_state(2, 0)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
-
-    def test_basis_state(self):
-        psi = basis_state(3, 5)
-        assert psi.dim == 8
-        assert psi.amplitudes[5] == 1.0
-        assert np.count_nonzero(psi.amplitudes) == 1
-
-    def test_basis_index_out_of_range(self):
-        with pytest.raises(ValueError, match="basis index"):
-            basis_state(2, 4)
 
 
 class TestInnerProduct:
@@ -165,14 +159,6 @@ class TestSwapTest:
         assert counts.accepted + counts.rejected == 10000
         sigma = math.sqrt(0.25 / 10000)
         assert abs(counts.accept_rate - 0.5) < 3 * sigma
-
-    def test_repeated_test(self):
-        assert repeated_test(0.5, 3) == pytest.approx(0.125)
-        assert repeated_test(1.0, 10) == 1.0
-        with pytest.raises(ValueError, match="probability"):
-            repeated_test(1.5, 2)
-        with pytest.raises(ValueError, match="k"):
-            repeated_test(0.5, 0)
 
 
 class TestGates:

@@ -20,9 +20,7 @@ from qhashlab import (
     load_keyset,
     make_rng,
     sign,
-    sign_message,
     verify,
-    verify_message,
 )
 from qhashlab import signature as signature_mod
 
@@ -364,31 +362,4 @@ class TestBulkDraws:
             np.int8, np.int64, np.bool_)
         assert report.records[0] == (int(report.bits[0]), int(report.guesses[0]),
                                      bool(report.accepted[0]))
-
-
-class TestMultiBitMessages:
-    def test_round_trip(self, tiny_protocol):
-        rng = make_rng(4)
-        bits = (1, 0, 1, 1)
-        keypairs, signatures = sign_message(tiny_protocol, bits, rng)
-        publics = [kp.public for kp in keypairs]
-        assert verify_message(tiny_protocol, publics, bits, signatures, rng)
-
-    def test_flipped_bit_usually_rejects(self, tiny_protocol):
-        rng = make_rng(4)
-        bits = (1, 0, 1, 1)
-        keypairs, signatures = sign_message(tiny_protocol, bits, rng)
-        publics = [kp.public for kp in keypairs]
-        rejects = sum(
-            not verify_message(tiny_protocol, publics, (0, 0, 1, 1), signatures,
-                               make_rng(seed))
-            for seed in range(30)
-        )
-        # claiming bit 0 against the bit-1 key only sneaks through on a
-        # collision of the private numbers or a squared-overlap accept
-        assert rejects > 15
-
-    def test_length_mismatch(self, tiny_protocol):
-        with pytest.raises(ValueError, match="equal length"):
-            verify_message(tiny_protocol, [], (1,), [1], make_rng(0))
 
