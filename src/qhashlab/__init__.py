@@ -8,142 +8,13 @@ and uncompute-style tests, sets the construction against linear-code
 fingerprinting, and runs a one-bit signature protocol on top.
 """
 
-from .bias import (
-    BiasProfile,
-    KeySet,
-    KeySetFile,
-    KeySetFormatError,
-    bias_profile,
-    fourier_components,
-    hash_inner_product,
-    load_keyset,
-    padded_branch_count,
-    padded_delta_squared,
-    save_keyset,
-)
-from .fingerprint import (
-    CodeFormatError,
-    LinearCode,
-    encode,
-    fingerprint_inner_product,
-    fingerprint_resistance,
-    fingerprint_reverse_test,
-    fingerprint_state,
-    load_code,
-    random_linear_code,
-    save_code,
-)
-from .keyset import (
-    OBJECTIVES,
-    SearchConfig,
-    SearchOutcome,
-    bundled_table_dir,
-    ga_search,
-    lemma_size,
-    load_table_fixtures,
-    sample_random_keyset,
-)
-from .qhash import (
-    CircuitDescription,
-    Hadamard,
-    HashParams,
-    PrepareUniform,
-    RotationLayer,
-    build_hash_circuit,
-    dump_circuit,
-    hash_state,
-    message_bits,
-    reverse_test,
-    reverse_test_shots,
-    simulate_circuit,
-    uncompute_hash,
-)
-from .qsim import (
-    MAX_QUBITS,
-    MeasurementRecord,
-    StateVector,
-    TestCounts,
-    dump_state,
-    inner_product,
-    load_state,
-    make_rng,
-    measure_all,
-    sample_outcomes,
-    swap_test,
-    swap_test_accept_probability,
-)
-from .signature import (
-    ForgeryReport,
-    ProtocolParams,
-    SignatureKeyPair,
-    forgery_experiment,
-    forgery_prediction,
-    keygen,
-    sign,
-    verify,
-)
+from . import bias, fingerprint, keyset, qhash, qsim, signature
+from .bias import *
+from .fingerprint import *
+from .keyset import *
+from .qhash import *
+from .qsim import *
+from .signature import *
 
-__all__ = [
-    "BiasProfile",
-    "CircuitDescription",
-    "CodeFormatError",
-    "ForgeryReport",
-    "Hadamard",
-    "HashParams",
-    "KeySet",
-    "KeySetFile",
-    "KeySetFormatError",
-    "LinearCode",
-    "MAX_QUBITS",
-    "MeasurementRecord",
-    "OBJECTIVES",
-    "PrepareUniform",
-    "ProtocolParams",
-    "RotationLayer",
-    "SearchConfig",
-    "SearchOutcome",
-    "SignatureKeyPair",
-    "StateVector",
-    "TestCounts",
-    "bias_profile",
-    "build_hash_circuit",
-    "bundled_table_dir",
-    "dump_circuit",
-    "dump_state",
-    "encode",
-    "fingerprint_inner_product",
-    "fingerprint_resistance",
-    "fingerprint_reverse_test",
-    "fingerprint_state",
-    "forgery_experiment",
-    "forgery_prediction",
-    "fourier_components",
-    "ga_search",
-    "hash_inner_product",
-    "hash_state",
-    "inner_product",
-    "keygen",
-    "lemma_size",
-    "load_code",
-    "load_keyset",
-    "load_state",
-    "load_table_fixtures",
-    "make_rng",
-    "measure_all",
-    "message_bits",
-    "padded_branch_count",
-    "padded_delta_squared",
-    "random_linear_code",
-    "reverse_test",
-    "reverse_test_shots",
-    "sample_outcomes",
-    "sample_random_keyset",
-    "save_code",
-    "save_keyset",
-    "sign",
-    "simulate_circuit",
-    "swap_test",
-    "swap_test_accept_probability",
-    "uncompute_hash",
-    "verify",
-]
+__all__ = [*bias.__all__, *fingerprint.__all__, *keyset.__all__,
+           *qhash.__all__, *qsim.__all__, *signature.__all__]

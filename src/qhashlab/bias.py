@@ -43,6 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .textfile import TextFile
+
 __all__ = [
     "KeySet",
     "BiasProfile",
@@ -342,78 +344,33 @@ def load_keyset(path: str | Path) -> KeySetFile:
     """Parse the key-set text format.
 
     Layout: ``N <modulus>``, ``d <count>``, ``epsilon <bound-or-dash>``,
-    then one key per line.  Whitespace-tolerant; lines starting with
-    ``#`` are comments.
+    then one key per line, read through textfile.  A d above
+    MAX_SPECTRUM_CELLS, and the first key line past d, are refused.
     """
-    path = Path(path)
-    header: list[tuple[int, str, str]] = []
-    key_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(header) < 3:
-            if len(fields) != 2:
-                raise KeySetFormatError(
-                    f"{path}:{lineno}: expected '<name> <value>' header, got {raw!r}"
-                )
-            header.append((lineno, fields[0], fields[1]))
-        else:
-            if len(fields) != 1:
-                raise KeySetFormatError(
-                    f"{path}:{lineno}: expected one key per line, got {raw!r}"
-                )
-            key_lines.append((lineno, fields[0]))
+    lines = TextFile(path, KeySetFormatError)
+    (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
+    modulus = lines.number("N", n_text, n_at)
+    count = lines.number("d", d_text, d_at)
+    if count > MAX_SPECTRUM_CELLS:
+        raise lines.fail(f"d = {count} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}", d_at)
+    epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
 
-    if len(header) < 3:
-        raise KeySetFormatError(f"{path}: truncated header (need N, d, epsilon lines)")
-    expected = ("N", "d", "epsilon")
-    values: dict[str, str] = {}
-    for (lineno, name, value), want in zip(header, expected):
-        if name != want:
-            raise KeySetFormatError(
-                f"{path}:{lineno}: expected {want!r} header line, got {name!r}"
-            )
-        values[name] = value
-
-    def parse_int(name: str, text: str, lineno: int) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise KeySetFormatError(
-                f"{path}:{lineno}: {name} must be an integer, got {text!r}"
-            ) from None
-
-    modulus = parse_int("N", values["N"], header[0][0])
-    count = parse_int("d", values["d"], header[1][0])
-    if values["epsilon"] == "-":
-        epsilon: float | None = None
-    else:
-        try:
-            epsilon = float(values["epsilon"])
-        except ValueError:
-            raise KeySetFormatError(
-                f"{path}:{header[2][0]}: epsilon must be a number or '-', "
-                f"got {values['epsilon']!r}"
-            ) from None
-
-    keys = []
-    for lineno, text in key_lines:
-        k = parse_int("key", text, lineno)
+    keys: list[int] = []
+    for lineno, fields, raw in lines:
+        if len(keys) >= count:
+            raise lines.fail(f"more keys than the header's d={count}", lineno)
+        if len(fields) != 1:
+            raise lines.fail("expected one key per line", lineno, raw)
+        k = lines.number("key", fields[0], lineno)
         if not 0 <= k < modulus:
-            raise KeySetFormatError(
-                f"{path}:{lineno}: key {k} out of range [0, {modulus - 1}]"
-            )
+            raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
         keys.append(k)
     if len(keys) != count:
-        raise KeySetFormatError(
-            f"{path}: header declares d={count} but file lists {len(keys)} keys"
-        )
+        raise lines.fail(f"header declares d={count} but file lists {len(keys)} keys")
     try:
-        keyset = KeySet(modulus=modulus, keys=tuple(keys))
+        keyset = KeySet(modulus=modulus, keys=keys)
     except ValueError as exc:
-        raise KeySetFormatError(f"{path}: {exc}") from None
+        raise lines.fail(str(exc)) from None
     return KeySetFile(keyset, epsilon)
 
 

@@ -407,7 +407,7 @@ def cmd_fingerprint(code_path: str | None, n_bits: int | None, m_bits: int | Non
         ("rejected", counts.rejected),
         ("accept_rate", counts.accept_rate),
     ]
-    if code.n <= fp_mod.MAX_BRUTE_FORCE_BITS:
+    if code.enumerable:
         pairs.append(("min_distance", code.min_distance()))
         pairs.append(("resistance", fp_mod.fingerprint_resistance(code)))
     if out_path is not None:

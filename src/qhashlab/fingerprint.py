@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .qsim import MAX_QUBITS, StateVector, TestCounts, reflect_to_uniform, zero_outcome_counts
+from .textfile import TextFile
 
 __all__ = [
     "LinearCode",
@@ -81,14 +82,16 @@ class LinearCode:
         gen.flags.writeable = False
         object.__setattr__(self, "generator", gen)
 
+    @property
+    def enumerable(self) -> bool:
+        """n <= MAX_BRUTE_FORCE_BITS and 2^n * ceil(m/8) table bytes <= MAX_GENERATOR_BYTES."""
+        return self.n <= MAX_BRUTE_FORCE_BITS and (1 << self.n) * -(-self.m // 8) <= MAX_GENERATOR_BYTES
+
     @cached_property
     def _weights(self) -> np.ndarray:
         """Weights of the codewords of messages 1 .. 2^n - 1, enumerated once."""
-        if self.n > MAX_BRUTE_FORCE_BITS:
-            raise ValueError(
-                f"brute force over 2^{self.n} messages refused "
-                f"(limit n <= {MAX_BRUTE_FORCE_BITS})"
-            )
+        if not self.enumerable:
+            raise ValueError(f"brute force over 2^{self.n} codewords of {self.m} bits refused")
         # The codeword of w is the XOR of the generator columns of w's set
         # bits: build all 2^n by doubling, eight codeword bits per byte.
         columns = np.packbits(self.generator.T, axis=1)
@@ -196,48 +199,34 @@ def fingerprint_reverse_test_shots(
 
 
 def load_code(path: str | Path) -> LinearCode:
-    """Parse the code text format: ``n <n>``, ``m <m>``, then m rows of n bits."""
-    path = Path(path)
-    header: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(header) < 2:
-            want = "n" if "n" not in header else "m"
-            if len(fields) != 2 or fields[0] != want:
-                raise CodeFormatError(
-                    f"{path}:{lineno}: expected '{want} <value>' header, got {raw!r}"
-                )
-            try:
-                header[want] = int(fields[1])
-            except ValueError:
-                raise CodeFormatError(
-                    f"{path}:{lineno}: {want} must be an integer, got {fields[1]!r}"
-                ) from None
-        else:
-            if len(fields) != 1 or any(c not in "01" for c in fields[0]):
-                raise CodeFormatError(
-                    f"{path}:{lineno}: expected a row of bits, got {raw!r}"
-                )
-            if len(fields[0]) != header["n"]:
-                raise CodeFormatError(
-                    f"{path}:{lineno}: row has {len(fields[0])} bits, "
-                    f"header declares n={header['n']}"
-                )
-            rows.append(np.frombuffer(fields[0].encode(), dtype=np.uint8) - ord("0"))
-    if len(header) < 2:
-        raise CodeFormatError(f"{path}: truncated header (need n and m lines)")
-    if len(rows) != header["m"]:
-        raise CodeFormatError(
-            f"{path}: header declares m={header['m']} but file lists {len(rows)} rows"
-        )
+    """Parse the code text format: ``n <n>``, ``m <m>``, then m rows of n bits.
+
+    Read through textfile.  The shape is checked from the header, rows
+    fill one m x n array, and the first row past m is refused.
+    """
+    lines = TextFile(path, CodeFormatError)
+    (n_at, n_text), (m_at, m_text) = lines.header("n", "m")
+    n = lines.number("n", n_text, n_at)
+    m = lines.number("m", m_text, m_at)
     try:
-        return LinearCode(n=header["n"], m=header["m"], generator=np.stack(rows))
+        _check_size(n, m)
     except ValueError as exc:
-        raise CodeFormatError(f"{path}: {exc}") from None
+        raise lines.fail(str(exc), m_at) from None
+    generator = np.empty((m, n), dtype=np.uint8)
+    row = 0
+    for lineno, fields, raw in lines:
+        if row == m:
+            raise lines.fail(f"more rows than the header's m={m}", lineno)
+        if len(fields) != 1 or fields[0].strip("01"):  # a non-bit is left
+            raise lines.fail("expected a row of bits", lineno, raw)
+        if len(fields[0]) != n:
+            raise lines.fail(f"row has {len(fields[0])} bits, header declares n={n}", lineno)
+        generator[row] = np.frombuffer(fields[0].encode(), dtype=np.uint8)
+        row += 1
+    if row != m:
+        raise lines.fail(f"header declares m={m} but file lists {row} rows")
+    generator -= ord("0")
+    return LinearCode(n=n, m=m, generator=generator)
 
 
 def save_code(code: LinearCode, path: str | Path) -> None:

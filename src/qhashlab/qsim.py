@@ -34,11 +34,14 @@ paths together.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .textfile import TextFile
 
 __all__ = [
     "MAX_QUBITS",
@@ -347,32 +350,37 @@ def dump_state(psi: StateVector, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> StateVector:
-    path = Path(path)
-    entries: dict[int, complex] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    """Parse a state dump: one ``<index> <re> <im>`` line per basis index.
+
+    Read through textfile, 24 bytes kept per line; the first line past
+    2^MAX_QUBITS lines is refused.
+    """
+    lines = TextFile(path)
+    limit = 1 << MAX_QUBITS
+    indices, parts = array("q"), array("d")
+    for lineno, fields, raw in lines:
+        if len(indices) == limit:
+            raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
         if len(fields) != 3:
-            raise ValueError(
-                f"{path}:{lineno}: expected '<index> <re> <im>', got {raw!r}"
-            )
+            raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
         try:
-            index = int(fields[0])
-            value = complex(float(fields[1]), float(fields[2]))
+            index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed amplitude line {raw!r}") from None
-        if index in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate basis index {index}")
-        entries[index] = value
-    dim = len(entries)
+            raise lines.fail("malformed amplitude line", lineno, raw) from None
+        if not 0 <= index < limit:
+            raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
+        indices.append(index)
+        parts.append(real)
+        parts.append(imag)
+    dim = len(indices)
     if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"{path}: {dim} amplitude lines is not a power of two >= 2")
-    num_qubits = dim.bit_length() - 1
-    amp = np.zeros(dim, dtype=np.complex128)
-    for index, value in entries.items():
-        if not 0 <= index < dim:
-            raise ValueError(f"{path}: basis index {index} out of range [0, {dim - 1}]")
-        amp[index] = value
-    return StateVector(num_qubits, amp)
+        raise lines.fail(f"{dim} amplitude lines is not a power of two >= 2")
+    basis = np.frombuffer(indices, dtype=np.int64)
+    if basis.max() >= dim:
+        raise lines.fail(f"basis index {basis[basis >= dim][0]} out of range [0, {dim - 1}]")
+    counts = np.bincount(basis)
+    if counts.max() > 1:
+        raise lines.fail(f"duplicate basis index {counts.argmax()}")
+    amp = np.empty(dim, dtype=np.complex128)
+    amp[basis] = np.frombuffer(parts, dtype=np.complex128)
+    return StateVector(dim.bit_length() - 1, amp)

@@ -451,7 +451,7 @@ class TestKeySetFiles:
         "text,message",
         [
             ("N 8\nd 2\n", "truncated header"),
-            ("N 8\nq 2\nepsilon -\n1\n2\n", "expected 'd'"),
+            ("N 8\nq 2\nepsilon -\n1\n2\n", "expected 'd <value>'"),
             ("N x\nd 2\nepsilon -\n1\n2\n", "must be an integer"),
             ("N 8\nd 2\nepsilon oops\n1\n2\n", "must be a number"),
             ("N 8\nd 2\nepsilon -\n1\n", "file lists 1 keys"),
@@ -470,4 +470,18 @@ class TestKeySetFiles:
         path = tmp_path / "bad.txt"
         path.write_text("N 8\nd 2\nepsilon -\n1\n9\n")
         with pytest.raises(KeySetFormatError, match=r"bad\.txt:5"):
+            load_keyset(path)
+
+    def test_declared_d_beyond_the_spectrum_limit_refused_from_the_header(self, tmp_path):
+        # a key line follows, but d is refused before any key is read
+        path = tmp_path / "big.txt"
+        path.write_text("N 8\nd 1099511627776\nepsilon -\n1\n")
+        with pytest.raises(KeySetFormatError,
+                           match=r"big\.txt:2: d = 1099511627776 keys exceeds MAX_SPECTRUM_CELLS"):
+            load_keyset(path)
+
+    def test_key_past_d_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("N 8\nd 2\nepsilon -\n1\n# note\n2\n3\nx\n")
+        with pytest.raises(KeySetFormatError, match=r"long\.txt:7: more keys than the header's d=2"):
             load_keyset(path)

@@ -149,6 +149,14 @@ class TestBias:
         result = invoke(runner, ["bias", "--keyset", str(tmp_path / "nope.txt")])
         assert result.exit_code == 2
 
+    def test_declared_d_beyond_the_limit_exits_two(self, runner, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("N 8\nd 1099511627776\nepsilon -\n1\n")
+        result = invoke(runner, ["bias", "--keyset", str(big)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {big}:2: d = 1099511627776 keys exceeds")
+
 
 class TestVerifyTables:
     def test_bundled_default_passes(self, runner):
@@ -469,6 +477,25 @@ class TestFingerprintCommand:
         assert invoke(runner, [
             "fingerprint", "--n", "3", "--m", "8", "--u", "10", "--v", "100",
         ]).exit_code == 2
+
+    def test_declared_code_shape_beyond_the_limit_exits_two(self, runner, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("n 1\nm 1099511627776\n1\n")
+        result = invoke(runner, ["fingerprint", "--code", str(big), "--u", "1", "--v", "0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {big}:2: m = 1099511627776 needs 40 qubits")
+
+    def test_codeword_table_beyond_the_limit_is_left_out(self, runner):
+        # a 16 MiB generator whose 2^16 codewords would take 8 GiB
+        result = invoke(runner, [
+            "fingerprint", "--n", "16", "--m", str(1 << 20), "--u", "1010101010101010",
+            "--v", "0101010101010101", "--shots", "10", "--format", "json",
+        ])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert (report["n"], report["m"], report["shots"]) == (16, 1 << 20, 10)
+        assert "min_distance" not in report and "resistance" not in report
 
 
 class TestSignatureCommands:

@@ -162,6 +162,20 @@ class TestMinDistance:
         with pytest.raises(ValueError, match="refused"):
             code.min_distance()
 
+    @pytest.mark.parametrize("n,m,enumerable", [
+        (MAX_BRUTE_FORCE_BITS, MAX_BRUTE_FORCE_BITS, True),
+        (MAX_BRUTE_FORCE_BITS + 1, MAX_BRUTE_FORCE_BITS + 1, False),
+        (16, 1 << 15, True),  # a 2^16 x 4096-byte table: MAX_GENERATOR_BYTES exactly
+        (16, (1 << 15) + 1, False),
+        (16, 1 << 20, False),  # 8 GiB of codewords from a 16 MiB generator
+    ])
+    def test_codeword_table_limit(self, n, m, enumerable):
+        code = LinearCode(n=n, m=m, generator=np.zeros((m, n), dtype=np.uint8))
+        assert code.enumerable is enumerable
+        if not enumerable:
+            with pytest.raises(ValueError, match="refused"):
+                fingerprint_resistance(code)
+
 
 class TestFingerprintState:
     def test_repetition_code_states(self):
@@ -288,8 +302,8 @@ class TestCodeFiles:
         [
             ("n 2\n", "truncated"),
             ("n 2\nm 3\n10\n01\n", "lists 2 rows"),
-            ("n 2\nm 1\n102\n", "row of bits"),
-            ("n 2\nm 1\n101\n", "row has 3 bits"),
+            ("n 2\nm 2\n10\n102\n", "row of bits"),
+            ("n 2\nm 2\n10\n101\n", "row has 3 bits"),
             ("m 3\nn 2\n10\n01\n11\n", "expected 'n"),
             ("n x\nm 3\n10\n01\n11\n", "must be an integer"),
             ("n 3\nm 2\n111\n000\n", "m >= n"),
@@ -299,4 +313,17 @@ class TestCodeFiles:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(CodeFormatError, match=message):
+            load_code(path)
+
+    def test_declared_shape_refused_from_the_header(self, tmp_path):
+        # rows follow, but the m x n shape is refused before any row is read
+        path = tmp_path / "big.txt"
+        path.write_text("n 1\nm 1099511627776\n1\n0\n")
+        with pytest.raises(CodeFormatError, match=r"big\.txt:2: m = 1099511627776 needs 40 qubits"):
+            load_code(path)
+
+    def test_row_past_m_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("n 2\nm 2\n10\n\n01\n11\n")
+        with pytest.raises(CodeFormatError, match=r"long\.txt:6: more rows than the header's m=2"):
             load_code(path)

@@ -431,3 +431,10 @@ class TestStateFiles:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_state(path)
+
+    def test_line_past_the_register_limit_refused_at_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 2)
+        path = tmp_path / "long.state"
+        path.write_text("# header comment\n" + "".join(f"{i} 0.5 0.0\n" for i in range(5)))
+        with pytest.raises(ValueError, match=r"long\.state:6: more than 2\^MAX_QUBITS = 4"):
+            load_state(path)
