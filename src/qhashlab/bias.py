@@ -94,6 +94,8 @@ class KeySet:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        if self.modulus >= 1 << 1021:  # 2*pi*j stays a finite float64 for j < N
+            raise ValueError(f"modulus must be below 2^1021, got a {self.modulus.bit_length()}-bit one")
         object.__setattr__(self, "keys", tuple(int(k) for k in self.keys))
         if len(self.keys) < 1:
             raise ValueError("key set must contain at least one key")

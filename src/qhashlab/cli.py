@@ -10,16 +10,18 @@ own report; --format json emits the same keys and numbers as the text
 lines; floats are printed with repr so text and json carry identical
 numeric content.  Exit codes: 0 success or target met, 1 target not
 met (search budget exhausted, verification rejected, table row failed),
-2 usage or parse errors and unreadable or unwritable files: any
-ValueError or OSError a command raises is reported as ``error: <message>``
-on stderr by the command group, the one error path of the CLI.
+2 usage or parse errors, numbers too large, unreadable or unwritable
+files: any ValueError, OverflowError or OSError a command raises is
+reported as ``error: <message>`` on stderr, the one error path.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
@@ -38,21 +40,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(fmt: str, pairs: list[tuple[str, object]], records: "dict[str, list | tuple] | None" = None) -> None:
-    """Print a report: scalar pairs plus optional named record lists."""
+def _emit(fmt: str, pairs: list[tuple[str, object]], records: "dict[str, Iterable] | None" = None) -> None:
+    """Print named record iterables, then scalar pairs.
+
+    Records are written signature.DRAW_CHUNK at a time as they are
+    produced, so a lazy one, the forgery trial log, is never held whole.
+    Text is one line per (string) record, then ``<key> <value>`` per
+    pair; JSON is, piece by piece, json.dumps({**records, **pairs}).
+    """
+    records = records or {}
+    for n, (name, items) in enumerate(records.items()):
+        items = iter(items)
+        batches = iter(lambda: list(islice(items, sig_mod.DRAW_CHUNK)), [])
+        if fmt == "json":
+            click.echo(("{" if n == 0 else ", ") + json.dumps(name) + ": [", nl=False)
+            for k, batch in enumerate(batches):
+                click.echo((", " if k else "") + json.dumps(batch)[1:-1], nl=False)
+            click.echo("]", nl=False)
+        else:
+            for batch in batches:
+                click.echo("\n".join(batch))
     if fmt == "json":
-        payload: dict[str, object] = {}
-        if records:
-            payload.update(records)
-        payload.update(pairs)
-        click.echo(json.dumps(payload))
-        return
-    if records:
-        for lines in records.values():
-            for line in lines:
-                click.echo(line if isinstance(line, str) else " ".join(_fmt(v) for v in line))
-    for key, value in pairs:
-        click.echo(f"{key} {_fmt(value)}")
+        tail = json.dumps(dict(pairs))
+        click.echo((", " + tail[1:] if pairs else "}") if records else tail)
+    else:
+        for key, value in pairs:
+            click.echo(f"{key} {_fmt(value)}")
 
 
 def _no_circuit(modulus: int) -> ValueError:
@@ -65,7 +78,7 @@ class _ErrorMappingGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OverflowError, OSError) as exc:
             # KeySetFormatError and CodeFormatError are ValueErrors too.
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -135,17 +148,15 @@ def cmd_verify_tables(fixtures_dir: str | None, max_modulus: int, fmt: str) -> N
         }
         for row in rows
     ]
-    record_lines = warnings + [
+    text_lines = warnings + [
         " ".join(f"{key} {_fmt(value)}" for key, value in fields.items()) for fields in json_rows
     ]
     passed = sum(row.passed for row in rows)
     if not rows:
-        record_lines.append(f"warning: no table fixtures found under {base}")
+        text_lines.append(f"warning: no table fixtures found under {base}")
     pairs = [("rows", len(rows)), ("passed", passed), ("failed", len(rows) - passed)]
-    if fmt == "json":
-        _emit(fmt, pairs, {"rows_detail": json_rows, "warnings": warnings})
-    else:
-        _emit(fmt, pairs, {"rows_detail": record_lines})
+    _emit(fmt, pairs, {"rows_detail": json_rows, "warnings": warnings} if fmt == "json"
+          else {"rows_detail": text_lines})
     sys.exit(0 if passed == len(rows) else 1)
 
 
@@ -484,8 +495,8 @@ def cmd_forge_experiment(keyset_path: str, security_level: int, trials: int,
     params = sig_mod.ProtocolParams(
         qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset), security_level
     )
-    report = sig_mod.forgery_experiment(params, trials, qsim.make_rng(seed), keep_records=show_log)
-    records = {"trials_detail": report.lines} if show_log else None
+    report = sig_mod.forgery_experiment(params, trials, qsim.make_rng(seed))
+    records = {"trials_detail": report.log_lines()} if show_log else None
     _emit(fmt, [
         ("security_level", security_level),
         ("trials", trials),

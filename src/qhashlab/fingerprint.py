@@ -93,12 +93,18 @@ class LinearCode:
         if not self.enumerable:
             raise ValueError(f"brute force over 2^{self.n} codewords of {self.m} bits refused")
         # The codeword of w is the XOR of the generator columns of w's set
-        # bits: build all 2^n by doubling, eight codeword bits per byte.
+        # bits: build all 2^n in place by doubling, eight codeword bits per
+        # byte, then weigh about 64 KiB of them at a time, so the peak
+        # stays near one table.
         columns = np.packbits(self.generator.T, axis=1)
         words = np.zeros((1 << self.n, columns.shape[1]), dtype=np.uint8)
         for j in range(self.n):
-            words[1 << j : 2 << j] = words[: 1 << j] ^ columns[j]
-        return _BYTE_WEIGHTS[words[1:]].sum(axis=1)
+            np.bitwise_xor(words[: 1 << j], columns[j], out=words[1 << j : 2 << j])
+        weights = np.empty(words.shape[0] - 1, dtype=np.uint64)
+        step = max(1, (1 << 16) // words.shape[1])
+        for start in range(0, weights.size, step):
+            _BYTE_WEIGHTS[words[1 + start : 1 + start + step]].sum(axis=1, out=weights[start : start + step])
+        return weights
 
     def min_distance(self) -> int:
         """Minimum nonzero-codeword weight, by brute force over 2^n messages."""

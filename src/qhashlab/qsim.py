@@ -100,7 +100,7 @@ class StateVector:
                 f"{self.num_qubits} qubits, got {amp.shape[0]}"
             )
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

@@ -28,7 +28,9 @@ one table over Z_N that the prediction shares.  Each trial makes the
 draws a full keygen-and-verify run makes, in the same order (the
 private pair, the bit, the guess, then the verdict's one uniform draw),
 and accepts when that draw is below the table entry, the verdict rule
-verify applies to the simulated |amp_0|^2.
+verify applies to the simulated |amp_0|^2.  The report keeps no
+per-trial data: it holds a copy of the generator from before the first
+draw and replays the same draws whenever its trial log is read.
 
 forgery_experiment makes those draws in bulk where it can show the
 result is the same.  Each trial's scalar calls, integers(1, L+1,
@@ -65,8 +67,10 @@ a report, only slow it down.  Everything else runs the scalar calls.
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -75,7 +79,6 @@ from .qhash import HashParams, hash_state, reverse_test
 from .qsim import StateVector
 
 __all__ = [
-    "MAX_RECORD_BYTES",
     "ProtocolParams",
     "SignatureKeyPair",
     "ForgeryReport",
@@ -85,18 +88,6 @@ __all__ = [
     "forgery_experiment",
     "forgery_prediction",
 ]
-
-# Bytes one kept trial costs through to the printed log: its record
-# (int8 bit, int64 guess, bool verdict: 10 B), its log line and, for
-# JSON output, its share of the encoded report.  Peak RSS of
-# forge-experiment --log over 400000 trials grew 182 B per trial as
-# text, 283 B as JSON.
-RECORD_BYTES = 296
-
-# Largest record memory a forgery experiment may keep: 1 GiB admits
-# about 3.6 million kept trials.  Larger requests raise ValueError; an
-# experiment that keeps no records has no limit.
-MAX_RECORD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -124,33 +115,40 @@ class SignatureKeyPair:
 
 @dataclass(frozen=True, eq=False)
 class ForgeryReport:
-    """Per-trial records plus the empirical and analytic success rates.
+    """The empirical and analytic success rates, plus the trials on demand.
 
-    bits (int8), guesses (int64) and accepted (bool) hold one entry per
-    trial, or none when the experiment ran without keeping them; the
-    (bit, guess, accepted) records and the log lines are built from
-    them only when asked for.
+    Nothing is kept per trial: records, lines, text() and log_lines()
+    replay the draws, chunk by chunk, from a copy of the generator taken
+    before the first one, so a log of any length holds one chunk.
     """
 
     trials: int
     successes: int
     predicted: float
-    bits: np.ndarray
-    guesses: np.ndarray
-    accepted: np.ndarray
+    _start: np.random.Generator = field(repr=False)
+    _level: int = field(repr=False)
+    _overlap_sq: np.ndarray = field(repr=False)
+
+    def _verdicts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return _trial_verdicts(copy.deepcopy(self._start), self._level, self.trials, self._overlap_sq)
+
+    def log_lines(self) -> Iterator[str]:
+        """One ``trial <i> bit <b> guess <g> accepted <0|1>`` line per trial."""
+        done = 0
+        for bits, guesses, accepted in self._verdicts():
+            yield from ("trial %d bit %d guess %d accepted %d" % record for record in zip(
+                range(done + 1, done + bits.size + 1), bits.tolist(), guesses.tolist(),
+                accepted.view(np.int8).tolist()))
+            done += bits.size
 
     @property
     def records(self) -> tuple[tuple[int, int, bool], ...]:
-        return tuple(zip(self.bits.tolist(), self.guesses.tolist(), self.accepted.tolist()))
+        return tuple(record for bits, guesses, accepted in self._verdicts()
+                     for record in zip(bits.tolist(), guesses.tolist(), accepted.tolist()))
 
     @property
     def lines(self) -> tuple[str, ...]:
-        return tuple(
-            f"trial {trial} bit {b} guess {guess} accepted {int(accepted)}"
-            for trial, b, guess, accepted in zip(
-                range(1, self.bits.size + 1), self.bits.tolist(), self.guesses.tolist(),
-                self.accepted.tolist())
-        )
+        return tuple(self.log_lines())
 
     @property
     def rate(self) -> float:
@@ -161,7 +159,7 @@ class ForgeryReport:
         return f"rate {self.rate!r} predicted {self.predicted!r}"
 
     def text(self) -> str:
-        return "\n".join(self.lines + (self.summary,)) + "\n"
+        return "".join(f"{line}\n" for line in self.log_lines()) + self.summary + "\n"
 
 
 def keygen(params: ProtocolParams, rng: np.random.Generator) -> SignatureKeyPair:
@@ -234,38 +232,29 @@ def forgery_prediction(params: ProtocolParams) -> float:
     return _predicted_rate(params.security_level, _overlap_table(params.hash_params.keyset))
 
 
-def forgery_experiment(
-    params: ProtocolParams, trials: int, rng: np.random.Generator, keep_records: bool = True
-) -> ForgeryReport:
+def forgery_experiment(params: ProtocolParams, trials: int, rng: np.random.Generator) -> ForgeryReport:
     """Guessing attack: fresh keypair per trial, uniform guess, random bit.
 
     Each trial draws what keygen, then verify of the guess against
     public[b], would draw, so the generator ends in the same state; a
     verdict could differ only for a draw between the table entry and the
-    simulated |amp_0|^2, which agree to rounding.  The per-trial
-    records, which the log lines are formatted from, are kept only
-    with keep_records, and only then limited by MAX_RECORD_BYTES.
+    simulated |amp_0|^2, which agree to rounding.  The report keeps a
+    copy of rng from before the first draw, from which its per-trial
+    records and log lines are drawn again when asked for.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if keep_records and trials * RECORD_BYTES > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"{trials} trials keep about {trials * RECORD_BYTES / 2**30:.1f} GiB "
-            f"of per-trial records and log lines ({RECORD_BYTES} B each), exceeding "
-            f"MAX_RECORD_BYTES = {MAX_RECORD_BYTES}"
-        )
-    level = params.security_level
+    start, level = copy.deepcopy(rng), params.security_level
     overlap_sq = _overlap_table(params.hash_params.keyset)
-    kept: list[tuple[np.ndarray, ...]] = []
-    successes = 0
+    verdicts = _trial_verdicts(rng, level, trials, overlap_sq)
+    successes = sum(int(np.count_nonzero(accepted)) for *_, accepted in verdicts)
+    return ForgeryReport(trials, successes, _predicted_rate(level, overlap_sq), start, level, overlap_sq)
+
+
+def _trial_verdicts(rng: np.random.Generator, level: int, trials: int, overlap_sq: np.ndarray):
+    """Yield (bit, guess, accepted) arrays for consecutive trials."""
     for bits, guesses, targets, uniforms in _trial_draws(rng, level, trials):
-        accepted = uniforms < overlap_sq[(guesses - targets) % overlap_sq.size]
-        successes += int(np.count_nonzero(accepted))
-        if keep_records:
-            kept.append((bits, guesses, accepted))
-    columns = ([np.concatenate(c) for c in zip(*kept)] if kept
-               else [np.zeros(0, dtype) for dtype in (np.int8, np.int64, bool)])
-    return ForgeryReport(trials, successes, _predicted_rate(level, overlap_sq), *columns)
+        yield bits, guesses, uniforms < overlap_sq[(guesses - targets) % overlap_sq.size]
 
 
 # Most trials a bulk chunk decodes at once (3 words each, 24 KiB):

@@ -3,10 +3,12 @@
 Blank lines and lines whose first non-blank character is ``#`` are
 skipped; named ``<name> <value>`` header lines come first, in order.
 Lines are read one at a time, so a loader checks declared sizes first.
+Files must be UTF-8 text; number() refuses a float that is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterator
 
@@ -20,11 +22,14 @@ class TextFile:
         self._lines = self._data_lines()
 
     def _data_lines(self) -> Iterator[tuple[int, list[str], str]]:
-        with self.path.open() as file:
-            for lineno, raw in enumerate(file, start=1):
-                fields = raw.split()
-                if fields and not fields[0].startswith("#"):
-                    yield lineno, fields, raw
+        with self.path.open(encoding="utf-8") as file:
+            try:
+                for lineno, raw in enumerate(file, start=1):
+                    fields = raw.split()
+                    if fields and not fields[0].startswith("#"):
+                        yield lineno, fields, raw
+            except UnicodeDecodeError as exc:
+                raise self.fail(f"not UTF-8 text ({exc.reason})") from None
 
     def __iter__(self) -> Iterator[tuple[int, list[str], str]]:
         return self._lines
@@ -49,9 +54,12 @@ class TextFile:
         return values
 
     def number(self, name: str, text: str, lineno: int, kind: type = int):
-        """text as an int (or a float), else the error naming the field and its line."""
+        """text as an int (or a finite float), else the error naming the field and its line."""
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise self.fail(f"{name} must be {what}, got {text!r}", lineno) from None
+        if kind is float and not math.isfinite(value):
+            raise self.fail(f"{name} must be finite, got {text!r}", lineno)
+        return value

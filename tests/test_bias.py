@@ -412,6 +412,12 @@ class TestKeySetValidation:
         with pytest.raises(ValueError, match="out of range"):
             KeySet(modulus=8, keys=(8,))
 
+    def test_rejects_a_modulus_whose_phases_overflow(self):
+        top = (1 << 1021) - 1
+        assert hash_inner_product(KeySet(modulus=top, keys=(1, top - 1)), 0, 0) == 1.0
+        with pytest.raises(ValueError, match=r"modulus must be below 2\^1021, got a 1022-bit one"):
+            KeySet(modulus=1 << 1021, keys=(1,))
+
     def test_keeps_repeats_and_order(self):
         ks = KeySet(modulus=8, keys=(5, 1, 5))
         assert ks.keys == (5, 1, 5)

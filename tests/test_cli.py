@@ -2,18 +2,21 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qhashlab import (
+    HashParams,
     KeySet,
     bundled_table_dir,
     hash_inner_product,
     load_code,
     load_keyset,
     load_state,
+    make_rng,
     save_keyset,
 )
 from qhashlab import bias as bias_mod
@@ -156,6 +159,45 @@ class TestBias:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {big}:2: d = 1099511627776 keys exceeds")
+
+
+class TestUnrepresentableNumbers:
+    """A nan, inf or out-of-range number exits 2; it never reaches a report."""
+
+    def assert_refused(self, runner, args):
+        result = invoke(runner, args + ["--format", "json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e400"])
+    def test_declared_epsilon(self, runner, tmp_path, epsilon):
+        path = tmp_path / "eps.txt"
+        path.write_text(f"N 8\nd 2\nepsilon {epsilon}\n1\n2\n")
+        self.assert_refused(runner, ["bias", "--keyset", str(path)])
+
+    def test_modulus_beyond_the_float_range(self, runner, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"N {10**400}\nd 2\nepsilon -\n1\n2\n")
+        for command in (["bias"], ["hash", "--message", "1"], ["inner", "--m1", "1", "--m2", "2"]):
+            self.assert_refused(runner, command + ["--keyset", str(path)])
+
+    def test_population_beyond_the_float_range(self, runner, tmp_path):
+        self.assert_refused(runner, ["search", "--mode", "ga", "--n", "64", "--d", "3",
+                                     "--population-size", str(10**400), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("part", ["nan", "inf", "1e400"])
+    def test_state_dumps(self, runner, tmp_path, part):
+        prefix = str(tmp_path / "alice")
+        invoke(runner, ["sign", "--keyset", str(N32), "--security-level", "5", "--bit", "0",
+                        "--seed", "1", "--out", prefix])
+        path = tmp_path / "bad.state"
+        lines = Path(prefix + ".pub0").read_text().splitlines()
+        path.write_text("\n".join([f"0 {part} 0.0", *lines[1:]]) + "\n")
+        self.assert_refused(runner, ["reverse-test", "--keyset", str(N32), "--claim", "1",
+                                     "--state", str(path)])
+        self.assert_refused(runner, ["verify", "--keyset", str(N32), "--security-level", "5",
+                                     "--bit", "0", "--signature", "1", "--public", str(path)])
 
 
 class TestVerifyTables:
@@ -564,22 +606,22 @@ class TestSignatureCommands:
                 "16", "--trials", "50", "--seed", "4", "--log"]
         assert invoke(runner, args).output == invoke(runner, args).output
 
-    def test_forge_experiment_log_beyond_the_record_limit_exits_two(self, runner, monkeypatch):
-        monkeypatch.setattr(sig_mod, "MAX_RECORD_BYTES", 1 << 20)
-        result = invoke(runner, [
-            "forge-experiment", "--keyset", str(N32), "--security-level", "16",
-            "--trials", "10000",
-        ])
-        assert result.exit_code == 0
-        result = invoke(runner, [
-            "forge-experiment", "--keyset", str(N32), "--security-level", "16",
-            "--trials", "10000", "--log",
-        ])
-        assert result.exit_code == 2
-        assert result.stderr == (
-            "error: 10000 trials keep about 0.0 GiB of per-trial records and log "
-            "lines (296 B each), exceeding MAX_RECORD_BYTES = 1048576\n"
-        )
+    @pytest.mark.parametrize("trials", [1, 2, 4, 5, 11])
+    def test_forge_experiment_log_streams_the_report(self, runner, monkeypatch, trials):
+        # Chunks of 4 put the draw and print batch edges inside the log.
+        args = ["forge-experiment", "--keyset", str(N1024), "--security-level", "1000",
+                "--trials", str(trials), "--seed", "3", "--log"]
+        whole = [invoke(runner, args + ["--format", fmt]).stdout for fmt in ("text", "json")]
+        monkeypatch.setattr(sig_mod, "DRAW_CHUNK", 4)
+        text, as_json = (invoke(runner, args + ["--format", fmt]).stdout for fmt in ("text", "json"))
+        params = sig_mod.ProtocolParams(HashParams(load_keyset(N1024).keyset), 1000)
+        report = sig_mod.forgery_experiment(params, trials, make_rng(3))
+        pairs = {"security_level": 1000, "trials": trials, "seed": 3, "successes": report.successes,
+                 "rate": report.rate, "predicted": report.predicted}
+        assert text == report.text().replace(
+            report.summary + "\n", "".join(f"{k} {v!r}\n" for k, v in pairs.items()))
+        assert as_json == json.dumps({"trials_detail": list(report.lines), **pairs}) + "\n"
+        assert [text, as_json] == whole
 
     def test_forge_experiment_json_identity(self, runner):
         assert_json_matches_text(runner, [

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ class TestMinDistance:
         ]
         assert code.min_distance() == min(weights)
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (3, 8), (5, 17), (9, 64), (12, 100)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (3, 8), (5, 17), (9, 64), (12, 100),
+                                     (12, 256), (13, 1000)])
     def test_weights_match_the_matrix_product_enumeration(self, n, m):
         # the enumeration the XOR doubling replaced: every message's bits
         # times the generator, mod 2
@@ -147,6 +149,18 @@ class TestMinDistance:
             assert fingerprint_resistance(code) == float(
                 np.max(np.abs(1.0 - 2.0 * weights / m))
             )
+
+    def test_weights_peak_near_one_codeword_table(self):
+        # 2^16 codewords of 64 bytes: a 4 MiB table, weighed in blocks
+        code = random_linear_code(16, 512, make_rng(4))
+        table, weights = (1 << 16) * 64, (1 << 16) * 8
+        tracemalloc.start()
+        try:
+            code.min_distance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + weights + (256 << 10), peak
 
     def test_codewords_enumerated_once(self):
         code = random_linear_code(6, 20, make_rng(1))

@@ -432,6 +432,15 @@ class TestStateFiles:
         with pytest.raises(ValueError, match=message):
             load_state(path)
 
+    @pytest.mark.parametrize("part", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_amplitudes_are_refused(self, tmp_path, part):
+        path = tmp_path / "bad.state"
+        path.write_text(f"0 {part} 0.0\n1 0.0 0.0\n")
+        with pytest.raises(ValueError, match=r"state norm\^2 = .* is not 1"):
+            load_state(path)
+        with pytest.raises(ValueError, match=r"state norm\^2 = .* is not 1"):
+            StateVector(1, [float(part), 0.0])
+
     def test_line_past_the_register_limit_refused_at_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(qsim, "MAX_QUBITS", 2)
         path = tmp_path / "long.state"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,24 +189,39 @@ class TestForgeryExperiment:
         with pytest.raises(ValueError, match="trials"):
             forgery_experiment(tiny_protocol, 0, make_rng(0))
 
-    def test_record_memory_guard_leaves_the_stream_untouched(self, tiny_protocol, monkeypatch):
-        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
-        assert forgery_experiment(tiny_protocol, 100, make_rng(5)).trials == 100
-        rng = make_rng(5)
-        with pytest.raises(ValueError, match=r"101 trials keep about 0\.0 GiB .*MAX_RECORD_BYTES = 29600"):
-            forgery_experiment(tiny_protocol, 101, rng)
-        # no draw was taken: the stream continues as a fresh one would
-        assert np.array_equal(rng.integers(0, 2**62, 8), make_rng(5).integers(0, 2**62, 8))
+    def test_unkept_records_have_no_limit(self, n32_keyset):
+        # Nothing is kept per trial: the records are replayed from a copy
+        # of the generator, and the caller's generator is left as a
+        # trial-by-trial keygen -> verify loop leaves it.
+        params = ProtocolParams(HashParams(n32_keyset), security_level=20)
+        trials = 2 * signature_mod.DRAW_CHUNK + 5
+        for make in (make_rng, lambda seed: np.random.Generator(np.random.PCG64(seed))):
+            for buffered in (False, True):
+                rng, loop_rng = make(5), make(5)
+                if buffered:  # one 32-bit draw leaves a half buffered
+                    rng.integers(0, 2), loop_rng.integers(0, 2)
+                report = forgery_experiment(params, trials, rng)
+                records = keygen_verify_records(params, trials, loop_rng)
+                assert report.records == records
+                assert report.successes == sum(accepted for _, _, accepted in records)
+                assert_same_state(rng.bit_generator.state, loop_rng.bit_generator.state)
+                assert report.records == records  # a second replay reads the same
+                assert rng.random() == loop_rng.random()
 
-    def test_unkept_records_have_no_limit(self, tiny_protocol, monkeypatch):
-        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 100 * signature_mod.RECORD_BYTES)
-        bare_rng, kept_rng = make_rng(5), make_rng(5)
-        bare = forgery_experiment(tiny_protocol, 300, bare_rng, keep_records=False)
-        monkeypatch.setattr(signature_mod, "MAX_RECORD_BYTES", 300 * signature_mod.RECORD_BYTES)
-        kept = forgery_experiment(tiny_protocol, 300, kept_rng)
-        assert bare.records == () and bare.lines == ()
-        assert (bare.successes, bare.predicted) == (kept.successes, kept.predicted)
-        assert bare_rng.random() == kept_rng.random()
+    def test_log_memory_does_not_grow_with_trials(self, n1024_keyset):
+        params = ProtocolParams(HashParams(n1024_keyset), security_level=1000)
+        peaks = []
+        for trials in (10**4, 10**6):
+            forgery_experiment(params, 10, make_rng(0))  # warm the caches
+            tracemalloc.start()
+            try:
+                report = forgery_experiment(params, trials, make_rng(3))
+                count = sum(1 for _ in report.log_lines())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert count == trials
+        assert peaks[1] - peaks[0] <= 1 << 20, peaks
 
 
 def keygen_verify_records(params, trials, rng):
@@ -357,9 +373,10 @@ class TestBulkDraws:
         assert_same_state(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
 
     def test_records_are_compact_arrays(self, tiny_protocol):
+        # the replay decodes chunks of compact arrays; the report keeps none
         report = forgery_experiment(tiny_protocol, 20, make_rng(1))
-        assert (report.bits.dtype, report.guesses.dtype, report.accepted.dtype) == (
-            np.int8, np.int64, np.bool_)
-        assert report.records[0] == (int(report.bits[0]), int(report.guesses[0]),
-                                     bool(report.accepted[0]))
-
+        overlap_sq = signature_mod._overlap_table(tiny_protocol.hash_params.keyset)
+        chunks = list(signature_mod._trial_verdicts(make_rng(1), 4, 20, overlap_sq))
+        assert [column.dtype for column in chunks[0]] == [np.int8, np.int64, np.bool_]
+        assert report.records == tuple(zip(*(np.concatenate(c).tolist() for c in zip(*chunks))))
+        assert not any(isinstance(v, np.ndarray) and v.size >= 20 for v in vars(report).values())

@@ -1,8 +1,10 @@
 """The line rules the key-set, code and state-dump loaders share."""
 
+import re
+
 import pytest
 
-from qhashlab import load_code, load_keyset, load_state
+from qhashlab import KeySetFormatError, load_code, load_keyset, load_state
 
 # loader, a valid file as its lines, and what to compare of the result
 FORMATS = {
@@ -39,3 +41,21 @@ def test_crlf_is_not_quoted_in_diagnostics(tmp_path, fmt):
     path.write_bytes("\r\n".join([*lines[:-1], "1 2 3 4"]).encode() + b"\r\n")
     with pytest.raises(ValueError, match=r"bad\.txt:\d+: .*'1 2 3 4'$"):
         loader(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_non_utf8_text_is_the_loaders_error(tmp_path, fmt):
+    loader, lines, _ = FORMATS[fmt]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff\xfe\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: not UTF-8 text \(invalid start byte\)$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_numbers_are_refused_at_their_line(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"N 8\nd 2\nepsilon {text}\n1\n2\n")
+    message = rf"bad\.txt:3: epsilon must be finite, got '{re.escape(text)}'$"
+    with pytest.raises(KeySetFormatError, match=message):
+        load_keyset(path)
