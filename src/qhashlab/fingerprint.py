@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, StateVector, TestCounts, reflect_to_uniform, zero_outcome_counts
+from .qsim import MAX_QUBITS, StateVector
 from .textfile import TextFile
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "fingerprint_state",
     "fingerprint_inner_product",
     "fingerprint_resistance",
-    "fingerprint_reverse_test",
-    "fingerprint_reverse_test_shots",
     "load_code",
     "save_code",
 ]
@@ -175,33 +173,6 @@ def fingerprint_resistance(code: LinearCode) -> float:
     nonzero messages need checking.
     """
     return float(np.max(np.abs(1.0 - 2.0 * code._weights / code.m)))
-
-
-def _uncompute_fingerprint(code: LinearCode, u, psi: StateVector) -> StateVector:
-    if psi.num_qubits != _fingerprint_qubits(code.m):
-        raise ValueError(
-            f"state has {psi.num_qubits} qubits, fingerprints need "
-            f"{_fingerprint_qubits(code.m)}"
-        )
-    # The construction is (sign flips) o (uniform prep); both factors
-    # are their own inverse.
-    word = encode(code, u)
-    amp = psi.amplitudes.copy()
-    amp[: code.m] *= 1.0 - 2.0 * word.astype(np.float64)
-    return StateVector(psi.num_qubits, reflect_to_uniform(amp, code.m))
-
-
-def fingerprint_reverse_test(
-    code: LinearCode, u, psi: StateVector, rng: np.random.Generator
-) -> bool:
-    """One shot: uncompute the fingerprint of a claimed message, accept on all-zero."""
-    return fingerprint_reverse_test_shots(code, u, psi, 1, rng).accepted == 1
-
-
-def fingerprint_reverse_test_shots(
-    code: LinearCode, u, psi: StateVector, shots: int, rng: np.random.Generator
-) -> TestCounts:
-    return zero_outcome_counts(_uncompute_fingerprint(code, u, psi), shots, rng)
 
 
 def load_code(path: str | Path) -> LinearCode:

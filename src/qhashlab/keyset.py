@@ -51,7 +51,6 @@ __all__ = [
     "sample_random_keyset",
     "ga_search",
     "bundled_table_dir",
-    "load_table_fixtures",
     "TABLE_BOUND",
     "ROUNDING_TOL",
     "TableRow",
@@ -297,41 +296,6 @@ def bundled_table_dir() -> Path:
     return Path(str(files("qhashlab").joinpath("fixtures/paper-tables")))
 
 
-def _table_files(
-    directory: str | Path | None,
-    max_modulus: int | None,
-    skipped: list[tuple[Path, Exception]] | None,
-) -> list[tuple[Path, KeySetFile]]:
-    """Parse every *.txt fixture, drop rows above max_modulus, sort by (N, d).
-
-    A file that fails to load raises, or is appended to skipped when a
-    list is given.
-    """
-    base = bundled_table_dir() if directory is None else Path(directory)
-    rows: list[tuple[Path, KeySetFile]] = []
-    for path in sorted(base.glob("*.txt")):
-        try:
-            loaded = load_keyset(path)
-        except (KeySetFormatError, OSError) as exc:
-            if skipped is None:
-                raise
-            skipped.append((path, exc))
-            continue
-        if max_modulus is not None and loaded.keyset.modulus > max_modulus:
-            continue
-        rows.append((path, loaded))
-    rows.sort(key=lambda item: (item[1].keyset.modulus, item[1].keyset.d))
-    return rows
-
-
-def load_table_fixtures(
-    directory: str | Path | None = None,
-    max_modulus: int | None = None,
-) -> list[tuple[Path, KeySetFile]]:
-    """Load fixture files sorted by (modulus, d); optionally cap the modulus."""
-    return _table_files(directory, max_modulus, None)
-
-
 def table_row_passes(padded_sq: float, declared: float | None) -> bool:
     """Whether a recomputed padded statistic reproduces its declared table value.
 
@@ -356,15 +320,26 @@ def check_table_rows(
     directory: str | Path | None = None,
     max_modulus: int | None = None,
 ) -> tuple[list[TableRow], list[tuple[Path, Exception]]]:
-    """Recompute every fixture row (one bias_profile each) and apply the pass rule.
+    """Recompute every *.txt fixture row (one bias_profile each) and apply the pass rule.
 
-    Unlike load_table_fixtures, files that fail to load are returned as
-    (path, error) pairs instead of raising.
+    Rows above max_modulus are dropped and the rest come back sorted by
+    (N, d).  Files that fail to load are returned as (path, error) pairs;
+    a directory that does not exist raises NotADirectoryError.
     """
+    base = bundled_table_dir() if directory is None else Path(directory)
+    if not base.is_dir():
+        raise NotADirectoryError(f"{base}: not a directory")
+    rows: list[TableRow] = []
     skipped: list[tuple[Path, Exception]] = []
-    rows = []
-    for path, loaded in _table_files(directory, max_modulus, skipped):
-        profile = bias_profile(loaded.keyset)
-        passed = table_row_passes(profile.padded_delta_squared, loaded.declared_epsilon)
-        rows.append(TableRow(path, loaded, profile, passed))
+    for path in sorted(base.glob("*.txt")):
+        try:
+            loaded = load_keyset(path)
+        except (KeySetFormatError, OSError) as exc:
+            skipped.append((path, exc))
+            continue
+        if max_modulus is None or loaded.keyset.modulus <= max_modulus:
+            profile = bias_profile(loaded.keyset)
+            passed = table_row_passes(profile.padded_delta_squared, loaded.declared_epsilon)
+            rows.append(TableRow(path, loaded, profile, passed))
+    rows.sort(key=lambda row: (row.profile.modulus, row.profile.d))
     return rows, skipped

@@ -13,10 +13,10 @@ key set at the message difference, which is what ties collision
 resistance to the bias module: |<h(M1)|h(M2)>| <= delta(K) for any
 distinct messages.
 
-The circuit realization prepares the uniform index superposition and
-then applies one rotation layer per set message bit b_j (LSB first, so
-bit j carries weight 2^{j-1}).  The layer of bit j turns the target of
-every branch i at once, by
+The circuit realization exists for N = 2^n: it prepares the uniform
+index superposition, then applies one rotation layer per set bit b_j of
+M (LSB first, so bit j carries weight 2^{j-1}).  The layer of bit j
+turns the target of every branch i at once, by
 
     theta_{i,j} = 4 pi (k_i 2^{j-1} mod N) / N
 
@@ -63,7 +63,6 @@ __all__ = [
     "Gate",
     "CircuitDescription",
     "hash_qubits",
-    "message_bits",
     "hash_state",
     "build_hash_circuit",
     "simulate_circuit",
@@ -79,7 +78,7 @@ class HashParams:
     """Hash configuration derived from a key set.
 
     n is the message bit-length when the modulus is a power of two
-    (messages are then n-bit strings), otherwise None and only the
+    (messages are then n-bit numbers), otherwise None and only the
     analytic construction is available.  s = ceil(log2 d) + 1 qubits:
     one target plus an index register wide enough for d branches.
     """
@@ -93,10 +92,6 @@ class HashParams:
         n = modulus.bit_length() - 1 if modulus & (modulus - 1) == 0 else None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "s", hash_qubits(self.keyset.d))
-
-    @property
-    def index_qubits(self) -> int:
-        return self.s - 1
 
     @property
     def branch_capacity(self) -> int:
@@ -155,13 +150,6 @@ def hash_qubits(d: int) -> int:
     return s
 
 
-def message_bits(m: int, n: int) -> tuple[int, ...]:
-    """LSB-first bits of m: bit j (1-based) carries weight 2^(j-1)."""
-    if not 0 <= m < (1 << n):
-        raise ValueError(f"message {m} out of range [0, {(1 << n) - 1}]")
-    return tuple((m >> j) & 1 for j in range(n))
-
-
 def hash_state(params: HashParams, m: int) -> StateVector:
     """Materialize |h_K(M)| analytically; amplitudes are real."""
     keyset = params.keyset
@@ -175,30 +163,21 @@ def hash_state(params: HashParams, m: int) -> StateVector:
     return StateVector(params.s, amp)
 
 
-def build_hash_circuit(params: HashParams, bits: "tuple[int, ...] | list[int]") -> CircuitDescription:
-    """Emit the rotation circuit for a message given as LSB-first bits.
-
-    One rotation layer per set bit, in message-bit order.
-    """
-    if params.n is None:
-        raise ValueError(
-            f"modulus {params.keyset.modulus} is not a power of two; "
-            "the circuit form needs a bit-length"
-        )
-    if len(bits) != params.n:
-        raise ValueError(f"expected {params.n} message bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("message bits must be 0 or 1")
-
+def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
+    """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
     keyset = params.keyset
+    if params.n is None:
+        raise ValueError(f"modulus {keyset.modulus} is not a power of two; no circuit form")
+    if not 0 <= m < keyset.modulus:
+        raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
     keys = keyset.key_array()
     gates: list[Gate] = []
     if keyset.d == params.branch_capacity:
         gates.extend(Hadamard(target=q) for q in range(1, params.s))
     else:
         gates.append(PrepareUniform(branch_count=keyset.d))
-    for j, bit in enumerate(bits, start=1):
-        if bit:
+    for j in range(1, params.n + 1):
+        if m >> (j - 1) & 1:
             thetas = 2.0 * phase_angles(keys, 1 << (j - 1), keyset.modulus)
             gates.append(RotationLayer(message_bit=j, thetas=tuple(thetas.tolist())))
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))

@@ -15,7 +15,7 @@ apply_controlled_single_qubit are validated wrappers that return a new
 StateVector; circuit simulation runs the kernel on one mutable array
 and validates a single StateVector at the end.
 
-Every REVERSE verdict (hash, fingerprint, signature verification) uses
+Every REVERSE verdict (the hash test and signature verification) uses
 one rule, the one zero_outcome_counts applies: a shot accepts when its
 uniform draw is below |amp_0|^2 of the uncomputed state.  That is the
 draw, and the verdict, of a full-register measurement finding the
@@ -46,7 +46,6 @@ from .textfile import TextFile
 __all__ = [
     "MAX_QUBITS",
     "StateVector",
-    "MeasurementRecord",
     "TestCounts",
     "make_rng",
     "inner_product",
@@ -55,7 +54,6 @@ __all__ = [
     "swap_test_accept_probability",
     "swap_test",
     "hadamard_matrix",
-    "ry_matrix",
     "ry_matrices",
     "apply_single_qubit",
     "apply_controlled_single_qubit",
@@ -108,13 +106,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
-
-
-class MeasurementRecord(NamedTuple):
-    """One full-register measurement: the outcome and its Born probability."""
-
-    outcome: int
-    probability: float
 
 
 class TestCounts(NamedTuple):
@@ -185,10 +176,9 @@ def zero_outcome_counts(psi: StateVector, shots: int, rng: np.random.Generator) 
     return _bernoulli_counts(_outcome_probabilities(psi)[0], shots, rng)
 
 
-def measure_all(psi: StateVector, rng: np.random.Generator) -> MeasurementRecord:
-    """Measure every qubit; the record carries the sampled outcome's probability."""
-    outcome = int(sample_outcomes(psi, 1, rng)[0])
-    return MeasurementRecord(outcome, float(_outcome_probabilities(psi)[outcome]))
+def measure_all(psi: StateVector, rng: np.random.Generator) -> int:
+    """Measure every qubit once; returns the basis-state outcome."""
+    return int(sample_outcomes(psi, 1, rng)[0])
 
 
 def swap_test_accept_probability(psi: StateVector, phi: StateVector) -> float:
@@ -222,13 +212,8 @@ def hadamard_matrix() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    """Rotation with R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
-    return ry_matrices([theta])[0]
-
-
 def ry_matrices(thetas) -> np.ndarray:
-    """A (k, 2, 2) stack holding ry_matrix(theta) for each theta."""
+    """A (k, 2, 2) stack of R(theta), with R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
     c = np.array([math.cos(theta / 2.0) for theta in thetas])
     s = np.array([math.sin(theta / 2.0) for theta in thetas])
     out = np.empty((c.size, 2, 2), dtype=np.complex128)

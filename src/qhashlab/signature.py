@@ -115,11 +115,11 @@ class SignatureKeyPair:
 
 @dataclass(frozen=True, eq=False)
 class ForgeryReport:
-    """The empirical and analytic success rates, plus the trials on demand.
+    """The empirical and analytic success rates, plus the trial log on demand.
 
-    Nothing is kept per trial: records, lines, text() and log_lines()
-    replay the draws, chunk by chunk, from a copy of the generator taken
-    before the first one, so a log of any length holds one chunk.
+    Nothing is kept per trial: log_lines() replays the draws, chunk by
+    chunk, from a copy of the generator taken before the first one, so a
+    log of any length holds one chunk.
     """
 
     trials: int
@@ -129,37 +129,19 @@ class ForgeryReport:
     _level: int = field(repr=False)
     _overlap_sq: np.ndarray = field(repr=False)
 
-    def _verdicts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return _trial_verdicts(copy.deepcopy(self._start), self._level, self.trials, self._overlap_sq)
-
     def log_lines(self) -> Iterator[str]:
         """One ``trial <i> bit <b> guess <g> accepted <0|1>`` line per trial."""
         done = 0
-        for bits, guesses, accepted in self._verdicts():
+        verdicts = _trial_verdicts(copy.deepcopy(self._start), self._level, self.trials, self._overlap_sq)
+        for bits, guesses, accepted in verdicts:
             yield from ("trial %d bit %d guess %d accepted %d" % record for record in zip(
                 range(done + 1, done + bits.size + 1), bits.tolist(), guesses.tolist(),
                 accepted.view(np.int8).tolist()))
             done += bits.size
 
     @property
-    def records(self) -> tuple[tuple[int, int, bool], ...]:
-        return tuple(record for bits, guesses, accepted in self._verdicts()
-                     for record in zip(bits.tolist(), guesses.tolist(), accepted.tolist()))
-
-    @property
-    def lines(self) -> tuple[str, ...]:
-        return tuple(self.log_lines())
-
-    @property
     def rate(self) -> float:
         return self.successes / self.trials
-
-    @property
-    def summary(self) -> str:
-        return f"rate {self.rate!r} predicted {self.predicted!r}"
-
-    def text(self) -> str:
-        return "".join(f"{line}\n" for line in self.log_lines()) + self.summary + "\n"
 
 
 def keygen(params: ProtocolParams, rng: np.random.Generator) -> SignatureKeyPair:
@@ -239,8 +221,8 @@ def forgery_experiment(params: ProtocolParams, trials: int, rng: np.random.Gener
     public[b], would draw, so the generator ends in the same state; a
     verdict could differ only for a draw between the table entry and the
     simulated |amp_0|^2, which agree to rounding.  The report keeps a
-    copy of rng from before the first draw, from which its per-trial
-    records and log lines are drawn again when asked for.
+    copy of rng from before the first draw, from which its log lines are
+    drawn again when asked for.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -1,9 +1,34 @@
-"""Shared fixtures: bundled table key sets and a tiny worked example."""
+"""Shared fixtures and oracles: bundled table key sets, a tiny worked example,
+the trial-by-trial forgery protocol run and the gate formula the kernel replaced."""
 
 import numpy as np
 import pytest
 
-from qhashlab import KeySet, load_keyset, load_table_fixtures
+from qhashlab import KeySet, bundled_table_dir, keygen, load_keyset, verify
+
+
+def load_table_fixtures(max_modulus=None):
+    """Bundled table fixtures as (path, KeySetFile), sorted by (N, d); optionally capped."""
+    rows = [(path, load_keyset(path)) for path in sorted(bundled_table_dir().glob("*.txt"))]
+    rows = [row for row in rows if max_modulus is None or row[1].keyset.modulus <= max_modulus]
+    return sorted(rows, key=lambda row: (row[1].keyset.modulus, row[1].keyset.d))
+
+
+def keygen_verify_records(params, trials, rng):
+    """The per-trial protocol run: keygen, a bit, a guess, verify."""
+    records = []
+    for _ in range(trials):
+        keypair = keygen(params, rng)
+        b = int(rng.integers(0, 2))
+        guess = int(rng.integers(1, params.security_level + 1))
+        records.append((b, guess, verify(params, keypair.public[b], b, guess, rng)))
+    return tuple(records)
+
+
+def trial_log(records):
+    """The log lines of (bit, guess, accepted) records, as the report words them."""
+    return [f"trial {i} bit {b} guess {guess} accepted {int(accepted)}"
+            for i, (b, guess, accepted) in enumerate(records, start=1)]
 
 
 @pytest.fixture(scope="session")

@@ -37,9 +37,7 @@ from qhashlab import (
     hash_state,
     inner_product,
     keygen,
-    load_table_fixtures,
     make_rng,
-    message_bits,
     padded_delta_squared,
     random_linear_code,
     reverse_test_shots,
@@ -50,6 +48,8 @@ from qhashlab import (
     verify,
 )
 from qhashlab.keyset import ROUNDING_TOL, TABLE_BOUND
+
+from conftest import load_table_fixtures
 
 _ROWS = load_table_fixtures()
 _BY_SHAPE = {(f.keyset.modulus, f.keyset.d): f for _, f in _ROWS}
@@ -144,7 +144,7 @@ def test_criterion_03_circuit_matches_analytic_states():
                 keys = tuple(int(k) for k in rng.integers(0, modulus, size=d))
                 params = HashParams(keyset=KeySet(modulus=modulus, keys=keys))
                 m = int(rng.integers(modulus))
-                circuit = build_hash_circuit(params, message_bits(m, params.n))
+                circuit = build_hash_circuit(params, m)
                 got = simulate_circuit(circuit).amplitudes
                 want = hash_state(params, m).amplitudes
                 worst = max(worst, float(np.max(np.abs(got - want))))
@@ -336,12 +336,16 @@ def test_criterion_09_signature_protocol():
         for b in (0, 1):
             honest += verify(params, keypair.public[b], b, sign(keypair, b), rng)
 
-    def run():
-        return forgery_experiment(params, 10_000, make_rng(909)).text()
+    reports = []
 
-    text = record("criterion9_forgery", run)
-    summary = text.splitlines()[-1].split()
-    rate, predicted = float(summary[1]), float(summary[3])
+    def run():
+        forgery = forgery_experiment(params, 10_000, make_rng(909))
+        reports.append(forgery)
+        return "".join(f"{line}\n" for line in forgery.log_lines()) + (
+            f"rate {forgery.rate!r} predicted {forgery.predicted!r}\n")
+
+    record("criterion9_forgery", run)
+    rate, predicted = reports[0].rate, reports[0].predicted
     sigma = math.sqrt(predicted * (1.0 - predicted) / 10_000)
     pull = abs(rate - predicted) / sigma
     ok = honest == 40 and pull <= 3.0

@@ -23,6 +23,8 @@ from qhashlab import bias as bias_mod
 from qhashlab import signature as sig_mod
 from qhashlab.cli import main
 
+from conftest import keygen_verify_records, trial_log
+
 N32 = bundled_table_dir() / "n32_d15.txt"
 N1024 = bundled_table_dir() / "n1024_d65.txt"
 
@@ -239,6 +241,24 @@ class TestVerifyTables:
         result = invoke(runner, ["verify-tables", "--fixtures", str(tmp_path)])
         assert result.exit_code == 0
         assert "warning: no table fixtures" in result.output
+
+    def test_empty_directory_warning_in_both_formats(self, runner, tmp_path):
+        args = ["verify-tables", "--fixtures", str(tmp_path)]
+        warning = f"warning: no table fixtures found under {tmp_path}"
+        text = invoke(runner, args)
+        assert (text.exit_code, text.stdout) == (0, f"{warning}\nrows 0\npassed 0\nfailed 0\n")
+        as_json = invoke(runner, args + ["--format", "json"])
+        assert as_json.exit_code == 0
+        assert json.loads(as_json.stdout) == {
+            "rows_detail": [], "warnings": [warning], "rows": 0, "passed": 0, "failed": 0}
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_missing_directory_exits_2(self, runner, tmp_path, fmt):
+        missing = tmp_path / "no-such-dir"
+        result = invoke(runner, ["verify-tables", "--fixtures", str(missing), "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {missing}: not a directory\n"
 
     def test_json_rows(self, runner):
         result = invoke(runner, ["verify-tables", "--format", "json"])
@@ -615,12 +635,13 @@ class TestSignatureCommands:
         monkeypatch.setattr(sig_mod, "DRAW_CHUNK", 4)
         text, as_json = (invoke(runner, args + ["--format", fmt]).stdout for fmt in ("text", "json"))
         params = sig_mod.ProtocolParams(HashParams(load_keyset(N1024).keyset), 1000)
-        report = sig_mod.forgery_experiment(params, trials, make_rng(3))
-        pairs = {"security_level": 1000, "trials": trials, "seed": 3, "successes": report.successes,
-                 "rate": report.rate, "predicted": report.predicted}
-        assert text == report.text().replace(
-            report.summary + "\n", "".join(f"{k} {v!r}\n" for k, v in pairs.items()))
-        assert as_json == json.dumps({"trials_detail": list(report.lines), **pairs}) + "\n"
+        records = keygen_verify_records(params, trials, make_rng(3))
+        log = trial_log(records)
+        successes = sum(accepted for _, _, accepted in records)
+        pairs = {"security_level": 1000, "trials": trials, "seed": 3, "successes": successes,
+                 "rate": successes / trials, "predicted": sig_mod.forgery_prediction(params)}
+        assert text == "".join(f"{line}\n" for line in log) + "".join(f"{k} {v!r}\n" for k, v in pairs.items())
+        assert as_json == json.dumps({"trials_detail": log, **pairs}) + "\n"
         assert [text, as_json] == whole
 
     def test_forge_experiment_json_identity(self, runner):

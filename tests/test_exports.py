@@ -1,11 +1,16 @@
-"""Every exported name resolves, and the package re-exports public names only."""
+"""Every exported name resolves, the package re-exports public names only,
+and every public name has a caller."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import qhashlab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SUBMODULES = [
     importlib.import_module(f"qhashlab.{info.name}")
@@ -37,3 +42,35 @@ def test_package_reexports_are_listed_in_their_home_module():
         if not any(name in getattr(m, "__all__", ()) for m in home_modules(name))
     ]
     assert unlisted == []
+
+
+def names_read_in_package():
+    """Names the package's own code loads, as a bare name or an attribute.
+
+    Strings (docstrings, __all__) are not code, and a binding is not a
+    read, so a name counts only where some line uses it.
+    """
+    read = set()
+    for path in sorted((ROOT / "src" / "qhashlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def names_the_benchmark_traces():
+    """The LAYER_FUNCTIONS table of benchmarks/tracing.py, read without importing it."""
+    module = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
+    (table,) = [
+        node.value for node in module.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LAYER_FUNCTIONS" for target in node.targets)
+    ]
+    return {name for names in ast.literal_eval(table).values() for name in names}
+
+
+def test_every_public_name_has_a_caller():
+    callers = names_read_in_package() | names_the_benchmark_traces()
+    assert [name for name in qhashlab.__all__ if name not in callers] == []

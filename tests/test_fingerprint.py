@@ -16,21 +16,14 @@ from qhashlab import (
     encode,
     fingerprint_inner_product,
     fingerprint_resistance,
-    fingerprint_reverse_test,
     fingerprint_state,
     inner_product,
     load_code,
     make_rng,
-    measure_all,
     random_linear_code,
-    sample_outcomes,
     save_code,
 )
-from qhashlab.fingerprint import (
-    MAX_BRUTE_FORCE_BITS,
-    _uncompute_fingerprint,
-    fingerprint_reverse_test_shots,
-)
+from qhashlab.fingerprint import MAX_BRUTE_FORCE_BITS
 
 
 def all_messages(n):
@@ -230,57 +223,6 @@ class TestFingerprintState:
         # the all-ones message flips every sign: antipodal fingerprints
         code = LinearCode(n=3, m=3, generator=np.eye(3, dtype=np.uint8))
         assert fingerprint_resistance(code) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestFingerprintReverseTest:
-    def test_honest_always_accepts(self):
-        code = random_linear_code(4, 11, make_rng(2))
-        rng = make_rng(0)
-        psi = fingerprint_state(code, "1010")
-        assert all(fingerprint_reverse_test(code, "1010", psi, rng) for _ in range(30))
-
-    def test_wrong_claim_statistics(self):
-        code = random_linear_code(3, 8, make_rng(6))
-        psi = fingerprint_state(code, "011")
-        p = fingerprint_inner_product(code, "110", "011") ** 2
-        shots = 20000
-        counts = fingerprint_reverse_test_shots(code, "110", psi, shots, make_rng(3))
-        sigma = math.sqrt(p * (1 - p) / shots)
-        assert abs(counts.accept_rate - p) <= 3 * sigma + 1e-12
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_shots_count_sampled_zeros(self, seed):
-        code = random_linear_code(5, 13 + seed, make_rng(seed))
-        u, v = "10110", "0111" + str(seed % 2)
-        psi = fingerprint_state(code, u)
-        for claim in (u, v):
-            shots = 30000 + seed
-            tally_rng, sample_rng = make_rng(seed), make_rng(seed)
-            counts = fingerprint_reverse_test_shots(code, claim, psi, shots, tally_rng)
-            outcomes = sample_outcomes(
-                _uncompute_fingerprint(code, claim, psi), shots, sample_rng
-            )
-            assert counts.accepted == int(np.count_nonzero(outcomes == 0))
-            assert tally_rng.random() == sample_rng.random()
-
-    @pytest.mark.parametrize("m", [8, 13])
-    def test_verdict_is_the_measured_zero_outcome(self, m):
-        code = random_linear_code(4, m, make_rng(m))
-        psi = fingerprint_state(code, "1010")
-        for claim in ("1010", "0110", "1011"):
-            test_rng, oracle_rng = make_rng(m), make_rng(m)
-            for _ in range(40):
-                oracle = measure_all(_uncompute_fingerprint(code, claim, psi), oracle_rng)
-                assert fingerprint_reverse_test(code, claim, psi, test_rng) is (oracle.outcome == 0)
-            assert test_rng.random() == oracle_rng.random()
-
-    def test_register_size_checked(self):
-        code = random_linear_code(2, 4, make_rng(0))
-        other = random_linear_code(2, 16, make_rng(0))
-        with pytest.raises(ValueError, match="qubits"):
-            fingerprint_reverse_test(
-                code, "10", fingerprint_state(other, "10"), make_rng(0)
-            )
 
 
 # Generator matrices of codes with 1 <= n <= m <= 40.

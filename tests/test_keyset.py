@@ -13,7 +13,6 @@ from qhashlab import (
     fourier_components,
     ga_search,
     lemma_size,
-    load_table_fixtures,
     make_rng,
     padded_branch_count,
     padded_delta_squared,
@@ -27,6 +26,8 @@ from qhashlab.keyset import (
     check_table_rows,
     table_row_passes,
 )
+
+from conftest import load_table_fixtures
 
 
 class TestLemmaSize:
@@ -200,9 +201,9 @@ class TestBundledTables:
         assert moduli[0] == 32 and moduli[-1] == 1 << 20
 
     def test_max_modulus_cap(self):
-        rows = load_table_fixtures(max_modulus=1 << 14)
+        rows, _ = check_table_rows(max_modulus=1 << 14)
         assert len(rows) == 10
-        assert all(loaded.keyset.modulus <= 1 << 14 for _, loaded in rows)
+        assert all(row.loaded.keyset.modulus <= 1 << 14 for row in rows)
 
     def test_filenames_match_headers(self, table_rows):
         for path, loaded in table_rows:
@@ -251,5 +252,8 @@ class TestTablePassRule:
         rows, skipped = check_table_rows(tmp_path)
         assert [path.name for path, _ in skipped] == ["junk.txt"]
         assert [(row.path.name, row.passed) for row in rows] == [("dash.txt", False)]
-        with pytest.raises(ValueError, match="junk.txt"):
-            load_table_fixtures(tmp_path)
+        assert "junk.txt" in str(skipped[0][1])
+
+    def test_check_table_rows_refuses_a_missing_directory(self, tmp_path):
+        with pytest.raises(NotADirectoryError, match="no-such-dir: not a directory$"):
+            check_table_rows(tmp_path / "no-such-dir")

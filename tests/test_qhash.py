@@ -19,18 +19,17 @@ from qhashlab import (
     hash_state,
     make_rng,
     measure_all,
-    message_bits,
     reverse_test,
     reverse_test_shots,
     sample_outcomes,
     simulate_circuit,
     uncompute_hash,
 )
-from qhashlab.qsim import hadamard_matrix, reflect_to_uniform, ry_matrix
+from qhashlab.qsim import hadamard_matrix, reflect_to_uniform, ry_matrices
 
 
 def circuit_state(params, m):
-    return simulate_circuit(build_hash_circuit(params, message_bits(m, params.n)))
+    return simulate_circuit(build_hash_circuit(params, m))
 
 
 class TestHashParams:
@@ -42,7 +41,6 @@ class TestHashParams:
         params = HashParams(KeySet(modulus=modulus, keys=tuple(range(1, d + 1))))
         assert params.n == n
         assert params.s == s
-        assert params.index_qubits == s - 1
 
     def test_non_power_of_two_modulus_has_no_bit_length(self):
         params = HashParams(KeySet(modulus=12, keys=(1, 2)))
@@ -61,16 +59,6 @@ class TestHashParams:
         HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4)))
         with pytest.raises(ValueError, match="5 keys need 4 qubits"):
             HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4, 5)))
-
-
-class TestMessageBits:
-    def test_lsb_first(self):
-        assert message_bits(5, 4) == (1, 0, 1, 0)
-        assert message_bits(0, 3) == (0, 0, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="message"):
-            message_bits(8, 3)
 
 
 class TestHashState:
@@ -112,23 +100,23 @@ class TestCircuit:
         )
 
     def test_full_register_uses_hadamard_layer(self, tiny_keyset):
-        circuit = build_hash_circuit(HashParams(tiny_keyset), (1, 0, 1))
+        circuit = build_hash_circuit(HashParams(tiny_keyset), 5)
         assert [g for g in circuit.gates if isinstance(g, Hadamard)] == [Hadamard(1)]
         assert not any(isinstance(g, PrepareUniform) for g in circuit.gates)
 
     def test_partial_register_uses_preparation(self, n32_keyset):
-        circuit = build_hash_circuit(HashParams(n32_keyset), message_bits(7, 5))
+        circuit = build_hash_circuit(HashParams(n32_keyset), 7)
         assert circuit.gates[0] == PrepareUniform(branch_count=15)
         assert not any(isinstance(g, Hadamard) for g in circuit.gates)
 
     def test_rotations_only_for_set_bits(self, n32_keyset):
-        circuit = build_hash_circuit(HashParams(n32_keyset), message_bits(5, 5))
+        circuit = build_hash_circuit(HashParams(n32_keyset), 5)
         layers = [g for g in circuit.gates if isinstance(g, RotationLayer)]
         assert [g.message_bit for g in layers] == [1, 3]  # bits 1 and 3 of M=5
         assert all(len(g.thetas) == 15 for g in layers)
 
     def test_rotation_angles(self, tiny_keyset):
-        circuit = build_hash_circuit(HashParams(tiny_keyset), (0, 1, 0))
+        circuit = build_hash_circuit(HashParams(tiny_keyset), 2)
         (layer,) = [g for g in circuit.gates if isinstance(g, RotationLayer)]
         # bit 2 carries weight 2: theta = 4*pi*(2k mod 8)/8
         assert layer.thetas[0] == pytest.approx(math.pi, abs=1e-12)
@@ -136,7 +124,7 @@ class TestCircuit:
 
     def test_rotation_angles_match_the_scalar_formula(self):
         for params, m in criterion_3_draws(make_rng(6), 2):
-            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            circuit = build_hash_circuit(params, m)
             layers = [g for g in circuit.gates if isinstance(g, RotationLayer)]
             modulus = params.keyset.modulus
             for layer in layers:
@@ -165,19 +153,21 @@ class TestCircuit:
 
     def test_needs_power_of_two_modulus(self):
         params = HashParams(KeySet(modulus=12, keys=(1, 2)))
-        with pytest.raises(ValueError, match="power of two"):
-            build_hash_circuit(params, (1, 1))
+        with pytest.raises(ValueError, match="^modulus 12 is not a power of two; no circuit form$"):
+            build_hash_circuit(params, 3)
 
-    def test_bit_count_checked(self, tiny_keyset):
-        with pytest.raises(ValueError, match="expected 3 message bits"):
-            build_hash_circuit(HashParams(tiny_keyset), (1, 0))
-        with pytest.raises(ValueError, match="0 or 1"):
-            build_hash_circuit(HashParams(tiny_keyset), (1, 0, 2))
+    def test_message_range_checked(self, tiny_keyset):
+        params = HashParams(tiny_keyset)
+        build_hash_circuit(params, 0)
+        build_hash_circuit(params, 7)
+        for m in (-1, 8, 1 << 70):
+            with pytest.raises(ValueError, match=rf"^message {m} out of range \[0, 7\]$"):
+                build_hash_circuit(params, m)
 
 
 class TestDumpCircuit:
     def test_text_form(self, tiny_keyset):
-        text = dump_circuit(build_hash_circuit(HashParams(tiny_keyset), (1, 0, 0)))
+        text = dump_circuit(build_hash_circuit(HashParams(tiny_keyset), 1))
         assert text == "qubits 2\nH 1\nCRY 0 0 1.5707963267948966\nCRY 1 0 3.141592653589793\n"
 
     @pytest.mark.parametrize("fixture,m,head", [
@@ -191,15 +181,15 @@ class TestDumpCircuit:
         # one block of d CRY lines, in branch order, per set message bit
         expected = head + [
             f"CRY {i} 0 {4.0 * math.pi * ((k << (j - 1)) % n) / n!r}"
-            for j, bit in enumerate(message_bits(m, params.n), start=1) if bit
+            for j, bit in enumerate(reversed(format(m, f"0{params.n}b")), start=1) if bit == "1"
             for i, k in enumerate(keyset.keys)
         ]
-        assert dump_circuit(build_hash_circuit(params, message_bits(m, params.n))) == (
+        assert dump_circuit(build_hash_circuit(params, m)) == (
             "\n".join(expected) + "\n"
         )
 
     def test_preparation_line(self, n32_keyset):
-        text = dump_circuit(build_hash_circuit(HashParams(n32_keyset), (0,) * 5))
+        text = dump_circuit(build_hash_circuit(HashParams(n32_keyset), 0))
         assert text == "qubits 5\nPREP 15\n"
 
 
@@ -224,9 +214,7 @@ class TestUncompute:
         # composing uncompute after the simulated circuit returns |0...0>
         params = HashParams(n32_keyset)
         m = 11
-        state = simulate_circuit(
-            build_hash_circuit(params, message_bits(m, params.n))
-        )
+        state = simulate_circuit(build_hash_circuit(params, m))
         out = uncompute_hash(params, m, state)
         assert abs(out.amplitudes[0]) == pytest.approx(1.0, abs=1e-10)
 
@@ -281,7 +269,7 @@ def gate_by_gate(circuit, gate):
             amp = gate(amp, g.target, hadamard_matrix())
         elif isinstance(g, RotationLayer):
             for i, theta in enumerate(g.thetas):
-                amp = gate(amp, 0, ry_matrix(theta), (1 << s) - 2, i << 1)
+                amp = gate(amp, 0, ry_matrices([theta])[0], (1 << s) - 2, i << 1)
         else:
             amp = reflect_to_uniform(amp.reshape(-1, 2), g.branch_count).reshape(-1)
     return amp
@@ -320,7 +308,7 @@ class TestFastPathsMatchGateByGate:
 
     def test_simulate_circuit(self, fancy_index_gate):
         for params, m in criterion_3_draws(make_rng(303), 4):
-            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            circuit = build_hash_circuit(params, m)
             assert np.array_equal(
                 simulate_circuit(circuit).amplitudes, gate_by_gate(circuit, fancy_index_gate)
             )
@@ -354,7 +342,7 @@ class TestFastPathsMatchGateByGate:
         rng = make_rng(404)
         for params, m in criterion_3_draws(make_rng(404), 3):
             v = int(rng.integers(params.keyset.modulus))
-            circuit = build_hash_circuit(params, message_bits(m, params.n))
+            circuit = build_hash_circuit(params, m)
             for psi in (hash_state(params, m), simulate_circuit(circuit)):
                 for claim in (v, m):
                     assert np.array_equal(
@@ -390,5 +378,5 @@ class TestFastPathsMatchGateByGate:
                 test_rng, oracle_rng = make_rng(seed), make_rng(seed)
                 for _ in range(40):
                     oracle = measure_all(uncompute_hash(params, v, psi), oracle_rng)
-                    assert reverse_test(params, v, psi, test_rng) is (oracle.outcome == 0)
+                    assert reverse_test(params, v, psi, test_rng) is (oracle == 0)
                 assert test_rng.random() == oracle_rng.random()

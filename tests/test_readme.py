@@ -1,9 +1,11 @@
-"""The README's command-line tour: every complete example prints what it shows.
+"""The README's examples print what they show.
 
-An example is a paragraph of a fenced block that starts with
-``$ qhashlab``; one with a ``...`` line shows only part of its output
-and is skipped.  Key-set names resolve against the bundled tables, and
-each command runs in a fresh directory so ``--out`` files land there.
+A command-line example is a paragraph of a fenced block that starts
+with ``$ qhashlab``; one with a ``...`` line shows only part of its
+output and is skipped.  Key-set names resolve against the bundled
+tables, and each command runs in a fresh directory so ``--out`` files
+land there.  The ``## Library use`` block runs as written, and each
+print whose line ends in a ``# <value>`` comment must print that value.
 """
 
 import re
@@ -46,3 +48,14 @@ def test_tour_examples_are_found():
     assert [param.id for param in tour_examples()] == [
         "bias", "search", "swap-test", "forge-experiment",
     ]
+
+
+def test_library_example_prints_its_comments(capsys):
+    (block,) = re.findall(r"^## Library use\n\n```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(prints)
+    shown = {i: line.partition("  # ")[2] for i, line in enumerate(prints) if "  # " in line}
+    assert shown
+    assert {i: printed[i] for i in shown} == shown

@@ -25,6 +25,8 @@ from qhashlab import (
 )
 from qhashlab import signature as signature_mod
 
+from conftest import keygen_verify_records, trial_log
+
 
 def oracle_prediction(params):
     """Average verify-accept chance over all (target, guess) pairs, literally."""
@@ -156,26 +158,18 @@ class TestForgeryPrediction:
 class TestForgeryExperiment:
     def test_log_format_and_counts(self, tiny_protocol):
         report = forgery_experiment(tiny_protocol, 50, make_rng(2))
+        lines = list(report.log_lines())
         assert report.trials == 50
-        assert len(report.lines) == 50
+        assert len(lines) == 50
         pattern = re.compile(r"trial \d+ bit [01] guess [1-4] accepted [01]")
-        assert all(pattern.fullmatch(line) for line in report.lines)
-        assert report.successes == sum(
-            int(line.split()[-1]) for line in report.lines
-        )
+        assert all(pattern.fullmatch(line) for line in lines)
+        assert report.successes == sum(int(line.split()[-1]) for line in lines)
         assert report.rate == report.successes / 50
 
-    def test_summary_and_text(self, tiny_protocol):
-        report = forgery_experiment(tiny_protocol, 10, make_rng(2))
-        assert report.summary == f"rate {report.rate!r} predicted {report.predicted!r}"
-        text = report.text()
-        assert text.endswith(report.summary + "\n")
-        assert text.splitlines()[0].startswith("trial 1 ")
-
     def test_deterministic_under_seed(self, tiny_protocol):
-        a = forgery_experiment(tiny_protocol, 200, make_rng(8)).text()
-        b = forgery_experiment(tiny_protocol, 200, make_rng(8)).text()
-        assert a == b
+        a, b = (forgery_experiment(tiny_protocol, 200, make_rng(8)) for _ in range(2))
+        assert list(a.log_lines()) == list(b.log_lines())
+        assert (a.successes, a.predicted) == (b.successes, b.predicted)
 
     def test_rate_within_three_sigma(self, tiny_keyset):
         params = ProtocolParams(HashParams(tiny_keyset), security_level=2)
@@ -190,7 +184,7 @@ class TestForgeryExperiment:
             forgery_experiment(tiny_protocol, 0, make_rng(0))
 
     def test_unkept_records_have_no_limit(self, n32_keyset):
-        # Nothing is kept per trial: the records are replayed from a copy
+        # Nothing is kept per trial: the log is replayed from a copy
         # of the generator, and the caller's generator is left as a
         # trial-by-trial keygen -> verify loop leaves it.
         params = ProtocolParams(HashParams(n32_keyset), security_level=20)
@@ -202,10 +196,10 @@ class TestForgeryExperiment:
                     rng.integers(0, 2), loop_rng.integers(0, 2)
                 report = forgery_experiment(params, trials, rng)
                 records = keygen_verify_records(params, trials, loop_rng)
-                assert report.records == records
+                assert list(report.log_lines()) == trial_log(records)
                 assert report.successes == sum(accepted for _, _, accepted in records)
                 assert_same_state(rng.bit_generator.state, loop_rng.bit_generator.state)
-                assert report.records == records  # a second replay reads the same
+                assert list(report.log_lines()) == trial_log(records)  # a second replay reads the same
                 assert rng.random() == loop_rng.random()
 
     def test_log_memory_does_not_grow_with_trials(self, n1024_keyset):
@@ -222,17 +216,6 @@ class TestForgeryExperiment:
                 tracemalloc.stop()
             assert count == trials
         assert peaks[1] - peaks[0] <= 1 << 20, peaks
-
-
-def keygen_verify_records(params, trials, rng):
-    """The per-trial protocol run: keygen, a bit, a guess, verify."""
-    records = []
-    for _ in range(trials):
-        keypair = keygen(params, rng)
-        b = int(rng.integers(0, 2))
-        guess = int(rng.integers(1, params.security_level + 1))
-        records.append((b, guess, verify(params, keypair.public[b], b, guess, rng)))
-    return tuple(records)
 
 
 def forgery_cases():
@@ -260,8 +243,9 @@ class TestForgeryExperimentOracle:
         params = ProtocolParams(HashParams(keyset), security_level=level)
         fast_rng, slow_rng = make_rng(seed), make_rng(seed)
         report = forgery_experiment(params, 250, fast_rng)
-        assert report.records == keygen_verify_records(params, 250, slow_rng)
-        assert report.successes == sum(accepted for _, _, accepted in report.records)
+        records = keygen_verify_records(params, 250, slow_rng)
+        assert list(report.log_lines()) == trial_log(records)
+        assert report.successes == sum(accepted for _, _, accepted in records)
         assert report.predicted == forgery_prediction(params)
         # the same number of draws: both generators continue alike
         assert fast_rng.random() == slow_rng.random()
@@ -368,8 +352,8 @@ class TestBulkDraws:
         calls_before = len(bulk_calls)
         slow = forgery_experiment(params, 5000, slow_rng)
         assert len(bulk_calls) == calls_before
-        assert (fast.text(), fast.successes, fast.predicted) == (slow.text(), slow.successes, slow.predicted)
-        assert fast.records == slow.records
+        assert list(fast.log_lines()) == list(slow.log_lines())
+        assert (fast.successes, fast.predicted) == (slow.successes, slow.predicted)
         assert_same_state(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
 
     def test_records_are_compact_arrays(self, tiny_protocol):
@@ -378,5 +362,5 @@ class TestBulkDraws:
         overlap_sq = signature_mod._overlap_table(tiny_protocol.hash_params.keyset)
         chunks = list(signature_mod._trial_verdicts(make_rng(1), 4, 20, overlap_sq))
         assert [column.dtype for column in chunks[0]] == [np.int8, np.int64, np.bool_]
-        assert report.records == tuple(zip(*(np.concatenate(c).tolist() for c in zip(*chunks))))
+        assert list(report.log_lines()) == trial_log(zip(*(np.concatenate(c).tolist() for c in zip(*chunks))))
         assert not any(isinstance(v, np.ndarray) and v.size >= 20 for v in vars(report).values())

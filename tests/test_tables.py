@@ -15,10 +15,11 @@ import pytest
 from qhashlab import (
     bias_profile,
     bundled_table_dir,
-    load_table_fixtures,
     padded_delta_squared,
 )
 from qhashlab.keyset import ROUNDING_TOL, TABLE_BOUND
+
+from conftest import load_table_fixtures
 
 
 def checksum_lines():
