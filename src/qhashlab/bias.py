@@ -275,11 +275,11 @@ def worst_character_sums(
     return tuple(out)
 
 
-def fourier_components(keyset: KeySet) -> np.ndarray:
-    """f_K(l) for every shift l in [0, N), by the exact gather."""
+def fourier_components(keyset: KeySet, shifts: np.ndarray) -> np.ndarray:
+    """f_K(l) at each shift l in [0, N) of shifts, by the exact gather; an entry's bits do not depend on the rest."""
     n = keyset.modulus
     _check_cells(1, n)
-    return _gather(keyset.key_array()[None, :], np.zeros(1, dtype=np.intp), np.arange(n, dtype=np.int64), n)
+    return _gather(keyset.key_array()[None, :], np.zeros(1, dtype=np.intp), shifts, n)
 
 
 def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:

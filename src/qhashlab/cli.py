@@ -323,6 +323,17 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
     ])
 
 
+def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None):
+    """Uniform draws from [0, N): rng.integers up to N = 2^63, so reports keep their bytes;
+    past that N = 2^n, and a draw is the low n bits of ceil(n/64) uint64 words."""
+    if modulus <= 1 << 63:
+        return rng.integers(0, modulus, size=size)
+    words = rng.integers(0, 1 << 64, size=(1 if size is None else size, -(-(modulus.bit_length() - 1) // 64)),
+                         dtype=np.uint64)
+    values = [sum(w << 64 * i for i, w in enumerate(row)) % modulus for row in words.tolist()]
+    return values if size is not None else values[0]
+
+
 @main.command("circuit-check")
 @click.option("--keyset", "keyset_path", type=click.Path(dir_okay=False), default=None,
               help="Check this key set over random messages; omit to draw random sets too.")
@@ -340,6 +351,7 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
     fixed = None
     if keyset_path is not None:
         fixed = bias_mod.load_keyset(keyset_path).keyset
+        qhash.build_hash_circuit(qhash.HashParams(fixed), 0)  # refuse a set with no circuit form before drawing
     elif modulus is None or d is None:
         raise ValueError("need --keyset, or --n and --d for random sets")
     elif modulus & (modulus - 1) or modulus < 2:
@@ -350,10 +362,9 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
     for _ in range(count):
         ks = fixed
         if ks is None:
-            keys = tuple(int(k) for k in rng.integers(0, modulus, size=d))
-            ks = bias_mod.KeySet(modulus=modulus, keys=keys)
+            ks = bias_mod.KeySet(modulus, _draw_below(rng, modulus, d))
         params = qhash.HashParams(ks)
-        m = int(rng.integers(0, ks.modulus))
+        m = int(_draw_below(rng, ks.modulus))
         analytic = qhash.hash_state(params, m)
         simulated = qhash.simulate_circuit(qhash.build_hash_circuit(params, m))
         worst = max(worst, float(np.max(np.abs(simulated.amplitudes - analytic.amplitudes))))

@@ -149,43 +149,25 @@ def sample_random_keyset(
         )
     if rng is None:
         rng = make_rng(0)
-    best: KeySet | None = None
-    best_delta = math.inf
+    best, best_delta = None, math.inf
     for attempt in range(1, max_attempts + 1):
-        keys = rng.integers(0, modulus, size=size, dtype=np.int64)
-        candidate = KeySet(modulus=modulus, keys=tuple(int(k) for k in keys))
+        candidate = KeySet(modulus, rng.integers(0, modulus, size=size, dtype=np.int64))
         delta = bias_profile(candidate).delta
         if delta < best_delta:
             best, best_delta = candidate, delta
         if delta < epsilon:
-            return SearchOutcome(
-                keyset=candidate,
-                achieved_delta=delta,
-                generations_used=attempt,
-                target_met=True,
-                objective="delta",
-                achieved_objective=delta,
-            )
-    assert best is not None
-    return SearchOutcome(
-        keyset=best,
-        achieved_delta=best_delta,
-        generations_used=max_attempts,
-        target_met=False,
-        objective="delta",
-        achieved_objective=best_delta,
-    )
+            break
+    return SearchOutcome(keyset=best, achieved_delta=best_delta, generations_used=attempt,
+                         target_met=best_delta < epsilon, objective="delta", achieved_objective=best_delta)
 
 
 def _objective_values(population: np.ndarray, modulus: int, objective: str) -> np.ndarray:
-    """Objective values for a (pop, d) array of key rows in one kernel call."""
+    """Objective values for a (pop, d) array of key rows in one kernel call; ga_search checks the objective."""
     d = population.shape[1]
     worst_re = worst_character_sums(population, modulus)[0]
     if objective == "delta":
         return worst_re / d
-    if objective == "padded_sq":
-        return (worst_re / padded_branch_count(d)) ** 2
-    raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    return (worst_re / padded_branch_count(d)) ** 2
 
 
 def ga_search(
@@ -228,16 +210,14 @@ def ga_search(
         )
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
     values = _objective_values(population, modulus, objective)
-    order = np.argsort(values, kind="stable")
-    population = population[order]
-    values = values[order]
 
-    generations_used = 0
     for generation in range(config.generations + 1):
         # generation 0 is the initial population.
+        order = np.argsort(values, kind="stable")
+        population = population[order]
+        values = values[order]
         if progress is not None:
             progress(f"gen {generation} best_delta {float(values[0])!r}")
-        generations_used = generation
         if values[0] < target_epsilon or generation == config.generations:
             break
 
@@ -271,20 +251,14 @@ def ga_search(
                 _objective_values(offspring, modulus, objective),
             ]
         )
-        order = np.argsort(values, kind="stable")
-        population = population[order]
-        values = values[order]
 
-    best = KeySet(modulus=modulus, keys=tuple(int(k) for k in population[0]))
+    best = KeySet(modulus, population[0])
     profile = bias_profile(best)
-    if objective == "delta":
-        achieved_objective = profile.delta
-    else:
-        achieved_objective = profile.padded_delta_squared
+    achieved_objective = profile.delta if objective == "delta" else profile.padded_delta_squared
     return SearchOutcome(
         keyset=best,
         achieved_delta=profile.delta,
-        generations_used=generations_used,
+        generations_used=generation,
         target_met=achieved_objective < target_epsilon,
         objective=objective,
         achieved_objective=achieved_objective,
@@ -323,23 +297,30 @@ def check_table_rows(
     """Recompute every *.txt fixture row (one bias_profile each) and apply the pass rule.
 
     Rows above max_modulus are dropped and the rest come back sorted by
-    (N, d).  Files that fail to load are returned as (path, error) pairs;
-    a directory that does not exist raises NotADirectoryError.
+    (N, d); a cap that drops every loadable row raises ValueError.
+    Files that fail to load are returned as (path, error) pairs; a
+    directory that does not exist raises NotADirectoryError.
     """
     base = bundled_table_dir() if directory is None else Path(directory)
     if not base.is_dir():
         raise NotADirectoryError(f"{base}: not a directory")
     rows: list[TableRow] = []
     skipped: list[tuple[Path, Exception]] = []
+    dropped: list[int] = []
     for path in sorted(base.glob("*.txt")):
         try:
             loaded = load_keyset(path)
         except (KeySetFormatError, OSError) as exc:
             skipped.append((path, exc))
             continue
-        if max_modulus is None or loaded.keyset.modulus <= max_modulus:
-            profile = bias_profile(loaded.keyset)
-            passed = table_row_passes(profile.padded_delta_squared, loaded.declared_epsilon)
-            rows.append(TableRow(path, loaded, profile, passed))
+        if max_modulus is not None and loaded.keyset.modulus > max_modulus:
+            dropped.append(loaded.keyset.modulus)
+            continue
+        profile = bias_profile(loaded.keyset)
+        passed = table_row_passes(profile.padded_delta_squared, loaded.declared_epsilon)
+        rows.append(TableRow(path, loaded, profile, passed))
+    if dropped and not rows:
+        raise ValueError(f"no table fixture under {base} has N <= {max_modulus}; "
+                         f"the smallest has N = {min(dropped)}")
     rows.sort(key=lambda row: (row.profile.modulus, row.profile.d))
     return rows, skipped

@@ -21,7 +21,7 @@ turns the target of every branch i at once, by
     theta_{i,j} = 4 pi (k_i 2^{j-1} mod N) / N
 
 on the pair the index register holding i selects: d controlled
-rotations on disjoint pairs, applied as one stacked kernel update.
+rotations on disjoint pairs, turning the rows of the pair view at once.
 With the convention R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>,
 the rotations on a branch share an axis and sum to twice the amplitude
 angle, so the circuit reproduces the analytic state exactly.
@@ -51,7 +51,6 @@ from .qsim import (
     apply_gate_inplace,
     hadamard_matrix,
     reflect_to_uniform,
-    ry_matrices,
     zero_outcome_counts,
 )
 
@@ -163,6 +162,14 @@ def hash_state(params: HashParams, m: int) -> StateVector:
     return StateVector(params.s, amp)
 
 
+def _preparation(params: HashParams) -> list[Gate]:
+    """Self-inverse gates to the uniform d-branch state: Hadamards if d fills the register, else PrepareUniform."""
+    d = params.keyset.d
+    if d == params.branch_capacity:
+        return [Hadamard(target=q) for q in range(1, params.s)]
+    return [PrepareUniform(branch_count=d)]
+
+
 def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
     keyset = params.keyset
@@ -171,11 +178,7 @@ def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     if not 0 <= m < keyset.modulus:
         raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
     keys = keyset.key_array()
-    gates: list[Gate] = []
-    if keyset.d == params.branch_capacity:
-        gates.extend(Hadamard(target=q) for q in range(1, params.s))
-    else:
-        gates.append(PrepareUniform(branch_count=keyset.d))
+    gates = _preparation(params)
     for j in range(1, params.n + 1):
         if m >> (j - 1) & 1:
             thetas = 2.0 * phase_angles(keys, 1 << (j - 1), keyset.modulus)
@@ -183,24 +186,39 @@ def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
+def _turn_pairs(pairs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Turn row i < len(cos) of an (M, 2) branch-pair view by [[cos_i, -sin_i], [sin_i, cos_i]], in place."""
+    rows = pairs[: cos.size]
+    a0 = rows[:, 0].copy()
+    a1 = rows[:, 1].copy()
+    rows[:, 0] = cos * a0 + (-sin) * a1  # m00 a0 + m01 a1, summed as a gate's matrix product is
+    rows[:, 1] = sin * a0 + cos * a1
+
+
+def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to a mutable amplitude array; returns the array now holding the state."""
+    pairs = amp.reshape(-1, 2)  # row i: index register i, target bit 0 and 1
+    if isinstance(gate, Hadamard):
+        apply_gate_inplace(amp, gate.target, hadamard_matrix())
+    elif isinstance(gate, RotationLayer):
+        if len(gate.thetas) > pairs.shape[0]:
+            raise ValueError(f"rotation layer turns {len(gate.thetas)} branches; the register holds {pairs.shape[0]}")
+        _turn_pairs(pairs, np.array([math.cos(theta / 2.0) for theta in gate.thetas]),
+                    np.array([math.sin(theta / 2.0) for theta in gate.thetas]))
+    elif isinstance(gate, PrepareUniform):
+        return reflect_to_uniform(pairs, gate.branch_count).reshape(-1)
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    return amp
+
+
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
-    """Run the gate list on |0...0>; the result is validated once."""
+    """Run the gates on |0...0> one at a time (layers turn by math.cos/sin of theta/2); validated once."""
     s = circuit.qubit_count
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0
-    index_mask = (1 << s) - 2
     for gate in circuit.gates:
-        if isinstance(gate, Hadamard):
-            apply_gate_inplace(amp, gate.target, hadamard_matrix())
-        elif isinstance(gate, RotationLayer):
-            # branch i is the pair the index register holding i selects
-            branches = np.arange(len(gate.thetas))
-            apply_gate_inplace(amp, 0, ry_matrices(gate.thetas), index_mask, branches << 1)
-        elif isinstance(gate, PrepareUniform):
-            # one row per index branch: the reflection moves target pairs
-            amp = reflect_to_uniform(amp.reshape(-1, 2), gate.branch_count).reshape(-1)
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
+        amp = _apply_gate(amp, gate)
     return StateVector(s, amp)
 
 
@@ -227,33 +245,21 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
     """Apply the inverse of the hash construction for claimed message v.
 
     The constructed circuit's rotations on one branch share an axis, so
-    their exact inverse is a single rotation back by the branch's total
-    angle, applied here to all branches at once; the preparation is then
-    undone (the uniform-branch reflection is its own inverse, and the
-    Hadamard layer is applied explicitly when d fills the register).
+    their exact inverse is a single turn back by the branch's phase
+    angle, applied to every branch pair at once; the preparation gates,
+    each its own inverse, are then applied again.
     """
     keyset = params.keyset
     if psi.num_qubits != params.s:
-        raise ValueError(
-            f"state has {psi.num_qubits} qubits, hash needs {params.s}"
-        )
+        raise ValueError(f"state has {psi.num_qubits} qubits, hash needs {params.s}")
     if not 0 <= v < keyset.modulus:
         raise ValueError(f"message {v} out of range [0, {keyset.modulus - 1}]")
-    d = keyset.d
     angles = phase_angles(keyset.key_array(), v, keyset.modulus)
-    cos_a = np.cos(angles)
-    sin_a = np.sin(angles)
-    pairs = psi.amplitudes.reshape(-1, 2).copy()
-    x0 = pairs[:d, 0].copy()
-    x1 = pairs[:d, 1]
-    pairs[:d, 0] = cos_a * x0 + sin_a * x1
-    pairs[:d, 1] = -sin_a * x0 + cos_a * x1
-    if d == params.branch_capacity:
-        amp = pairs.reshape(-1)
-        for q in range(1, params.s):
-            apply_gate_inplace(amp, q, hadamard_matrix())
-        return StateVector(params.s, amp)
-    return StateVector(params.s, reflect_to_uniform(pairs, d).reshape(-1))
+    amp = psi.amplitudes.copy()
+    _turn_pairs(amp.reshape(-1, 2), np.cos(angles), -np.sin(angles))
+    for gate in _preparation(params):
+        amp = _apply_gate(amp, gate)
+    return StateVector(params.s, amp)
 
 
 def reverse_test(

@@ -7,13 +7,12 @@ matrices applied to one qubit, optionally conditioned on the value of
 other qubits.  Measurement is Born-rule sampling from an explicit,
 replayable generator.
 
-One kernel, apply_gate_inplace, applies every gate: it views the
-amplitudes as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves
-are the pairs that differ in qubit q, and updates those pairs in place
-(all of them, or the rows a control selects).  apply_single_qubit and
+apply_gate_inplace applies single-qubit gates: it views the amplitudes
+as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves are the
+pairs that differ in qubit q, and updates those pairs in place (all of
+them, or the rows a control selects).  apply_single_qubit and
 apply_controlled_single_qubit are validated wrappers that return a new
-StateVector; circuit simulation runs the kernel on one mutable array
-and validates a single StateVector at the end.
+StateVector; qhash turns rotation layers as branch pairs.
 
 Every REVERSE verdict (the hash test and signature verification) uses
 one rule, the one zero_outcome_counts applies: a shot accepts when its
@@ -54,7 +53,6 @@ __all__ = [
     "swap_test_accept_probability",
     "swap_test",
     "hadamard_matrix",
-    "ry_matrices",
     "apply_single_qubit",
     "apply_controlled_single_qubit",
     "apply_gate_inplace",
@@ -212,70 +210,44 @@ def hadamard_matrix() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def ry_matrices(thetas) -> np.ndarray:
-    """A (k, 2, 2) stack of R(theta), with R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
-    c = np.array([math.cos(theta / 2.0) for theta in thetas])
-    s = np.array([math.sin(theta / 2.0) for theta in thetas])
-    out = np.empty((c.size, 2, 2), dtype=np.complex128)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
-    return out
-
-
 def apply_gate_inplace(
     amp: np.ndarray,
     qubit: int,
     matrix: np.ndarray,
     control_mask: int = 0,
-    control_value: "int | np.ndarray" = 0,
+    control_value: int = 0,
 ) -> None:
     """Apply a 2x2 matrix to one qubit of a contiguous amplitude array, in place.
 
     Only basis indices with (index & control_mask) == control_value are
-    touched.  matrix may also be a (k, 2, 2) stack with k distinct
-    control values: matrix[r] acts where the control reads
-    control_value[r], so k gates on disjoint pairs run as one update.
-
-    In the view amp.reshape(-1, 2, 2^qubit), entry [h, b, l] is basis
-    index h 2^(qubit+1) + b 2^qubit + l: the halves b = 0 and b = 1 hold
-    the pairs the gate mixes, and a control selects rows of their (h, l)
-    grid.  Each half is copied before the update, so every amplitude
-    gets the contiguous arithmetic of a one-gate update.
+    touched.  In the view amp.reshape(-1, 2, 2^qubit), entry [h, b, l]
+    is basis index h 2^(qubit+1) + b 2^qubit + l: the halves b = 0 and
+    b = 1 hold the pairs the gate mixes, and a control selects rows of
+    their (h, l) grid.  Each half is copied before the update, so every
+    amplitude gets the contiguous arithmetic of a one-gate update.
     """
     if amp.ndim != 1 or not amp.flags.c_contiguous:
         raise ValueError("amplitudes must be a contiguous 1-D array to update in place")
     if amp.size < 2 or amp.size & (amp.size - 1):
         raise ValueError(f"{amp.size} amplitudes is not a power of two >= 2")
     num_qubits = amp.size.bit_length() - 1
-    values = np.asarray(control_value, dtype=np.int64).reshape(-1)
     matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape not in ((2, 2), (values.size, 2, 2)):
-        raise ValueError(f"expected a 2x2 matrix per control value, got shape {matrix.shape}")
+    if matrix.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
     if not 0 <= qubit < num_qubits:
         raise ValueError(f"qubit {qubit} out of range [0, {num_qubits - 1}]")
     if control_mask & (1 << qubit):
         raise ValueError("target qubit cannot be part of the control mask")
     if control_mask >> num_qubits:
         raise ValueError(f"control mask sets bits outside the {num_qubits}-qubit register")
-    if np.any(values & ~control_mask):
+    if control_value & ~control_mask:
         raise ValueError("control value sets bits outside the control mask")
-    if values.size > 1 and np.unique(values).size < values.size:
-        raise ValueError("control values must be distinct")
-    m = matrix.reshape(-1, 2, 2)
-    if control_mask:
-        # matching indices with bit `qubit` clear, one row per control
-        # value, ascending: set each free bit in turn
-        index = values[:, None]
-        for j in range(num_qubits):
-            if not (control_mask | 1 << qubit) >> j & 1:
-                index = np.concatenate([index, index | 1 << j], axis=1)
-        rows: tuple = (index >> (qubit + 1), index & ((1 << qubit) - 1))
-        m00, m01, m10, m11 = (m[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    else:
-        rows = (...,)
-        m00, m01, m10, m11 = m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1]
+    rows: tuple = (...,)
+    if control_mask:  # the matching indices with bit `qubit` clear
+        index = np.arange(amp.size, dtype=np.int64)
+        index = index[index & (control_mask | 1 << qubit) == control_value]
+        rows = (index >> (qubit + 1), index & ((1 << qubit) - 1))
+    (m00, m01), (m10, m11) = matrix
     view = amp.reshape(-1, 2, 1 << qubit)
     low, high = view[:, 0], view[:, 1]
     a0 = low[rows].copy()

@@ -24,7 +24,8 @@ empirical rate and this prediction.
 forgery_experiment samples REVERSE's exact Born probability, as
 qsim.swap_test does for the SWAP test: a claim off by t from the held
 number is accepted with the squared overlap (Re f_K(t)/d)^2, read from
-one table over Z_N that the prediction shares.  Each trial makes the
+one table over Z_N that the prediction shares, gathered at the offsets
+|t| < L only.  Each trial makes the
 draws a full keygen-and-verify run makes, in the same order (the
 private pair, the bit, the guess, then the verdict's one uniform draw),
 and accepts when that draw is below the table entry, the verdict rule
@@ -74,7 +75,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bias import KeySet, fourier_components
+from .bias import KeySet, _check_cells, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
 from .qsim import StateVector
 
@@ -187,9 +188,17 @@ def verify(
     return reverse_test(params.hash_params, claimed, public_state_copy, rng)
 
 
-def _overlap_table(keyset: KeySet) -> np.ndarray:
-    """(Re f_K(t)/d)^2 for every t in Z_N: REVERSE's accept chance at offset t."""
-    return (fourier_components(keyset).real / keyset.d) ** 2
+def _overlap_table(keyset: KeySet, level: int) -> np.ndarray:
+    """(Re f_K(t)/d)^2, REVERSE's accept chance at offset t mod N, for the |t| < L a trial or
+    the prediction reads (a guess and a target in 1..L differ by less than L); 0 elsewhere.
+    """
+    n = keyset.modulus
+    _check_cells(1, n)  # refuse an oversized table before building its offsets
+    # 2L - 1 consecutive offsets reach every residue once 2L > N, distinct ones below
+    shifts = np.arange(n) if 2 * level > n else np.arange(1 - level, level) % n
+    table = np.zeros(n)
+    table[shifts] = (fourier_components(keyset, shifts).real / keyset.d) ** 2
+    return table
 
 
 def _predicted_rate(level: int, overlap_sq: np.ndarray) -> float:
@@ -211,7 +220,7 @@ def forgery_prediction(params: ProtocolParams) -> float:
     counts: an integer difference t in [1, L-1] occurs in 2(L - t)
     ordered pairs and contributes the squared overlap at t mod N.
     """
-    return _predicted_rate(params.security_level, _overlap_table(params.hash_params.keyset))
+    return _predicted_rate(params.security_level, _overlap_table(params.hash_params.keyset, params.security_level))
 
 
 def forgery_experiment(params: ProtocolParams, trials: int, rng: np.random.Generator) -> ForgeryReport:
@@ -227,7 +236,7 @@ def forgery_experiment(params: ProtocolParams, trials: int, rng: np.random.Gener
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     start, level = copy.deepcopy(rng), params.security_level
-    overlap_sq = _overlap_table(params.hash_params.keyset)
+    overlap_sq = _overlap_table(params.hash_params.keyset, level)
     verdicts = _trial_verdicts(rng, level, trials, overlap_sq)
     successes = sum(int(np.count_nonzero(accepted)) for *_, accepted in verdicts)
     return ForgeryReport(trials, successes, _predicted_rate(level, overlap_sq), start, level, overlap_sq)

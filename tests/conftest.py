@@ -1,5 +1,8 @@
 """Shared fixtures and oracles: bundled table key sets, a tiny worked example,
-the trial-by-trial forgery protocol run and the gate formula the kernel replaced."""
+the trial-by-trial forgery protocol run, the rotation matrix and the gate
+formula the kernel replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +61,12 @@ def n1024_keyset(table_rows):
 def tiny_keyset():
     """N=8, K={1,2}: small enough to check against hand-computed values."""
     return KeySet(modulus=8, keys=(1, 2))
+
+
+def ry(theta):
+    """R(theta) as a complex 2x2 matrix: R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def _fancy_index_gate(amp, qubit, matrix, control_mask=0, control_value=0):

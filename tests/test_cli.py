@@ -12,6 +12,7 @@ from qhashlab import (
     HashParams,
     KeySet,
     bundled_table_dir,
+    fourier_components,
     hash_inner_product,
     load_code,
     load_keyset,
@@ -21,6 +22,7 @@ from qhashlab import (
 )
 from qhashlab import bias as bias_mod
 from qhashlab import signature as sig_mod
+from qhashlab import cli
 from qhashlab.cli import main
 
 from conftest import keygen_verify_records, trial_log
@@ -260,6 +262,14 @@ class TestVerifyTables:
         assert result.stdout == ""
         assert result.stderr == f"error: {missing}: not a directory\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cap_below_every_row_exits_2(self, runner, fmt):
+        result = invoke(runner, ["verify-tables", "--max-n", "1", "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: no table fixture under {bundled_table_dir()} has N <= 1; "
+                                 "the smallest has N = 32\n")
+
     def test_json_rows(self, runner):
         result = invoke(runner, ["verify-tables", "--format", "json"])
         payload = json.loads(result.output)
@@ -484,6 +494,33 @@ class TestEqualityTests:
             f"error: {d} keys need {qubits} qubits; states hold at most MAX_QUBITS = 24\n"
         )
 
+    @pytest.mark.parametrize("bits", [64, 70])
+    def test_circuit_check_past_int64(self, runner, tmp_path, bits):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(2**bits, (5, 2**bits - 1, 2**(bits - 1) + 3)), path)
+        result = invoke(runner, ["circuit-check", "--keyset", str(path), "--count", "20"])
+        assert result.exit_code == 0
+        assert float(parse_report(result.output)["max_deviation"]) < 1e-10
+
+    def test_circuit_check_random_sets_past_int64(self, runner):
+        result = invoke(runner, ["circuit-check", "--n", str(2**70), "--d", "3", "--count", "20"])
+        assert result.exit_code == 0
+        assert float(parse_report(result.output)["max_deviation"]) < 1e-10
+
+    def test_circuit_check_refuses_a_huge_set_with_no_circuit_form(self, runner, tmp_path):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(2**64 + 1, (5, 7)), path)
+        result = invoke(runner, ["circuit-check", "--keyset", str(path), "--count", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: modulus {2**64 + 1} is not a power of two; no circuit form\n"
+
+    def test_draws_past_int64_cover_the_range(self):
+        assert np.array_equal(cli._draw_below(make_rng(3), 2**63, 50), make_rng(3).integers(0, 2**63, size=50))
+        keys = cli._draw_below(make_rng(3), 2**70, 2000)
+        assert all(0 <= k < 2**70 for k in keys)
+        assert max(keys) >= 2**69 and min(keys) < 2**64
+        assert 0 <= cli._draw_below(make_rng(3), 2**130) < 2**130
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_circuit_check_rejects_an_empty_count(self, runner, count):
         result = invoke(runner, ["circuit-check", "--keyset", str(N32), "--count", count])
@@ -643,6 +680,25 @@ class TestSignatureCommands:
         assert text == "".join(f"{line}\n" for line in log) + "".join(f"{k} {v!r}\n" for k, v in pairs.items())
         assert as_json == json.dumps({"trials_detail": log, **pairs}) + "\n"
         assert [text, as_json] == whole
+
+    @pytest.mark.parametrize("level", ["1", "1000", "1024"])
+    def test_forge_experiment_report_is_the_full_tables(self, runner, monkeypatch, level):
+        # gathering only the reachable offsets leaves every byte as a full N-entry table gives it
+        args = ["forge-experiment", "--keyset", str(N1024), "--security-level", level,
+                "--trials", "300", "--seed", "5"]
+        variants = [args + extra for extra in ([], ["--log"], ["--format", "json"],
+                                               ["--log", "--format", "json"])]
+        reachable = [invoke(runner, v).stdout for v in variants]
+        monkeypatch.setattr(sig_mod, "_overlap_table", lambda keyset, _level: (
+            fourier_components(keyset, np.arange(keyset.modulus)).real / keyset.d) ** 2)
+        assert [invoke(runner, v).stdout for v in variants] == reachable
+
+    def test_forge_experiment_refuses_an_oversized_table_before_its_offsets(self, runner, tmp_path):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(2**40, (5, 7)), path)
+        result = invoke(runner, ["forge-experiment", "--keyset", str(path), "--security-level", str(2**40)])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("exceeds MAX_SPECTRUM_CELLS = 67108864\n")
 
     def test_forge_experiment_json_identity(self, runner):
         assert_json_matches_text(runner, [

@@ -25,7 +25,9 @@ from qhashlab import (
     simulate_circuit,
     uncompute_hash,
 )
-from qhashlab.qsim import hadamard_matrix, reflect_to_uniform, ry_matrices
+from qhashlab.qsim import hadamard_matrix, reflect_to_uniform
+
+from conftest import ry
 
 
 def circuit_state(params, m):
@@ -269,7 +271,7 @@ def gate_by_gate(circuit, gate):
             amp = gate(amp, g.target, hadamard_matrix())
         elif isinstance(g, RotationLayer):
             for i, theta in enumerate(g.thetas):
-                amp = gate(amp, 0, ry_matrices([theta])[0], (1 << s) - 2, i << 1)
+                amp = gate(amp, 0, ry(theta), (1 << s) - 2, i << 1)
         else:
             amp = reflect_to_uniform(amp.reshape(-1, 2), g.branch_count).reshape(-1)
     return amp
@@ -335,7 +337,7 @@ class TestFastPathsMatchGateByGate:
     def test_invalid_gate_still_raises(self):
         # five thetas for the four index branches of a 3-qubit register
         bad = RotationLayer(message_bit=1, thetas=(0.3, 1.1, 2.9, -0.7, 0.5))
-        with pytest.raises(ValueError, match="outside the control mask"):
+        with pytest.raises(ValueError, match="rotation layer turns 5 branches; the register holds 4"):
             simulate_circuit(CircuitDescription(qubit_count=3, gates=(bad,)))
 
     def test_uncompute_hash(self, fancy_index_gate):

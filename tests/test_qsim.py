@@ -29,9 +29,10 @@ from qhashlab.qsim import (
     apply_single_qubit,
     hadamard_matrix,
     reflect_to_uniform,
-    ry_matrices,
     zero_outcome_counts,
 )
+
+from conftest import ry
 
 
 def basis_state(num_qubits, index):
@@ -164,12 +165,12 @@ class TestGates:
         assert np.allclose(h @ h, np.eye(2), atol=1e-12)
 
     def test_ry_inverse(self):
-        r = ry_matrices([0.7])[0]
-        assert np.allclose(r @ ry_matrices([-0.7])[0], np.eye(2), atol=1e-12)
+        r = ry(0.7)
+        assert np.allclose(r @ ry(-0.7), np.eye(2), atol=1e-12)
 
     def test_ry_on_zero(self):
         # R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>
-        out = ry_matrices([1.1])[0] @ np.array([1.0, 0.0])
+        out = ry(1.1) @ np.array([1.0, 0.0])
         assert out[0] == pytest.approx(math.cos(0.55))
         assert out[1] == pytest.approx(math.sin(0.55))
 
@@ -178,13 +179,13 @@ class TestGates:
     @settings(max_examples=30, deadline=None)
     def test_single_qubit_preserves_norm(self, seed, qubit):
         psi = random_state(3, make_rng(seed))
-        out = apply_single_qubit(psi, qubit, ry_matrices([0.3])[0])
+        out = apply_single_qubit(psi, qubit, ry(0.3))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_qubit_matches_kron(self):
         rng = make_rng(9)
         psi = random_state(3, rng)
-        m = ry_matrices([0.9])[0]
+        m = ry(0.9)
         # qubit 1 of three: I (x) M (x) I with qubit 0 least significant
         full = np.kron(np.eye(2), np.kron(m, np.eye(2)))
         expected = full @ psi.amplitudes
@@ -194,7 +195,7 @@ class TestGates:
     def test_controlled_application_touches_only_selected_rows(self):
         rng = make_rng(10)
         psi = random_state(3, rng)
-        m = ry_matrices([1.3])[0]
+        m = ry(1.3)
         # act on qubit 0 only where qubits 2,1 read 0b10
         out = apply_controlled_single_qubit(
             psi, 0, m, control_mask=0b110, control_value=0b100
@@ -209,20 +210,20 @@ class TestGates:
     def test_control_mask_cannot_cover_target(self):
         psi = basis_state(2, 0)
         with pytest.raises(ValueError, match="control mask"):
-            apply_controlled_single_qubit(psi, 0, ry_matrices([1.0])[0], 0b01, 0b01)
+            apply_controlled_single_qubit(psi, 0, ry(1.0), 0b01, 0b01)
 
     def test_control_value_outside_mask(self):
         psi = basis_state(2, 0)
         with pytest.raises(ValueError, match="outside"):
-            apply_controlled_single_qubit(psi, 0, ry_matrices([1.0])[0], 0b10, 0b01)
+            apply_controlled_single_qubit(psi, 0, ry(1.0), 0b10, 0b01)
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError, match="qubit"):
-            apply_single_qubit(basis_state(2, 0), 2, ry_matrices([1.0])[0])
+            apply_single_qubit(basis_state(2, 0), 2, ry(1.0))
 
     def test_control_mask_outside_register(self):
         with pytest.raises(ValueError, match="outside the 2-qubit register"):
-            apply_controlled_single_qubit(basis_state(2, 0), 0, ry_matrices([1.0])[0], 0b110, 0b100)
+            apply_controlled_single_qubit(basis_state(2, 0), 0, ry(1.0), 0b110, 0b100)
 
 
 def random_unitary(rng):
@@ -251,7 +252,7 @@ class TestPairViewKernel:
         seed, num_qubits, qubit, mask, value = gate
         rng = make_rng(seed)
         psi = random_state(num_qubits, rng)
-        for matrix in (hadamard_matrix(), ry_matrices([float(rng.uniform(0, 13))])[0],
+        for matrix in (hadamard_matrix(), ry(float(rng.uniform(0, 13))),
                        random_unitary(rng)):
             single = apply_single_qubit(psi, qubit, matrix).amplitudes
             assert np.array_equal(single, fancy_index_gate(psi.amplitudes, qubit, matrix))
@@ -261,42 +262,21 @@ class TestPairViewKernel:
                 fancy_index_gate(psi.amplitudes, qubit, matrix, mask, value),
             )
 
-    @given(controlled_gates(), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=200, deadline=None)
-    def test_a_stack_matches_its_gates_one_by_one(self, fancy_index_gate, gate, count):
-        seed, num_qubits, qubit, mask, _ = gate
-        rng = make_rng(seed)
-        values = rng.permutation(np.arange(mask + 1)[(np.arange(mask + 1) & ~mask) == 0])
-        values = values[:count]
-        matrices = ry_matrices(rng.uniform(0, 13, size=values.size))
-        amp = random_state(num_qubits, rng).amplitudes.copy()
-        want = amp
-        for value, matrix in zip(values, matrices):
-            want = fancy_index_gate(want, qubit, matrix, mask, int(value))
-        apply_gate_inplace(amp, qubit, matrices, mask, values)
-        assert np.array_equal(amp, want)
-
     def test_ry_matrices_match_the_formula(self):
-        thetas = make_rng(6).uniform(-20, 20, size=50)
-        for theta, matrix in zip(thetas, ry_matrices(thetas)):
+        for theta in make_rng(6).uniform(-20, 20, size=50):
             c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-            assert np.array_equal(matrix, np.array([[c, -s], [s, c]], dtype=np.complex128))
+            assert np.array_equal(ry(theta), np.array([[c, -s], [s, c]], dtype=np.complex128))
 
     def test_validation(self):
-        m = ry_matrices([0.4])[0]
+        m = ry(0.4)
         with pytest.raises(ValueError, match="power of two"):
             apply_gate_inplace(np.zeros(6, dtype=np.complex128), 0, m)
         with pytest.raises(ValueError, match="contiguous 1-D"):
             apply_gate_inplace(np.zeros(16, dtype=np.complex128)[::2], 0, m)
-        with pytest.raises(ValueError, match="matrix per control value"):
-            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0] * 3),
-                               0b110, np.array([0, 2]))
-        with pytest.raises(ValueError, match="distinct"):
-            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0, 2.0]),
-                               0b110, np.array([2, 2]))
+        with pytest.raises(ValueError, match="2x2 matrix"):
+            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, np.stack([m] * 3))
         with pytest.raises(ValueError, match="outside"):
-            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, ry_matrices([1.0, 2.0]),
-                               0b110, np.array([2, 1]))
+            apply_gate_inplace(np.zeros(8, dtype=np.complex128), 0, m, 0b110, 0b001)
 
 
 class TestZeroOutcomeCounts:

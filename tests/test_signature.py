@@ -13,6 +13,7 @@ from qhashlab import (
     ProtocolParams,
     bundled_table_dir,
     forgery_experiment,
+    fourier_components,
     forgery_prediction,
     hash_inner_product,
     hash_state,
@@ -25,7 +26,7 @@ from qhashlab import (
 )
 from qhashlab import signature as signature_mod
 
-from conftest import keygen_verify_records, trial_log
+from conftest import keygen_verify_records, load_table_fixtures, trial_log
 
 
 def oracle_prediction(params):
@@ -153,6 +154,41 @@ class TestForgeryPrediction:
         assert forgery_prediction(params) == pytest.approx(
             0.5 + 0.5 * ip * ip, abs=1e-12
         )
+
+
+def full_overlap_table(keyset):
+    """(Re f_K(t)/d)^2 at every t in Z_N, from the gather over all N shifts."""
+    return (fourier_components(keyset, np.arange(keyset.modulus)).real / keyset.d) ** 2
+
+
+def assert_reachable_entries_match(keyset, level):
+    """The table equals the full one, bit for bit, at t mod N for |t| < L, and is 0 elsewhere."""
+    n = keyset.modulus
+    table = signature_mod._overlap_table(keyset, level)
+    reachable = np.zeros(n, dtype=bool)
+    reachable[np.arange(1 - level, level) % n] = True
+    assert table.shape == (n,)
+    assert np.array_equal(table[reachable], full_overlap_table(keyset)[reachable])
+    assert not table[~reachable].any()
+
+
+class TestOverlapTable:
+    """The forgery table gathers only the offsets a trial or the prediction reads."""
+
+    @pytest.mark.parametrize("keyset", [pytest.param(loaded.keyset, id=path.name)
+                                        for path, loaded in load_table_fixtures(max_modulus=16384)])
+    def test_bundled_rows(self, keyset):
+        n = keyset.modulus
+        for level in sorted({1, 2, 5, n // 3, n // 2, n // 2 + 1, n - 1, n}):
+            assert_reachable_entries_match(keyset, level)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sets(self, seed):
+        rng = make_rng(seed)
+        n = int(rng.choice([2, 7, 64, 100, 1000, 4096]))
+        keyset = KeySet(n, rng.integers(0, n, size=int(rng.integers(1, 70))))
+        for level in (1, n, *(int(x) for x in rng.integers(1, n + 1, size=4))):
+            assert_reachable_entries_match(keyset, level)
 
 
 class TestForgeryExperiment:
@@ -359,7 +395,7 @@ class TestBulkDraws:
     def test_records_are_compact_arrays(self, tiny_protocol):
         # the replay decodes chunks of compact arrays; the report keeps none
         report = forgery_experiment(tiny_protocol, 20, make_rng(1))
-        overlap_sq = signature_mod._overlap_table(tiny_protocol.hash_params.keyset)
+        overlap_sq = signature_mod._overlap_table(tiny_protocol.hash_params.keyset, 4)
         chunks = list(signature_mod._trial_verdicts(make_rng(1), 4, 20, overlap_sq))
         assert [column.dtype for column in chunks[0]] == [np.int8, np.int64, np.bool_]
         assert list(report.log_lines()) == trial_log(zip(*(np.concatenate(c).tolist() for c in zip(*chunks))))
