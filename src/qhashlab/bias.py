@@ -96,14 +96,12 @@ class KeySet:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.modulus >= 1 << 1021:  # 2*pi*j stays a finite float64 for j < N
             raise ValueError(f"modulus must be below 2^1021, got a {self.modulus.bit_length()}-bit one")
-        object.__setattr__(self, "keys", tuple(int(k) for k in self.keys))
+        object.__setattr__(self, "keys", tuple(map(int, self.keys)))
         if len(self.keys) < 1:
             raise ValueError("key set must contain at least one key")
-        for k in self.keys:
-            if not 0 <= k < self.modulus:
-                raise ValueError(
-                    f"key {k} out of range [0, {self.modulus - 1}]"
-                )
+        if min(self.keys) < 0 or max(self.keys) >= self.modulus:
+            k = next(k for k in self.keys if not 0 <= k < self.modulus)
+            raise ValueError(f"key {k} out of range [0, {self.modulus - 1}]")
 
     @property
     def d(self) -> int:
@@ -346,8 +344,10 @@ def load_keyset(path: str | Path) -> KeySetFile:
     """Parse the key-set text format.
 
     Layout: ``N <modulus>``, ``d <count>``, ``epsilon <bound-or-dash>``,
-    then one key per line, read through textfile.  A d above
-    MAX_SPECTRUM_CELLS, and the first key line past d, are refused.
+    then one key per line, read through textfile's block columns; a
+    refused block re-runs the per-line rules for its first bad line's
+    diagnostic.  A d above MAX_SPECTRUM_CELLS, and the first key line
+    past d, are refused.
     """
     lines = TextFile(path, KeySetFormatError)
     (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
@@ -358,15 +358,21 @@ def load_keyset(path: str | Path) -> KeySetFile:
     epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
 
     keys: list[int] = []
-    for lineno, fields, raw in lines:
-        if len(keys) >= count:
-            raise lines.fail(f"more keys than the header's d={count}", lineno)
-        if len(fields) != 1:
-            raise lines.fail("expected one key per line", lineno, raw)
-        k = lines.number("key", fields[0], lineno)
-        if not 0 <= k < modulus:
-            raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
-        keys.append(k)
+    for block in lines.blocks():
+        found = block.columns((int,), count - len(keys), modulus)
+        if found:
+            keys += found[0]
+            continue
+        for lineno, fields, raw in block.lines():
+            if len(keys) >= count:
+                raise lines.fail(f"more keys than the header's d={count}", lineno)
+            if len(fields) != 1:
+                raise lines.fail("expected one key per line", lineno, raw)
+            k = lines.number("key", fields[0], lineno)
+            if not 0 <= k < modulus:
+                raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
+            keys.append(k)
+        raise AssertionError(f"{path}: a block the per-line rules pass failed its batch check")
     if len(keys) != count:
         raise lines.fail(f"header declares d={count} but file lists {len(keys)} keys")
     try:

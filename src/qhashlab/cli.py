@@ -345,13 +345,12 @@ def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None)
 def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | None,
                       count: int, seed: int, fmt: str) -> None:
     """Compare the rotation circuit against the analytic state."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    qsim.check_count("count", count)
     rng = qsim.make_rng(seed)
     fixed = None
     if keyset_path is not None:
-        fixed = bias_mod.load_keyset(keyset_path).keyset
-        qhash.build_hash_circuit(qhash.HashParams(fixed), 0)  # refuse a set with no circuit form before drawing
+        fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
+        qhash.build_hash_circuit(fixed, 0)  # refuse a set with no circuit form before drawing
     elif modulus is None or d is None:
         raise ValueError("need --keyset, or --n and --d for random sets")
     elif modulus & (modulus - 1) or modulus < 2:
@@ -360,11 +359,10 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         qhash.hash_qubits(d)  # refuse an oversized register before drawing keys
     worst = 0.0
     for _ in range(count):
-        ks = fixed
-        if ks is None:
-            ks = bias_mod.KeySet(modulus, _draw_below(rng, modulus, d))
-        params = qhash.HashParams(ks)
-        m = int(_draw_below(rng, ks.modulus))
+        params = fixed
+        if params is None:
+            params = qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))
+        m = int(_draw_below(rng, params.keyset.modulus))
         analytic = qhash.hash_state(params, m)
         simulated = qhash.simulate_circuit(qhash.build_hash_circuit(params, m))
         worst = max(worst, float(np.max(np.abs(simulated.amplitudes - analytic.amplitudes))))

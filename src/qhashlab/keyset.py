@@ -41,7 +41,7 @@ from .bias import (
     padded_branch_count,
     worst_character_sums,
 )
-from .qsim import make_rng
+from .qsim import check_count, make_rng
 
 __all__ = [
     "SearchConfig",
@@ -84,6 +84,7 @@ class SearchConfig:
             raise ValueError("population_size must be positive")
         if self.generations < 1:
             raise ValueError("generations must be positive")
+        check_count("generations", self.generations)
         for name in ("mutation_rate", "crossover_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -139,8 +140,7 @@ def sample_random_keyset(
     keys.
     """
     _check_modulus(modulus)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    check_count("max_attempts", max_attempts)
     size = lemma_size(modulus, epsilon)
     if size > bias_mod.MAX_SPECTRUM_CELLS:
         raise ValueError(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -80,11 +81,13 @@ class HashParams:
     (messages are then n-bit numbers), otherwise None and only the
     analytic construction is available.  s = ceil(log2 d) + 1 qubits:
     one target plus an index register wide enough for d branches.
+    Each message bit's RotationLayer is made once, on first use.
     """
 
     keyset: KeySet
     n: int | None = field(init=False)
     s: int = field(init=False)
+    _layers: dict[int, RotationLayer] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         modulus = self.keyset.modulus
@@ -96,6 +99,13 @@ class HashParams:
     def branch_capacity(self) -> int:
         """Index-register capacity 2^ceil(log2 d); branches >= d stay empty."""
         return padded_branch_count(self.keyset.d)
+
+    def rotation_layer(self, j: int) -> RotationLayer:
+        """The layer of message bit j (1-based): thetas 4 pi (k_i 2^{j-1} mod N) / N."""
+        if j not in self._layers:
+            thetas = 2.0 * phase_angles(self.keyset.key_array(), 1 << (j - 1), self.keyset.modulus)
+            self._layers[j] = RotationLayer(message_bit=j, thetas=tuple(thetas.tolist()))
+        return self._layers[j]
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,12 @@ class RotationLayer:
 
     message_bit: int
     thetas: tuple[float, ...]
+
+    @cached_property
+    def turns(self) -> tuple[np.ndarray, np.ndarray]:
+        """math.cos and math.sin of each theta / 2, made once: simulation turns branch pairs by them."""
+        return (np.array([math.cos(theta / 2.0) for theta in self.thetas]),
+                np.array([math.sin(theta / 2.0) for theta in self.thetas]))
 
 
 @dataclass(frozen=True)
@@ -177,12 +193,8 @@ def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
         raise ValueError(f"modulus {keyset.modulus} is not a power of two; no circuit form")
     if not 0 <= m < keyset.modulus:
         raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
-    keys = keyset.key_array()
     gates = _preparation(params)
-    for j in range(1, params.n + 1):
-        if m >> (j - 1) & 1:
-            thetas = 2.0 * phase_angles(keys, 1 << (j - 1), keyset.modulus)
-            gates.append(RotationLayer(message_bit=j, thetas=tuple(thetas.tolist())))
+    gates += [params.rotation_layer(j) for j in range(1, params.n + 1) if m >> (j - 1) & 1]
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
@@ -203,8 +215,7 @@ def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
     elif isinstance(gate, RotationLayer):
         if len(gate.thetas) > pairs.shape[0]:
             raise ValueError(f"rotation layer turns {len(gate.thetas)} branches; the register holds {pairs.shape[0]}")
-        _turn_pairs(pairs, np.array([math.cos(theta / 2.0) for theta in gate.thetas]),
-                    np.array([math.sin(theta / 2.0) for theta in gate.thetas]))
+        _turn_pairs(pairs, *gate.turns)
     elif isinstance(gate, PrepareUniform):
         return reflect_to_uniform(pairs, gate.branch_count).reshape(-1)
     else:
@@ -213,7 +224,7 @@ def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
-    """Run the gates on |0...0> one at a time (layers turn by math.cos/sin of theta/2); validated once."""
+    """Run the gates on |0...0> one at a time (layers turn by their cos/sin of theta/2, made once); validated once."""
     s = circuit.qubit_count
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,6 +48,7 @@ __all__ = [
     "StateVector",
     "TestCounts",
     "make_rng",
+    "check_count",
     "inner_product",
     "measure_all",
     "sample_outcomes",
@@ -138,9 +140,12 @@ def _outcome_probabilities(psi: StateVector) -> np.ndarray:
     return np.abs(psi.amplitudes) ** 2
 
 
-def _check_shots(shots: int) -> None:
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+def check_count(name: str, value: int) -> None:
+    """Refuse a work count (shots, trials, draws) below 1 or past int64 before any work starts."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value >= 1 << 63:
+        raise ValueError(f"{name} must be below 2^63, got {value}")
 
 
 def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCounts:
@@ -153,7 +158,7 @@ def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCou
 
 def sample_outcomes(psi: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Sample basis-state outcomes for repeated full-register measurements."""
-    _check_shots(shots)
+    check_count("shots", shots)
     probs = _outcome_probabilities(psi)
     edges = np.cumsum(probs)
     # norm is 1 within 1e-10; pin the last edge so a draw near 1 cannot
@@ -170,7 +175,7 @@ def zero_outcome_counts(psi: StateVector, shots: int, rng: np.random.Generator) 
     first edge, |amp_0|^2, so this tally makes the same draws and
     reaches the same verdicts without the cumulative table.
     """
-    _check_shots(shots)
+    check_count("shots", shots)
     return _bernoulli_counts(_outcome_probabilities(psi)[0], shots, rng)
 
 
@@ -202,7 +207,7 @@ def swap_test(
     Simulated at the probability level: each shot is a Bernoulli draw at
     the analytic accept probability.
     """
-    _check_shots(shots)
+    check_count("shots", shots)
     return _bernoulli_counts(swap_test_accept_probability(psi, phi), shots, rng)
 
 
@@ -296,39 +301,43 @@ def reflect_to_uniform(amp: np.ndarray, branch_count: int) -> np.ndarray:
 def dump_state(psi: StateVector, path: str | Path) -> None:
     """Write one line per basis index: ``<index> <re> <im>``.
 
-    Floats are rendered with repr, so a dump/load round trip is exact.
+    Floats are rendered with repr (%r), so a dump/load round trip is
+    exact; the whole file is formatted in one pass.
     """
     amp = psi.amplitudes
-    lines = [
-        f"{i} {real!r} {imag!r}"
-        for i, (real, imag) in enumerate(zip(amp.real.tolist(), amp.imag.tolist()))
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    flat = chain.from_iterable(zip(range(amp.size), amp.real.tolist(), amp.imag.tolist()))
+    Path(path).write_text("%d %r %r\n" * amp.size % tuple(flat))
 
 
 def load_state(path: str | Path) -> StateVector:
     """Parse a state dump: one ``<index> <re> <im>`` line per basis index.
 
-    Read through textfile, 24 bytes kept per line; the first line past
-    2^MAX_QUBITS lines is refused.
+    Read through textfile's block columns, 24 bytes kept per line; a
+    refused block re-runs the per-line rules for its first bad line's
+    diagnostic.  The first line past 2^MAX_QUBITS lines is refused.
     """
     lines = TextFile(path)
     limit = 1 << MAX_QUBITS
-    indices, parts = array("q"), array("d")
-    for lineno, fields, raw in lines:
-        if len(indices) == limit:
-            raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
-        if len(fields) != 3:
-            raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
-        try:
-            index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError:
-            raise lines.fail("malformed amplitude line", lineno, raw) from None
-        if not 0 <= index < limit:
-            raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
-        indices.append(index)
-        parts.append(real)
-        parts.append(imag)
+    indices, reals, imags = array("q"), array("d"), array("d")
+    for block in lines.blocks():
+        columns = block.columns((int, float, float), limit - len(indices), limit)
+        if columns:
+            for values, column in zip((indices, reals, imags), columns):
+                values.fromlist(column)
+            continue
+        for lineno, fields, raw in block.lines():
+            if len(indices) == limit:
+                raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
+            if len(fields) != 3:
+                raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
+            try:
+                index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
+            except ValueError:
+                raise lines.fail("malformed amplitude line", lineno, raw) from None
+            if not 0 <= index < limit:
+                raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
+            indices.append(index)
+        raise AssertionError(f"{path}: a block the per-line rules pass failed its batch check")
     dim = len(indices)
     if dim < 2 or dim & (dim - 1):
         raise lines.fail(f"{dim} amplitude lines is not a power of two >= 2")
@@ -339,5 +348,6 @@ def load_state(path: str | Path) -> StateVector:
     if counts.max() > 1:
         raise lines.fail(f"duplicate basis index {counts.argmax()}")
     amp = np.empty(dim, dtype=np.complex128)
-    amp[basis] = np.frombuffer(parts, dtype=np.complex128)
+    amp.real[basis] = np.frombuffer(reals, dtype=np.float64)
+    amp.imag[basis] = np.frombuffer(imags, dtype=np.float64)
     return StateVector(dim.bit_length() - 1, amp)

@@ -77,7 +77,7 @@ import numpy as np
 
 from .bias import KeySet, _check_cells, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
-from .qsim import StateVector
+from .qsim import StateVector, check_count
 
 __all__ = [
     "ProtocolParams",
@@ -233,8 +233,7 @@ def forgery_experiment(params: ProtocolParams, trials: int, rng: np.random.Gener
     copy of rng from before the first draw, from which its log lines are
     drawn again when asked for.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     start, level = copy.deepcopy(rng), params.security_level
     overlap_sq = _overlap_table(params.hash_params.keyset, level)
     verdicts = _trial_verdicts(rng, level, trials, overlap_sq)

@@ -2,37 +2,81 @@
 
 Blank lines and lines whose first non-blank character is ``#`` are
 skipped; named ``<name> <value>`` header lines come first, in order.
-Lines are read one at a time, so a loader checks declared sizes first.
-Files must be UTF-8 text; number() refuses a float that is not finite.
+Lines are read in readlines blocks of about BLOCK_CHARS characters; a
+loader checks the sizes its header declares before it converts or
+stores any data line.  Files must be UTF-8 text; number() refuses a
+float that is not finite.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
+# Characters per block: a block's lines and fields stay near 0.1 MiB.
+BLOCK_CHARS = 1 << 13
+
+
+class Block:
+    """Raw lines read at once, raws[0] at line number start; rows: each data line's fields."""
+
+    def __init__(self, start: int, raws: list[str], rows: list[list[str]]) -> None:
+        self.start, self.raws, self.rows = start, raws, rows
+
+    def lines(self) -> Iterator[tuple[int, list[str], str]]:
+        """``(lineno, fields, raw)`` per data line; raw keeps its line end."""
+        for lineno, raw in enumerate(self.raws, self.start):
+            if (fields := raw.split()) and fields[0][0] != "#":
+                yield lineno, fields, raw
+
+    def columns(self, kinds: tuple[type, ...], room: int, high: int) -> list[list] | None:
+        """The rows' columns, each converted by its kind in one map; None unless every row has one
+        field per kind and each converts, there are at most room rows and column 0 lies in [0, high)."""
+        try:
+            fields = zip(kinds, zip(*self.rows, strict=True), strict=True)
+            columns = [list(map(kind, column)) for kind, column in fields]
+        except ValueError:
+            return None
+        return columns if len(self.rows) <= room and min(columns[0]) >= 0 and max(columns[0]) < high else None
+
 
 class TextFile:
-    """Iterating yields ``(lineno, fields, raw)`` per data line; raw keeps its line end."""
+    """Iterating yields ``(lineno, fields, raw)`` per data line; blocks() yields the Blocks that hold any.
+
+    A block loader takes a block's columns at once and re-runs its
+    per-line rules on block.lines() when they are refused.
+    """
 
     def __init__(self, path: str | Path, error: type[ValueError] = ValueError) -> None:
         self.path = Path(path)
         self.error = error
-        self._lines = self._data_lines()
+        self._blocks = self._read_blocks(BLOCK_CHARS)
 
-    def _data_lines(self) -> Iterator[tuple[int, list[str], str]]:
-        with self.path.open(encoding="utf-8") as file:
-            try:
-                for lineno, raw in enumerate(file, start=1):
-                    fields = raw.split()
-                    if fields and not fields[0].startswith("#"):
-                        yield lineno, fields, raw
-            except UnicodeDecodeError as exc:
+    def _read_blocks(self, hint: int) -> Iterator[Block]:
+        start = 1
+        try:
+            with self.path.open(encoding="utf-8") as file:
+                while raws := file.readlines(hint):
+                    rows = [fields for fields in map(str.split, raws) if fields and fields[0][0] != "#"]
+                    if rows:
+                        yield Block(start, raws, rows)
+                    start += len(raws)
+            return
+        except UnicodeDecodeError as exc:
+            if hint == 1:
                 raise self.fail(f"not UTF-8 text ({exc.reason})") from None
+        # Re-read from the failing block's first line a line at a time (readlines(1) returns one
+        # line, or blank lines and then one), so the lines decoded before the bad chunk come first.
+        yield from (block for block in self._read_blocks(1) if block.start + len(block.raws) > start)
+
+    def blocks(self) -> Iterator[Block]:
+        """The data lines after the header, in blocks of about BLOCK_CHARS characters."""
+        return self._blocks
 
     def __iter__(self) -> Iterator[tuple[int, list[str], str]]:
-        return self._lines
+        return chain.from_iterable(block.lines() for block in self._blocks)
 
     def fail(self, message: str, lineno: int | None = None, raw: str | None = None) -> ValueError:
         """The loader's error, prefixed ``path:line:``, quoting raw if given."""
@@ -41,17 +85,20 @@ class TextFile:
         return self.error(f"{where}: {message}{got}")
 
     def header(self, *names: str) -> list[tuple[int, str]]:
-        """(lineno, value) of each named header line, in the given order."""
-        values = []
-        for name in names:
-            line = next(self._lines, None)
-            if line is None:
-                raise self.fail(f"truncated header (need {', '.join(names)} lines)")
-            lineno, fields, raw = line
-            if len(fields) != 2 or fields[0] != name:
-                raise self.fail(f"expected '{name} <value>' header", lineno, raw)
-            values.append((lineno, fields[1]))
-        return values
+        """(lineno, value) of each named header line, in the given order; data lines follow."""
+        values: list[tuple[int, str]] = []
+        for block in self._blocks:
+            for taken, (lineno, fields, raw) in enumerate(block.lines()):
+                if len(values) == len(names):  # hand the rest of this block to the data readers
+                    rest = Block(lineno, block.raws[lineno - block.start :], block.rows[taken:])
+                    self._blocks = chain([rest], self._blocks)
+                    return values
+                if len(fields) != 2 or fields[0] != names[len(values)]:
+                    raise self.fail(f"expected '{names[len(values)]} <value>' header", lineno, raw)
+                values.append((lineno, fields[1]))
+            if len(values) == len(names):
+                return values
+        raise self.fail(f"truncated header (need {', '.join(names)} lines)")
 
     def number(self, name: str, text: str, lineno: int, kind: type = int):
         """text as an int (or a finite float), else the error naming the field and its line."""

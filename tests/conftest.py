@@ -1,13 +1,18 @@
 """Shared fixtures and oracles: bundled table key sets, a tiny worked example,
-the trial-by-trial forgery protocol run, the rotation matrix and the gate
-formula the kernel replaced."""
+the trial-by-trial forgery protocol run, the rotation matrix, the gate
+formula the kernel replaced, and the per-line state and key-set loaders and
+line-by-line state dump the block readers replaced."""
 
 import math
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qhashlab import KeySet, bundled_table_dir, keygen, load_keyset, verify
+from qhashlab import KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
+from qhashlab import bundled_table_dir, keygen, load_keyset, qsim, verify
+from qhashlab.textfile import TextFile
 
 
 def load_table_fixtures(max_modulus=None):
@@ -90,3 +95,74 @@ def _fancy_index_gate(amp, qubit, matrix, control_mask=0, control_value=0):
 def fancy_index_gate():
     """Oracle for gate application: (amp, qubit, matrix, mask, value) -> new amp."""
     return _fancy_index_gate
+
+
+def per_line_load_state(path):
+    """load_state one line at a time: each line is split, converted and checked on its own."""
+    lines = TextFile(path)
+    limit = 1 << qsim.MAX_QUBITS
+    indices, parts = array("q"), array("d")
+    for lineno, fields, raw in lines:
+        if len(indices) == limit:
+            raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
+        if len(fields) != 3:
+            raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
+        try:
+            index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            raise lines.fail("malformed amplitude line", lineno, raw) from None
+        if not 0 <= index < limit:
+            raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
+        indices.append(index)
+        parts.append(real)
+        parts.append(imag)
+    dim = len(indices)
+    if dim < 2 or dim & (dim - 1):
+        raise lines.fail(f"{dim} amplitude lines is not a power of two >= 2")
+    basis = np.frombuffer(indices, dtype=np.int64)
+    if basis.max() >= dim:
+        raise lines.fail(f"basis index {basis[basis >= dim][0]} out of range [0, {dim - 1}]")
+    counts = np.bincount(basis)
+    if counts.max() > 1:
+        raise lines.fail(f"duplicate basis index {counts.argmax()}")
+    amp = np.empty(dim, dtype=np.complex128)
+    amp[basis] = np.frombuffer(parts, dtype=np.complex128)
+    return StateVector(dim.bit_length() - 1, amp)
+
+
+def per_line_load_keyset(path):
+    """load_keyset one key line at a time."""
+    lines = TextFile(path, KeySetFormatError)
+    (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
+    modulus = lines.number("N", n_text, n_at)
+    count = lines.number("d", d_text, d_at)
+    if count > MAX_SPECTRUM_CELLS:
+        raise lines.fail(f"d = {count} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}", d_at)
+    epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
+    keys = []
+    for lineno, fields, raw in lines:
+        if len(keys) >= count:
+            raise lines.fail(f"more keys than the header's d={count}", lineno)
+        if len(fields) != 1:
+            raise lines.fail("expected one key per line", lineno, raw)
+        k = lines.number("key", fields[0], lineno)
+        if not 0 <= k < modulus:
+            raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
+        keys.append(k)
+    if len(keys) != count:
+        raise lines.fail(f"header declares d={count} but file lists {len(keys)} keys")
+    try:
+        keyset = KeySet(modulus=modulus, keys=keys)
+    except ValueError as exc:
+        raise lines.fail(str(exc)) from None
+    return KeySetFile(keyset, epsilon)
+
+
+def per_line_dump_text(psi):
+    """The state dump as one f-string per line, joined."""
+    amp = psi.amplitudes
+    lines = [
+        f"{i} {real!r} {imag!r}"
+        for i, (real, imag) in enumerate(zip(amp.real.tolist(), amp.imag.tolist()))
+    ]
+    return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from qhashlab import (
     HashParams,
     KeySet,
     bundled_table_dir,
+    check_count,
     fourier_components,
     hash_inner_product,
     load_code,
@@ -129,6 +130,33 @@ def test_ga_population_beyond_the_limit_exits_two(runner, tmp_path, monkeypatch)
         "exceeds MAX_SPECTRUM_CELLS = 4096\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,name", [
+    (["swap-test", "--keyset", str(N32), "--m1", "1", "--m2", "2", "--shots"], "shots"),
+    (["reverse-test", "--keyset", str(N32), "--claim", "1", "--message", "2", "--shots"], "shots"),
+    (["fingerprint", "--n", "3", "--m", "8", "--u", "101", "--v", "100", "--shots"], "shots"),
+    (["forge-experiment", "--keyset", str(N32), "--security-level", "5", "--trials"], "trials"),
+    (["search", "--mode", "ga", "--n", "32", "--d", "15", "--generations"], "generations"),
+    (["search", "--mode", "random", "--n", "32", "--epsilon", "0.5", "--max-attempts"], "max_attempts"),
+    (["circuit-check", "--keyset", str(N32), "--count"], "count"),
+], ids=lambda value: value if isinstance(value, str) else " ".join(value[:1] + value[-1:]))
+@pytest.mark.parametrize("count", [2**63, 10**400], ids=["2^63", "10^400"])
+def test_work_counts_past_int64_exit_two_before_any_work(runner, tmp_path, args, name, count):
+    out = tmp_path / "out.txt"
+    if args[0] == "search":
+        args = args[:-1] + ["--out", str(out), args[-1]]
+    result = invoke(runner, args + [str(count)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {name} must be below 2^63, got {count}\n"
+    assert not out.exists()
+
+
+def test_the_largest_int64_work_count_is_admitted():
+    check_count("shots", 2**63 - 1)
+    with pytest.raises(ValueError, match=r"^shots must be below 2\^63, got 9223372036854775808$"):
+        check_count("shots", 2**63)
 
 
 class TestBias:

@@ -11,9 +11,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhashlab import HashParams, bundled_table_dir, dump_state, hash_state, load_keyset, make_rng
-from qhashlab import random_linear_code, save_code
+from qhashlab import HashParams, bundled_table_dir, dump_state, hash_state, load_keyset, load_state, make_rng
+from qhashlab import qsim, random_linear_code, save_code
+from qhashlab import textfile
 from qhashlab.cli import main
+
+from conftest import per_line_load_keyset, per_line_load_state
 
 N32 = bundled_table_dir() / "n32_d15.txt"
 HUGE = ["1" + "0" * 400, "18446744073709551616", "4294967296", "65536", "-7", "0"]
@@ -113,3 +116,61 @@ def test_mutated_files_end_in_a_report_or_an_error(files, data):
             assert result.stderr.startswith(("error: ", "Usage: ")), (args, result.stderr)
         elif fmt == "json":
             json.loads(result.stdout, parse_constant=refuse_constant)
+
+
+@st.composite
+def interleaved(draw, data):
+    """data with comment and blank lines put between its lines, each line ended by LF, CRLF or a lone CR."""
+    out = []
+    for line in data.split(b"\n"):
+        out += draw(st.lists(st.sampled_from([b"", b"  \t", b"# note", b"   # 1 2 3"]), max_size=2))
+        out.append(line.rstrip(b"\r"))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=len(out), max_size=len(out)))
+    return b"".join(line + end for line, end in zip(out, ends))
+
+
+@st.composite
+def edged(draw, data):
+    """data with one token set to a value at the edge of a range the loaders check."""
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split()
+    if fields:
+        edge = [b"-1", b"0", b"31", b"32", b"15", b"16", b"9223372036854775808", b"1_0", b"0x1f"]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(edge))
+        lines[i] = b" ".join(fields)
+    return b"\n".join(lines)
+
+
+def outcome(loader, path):
+    """What a loader gives: the loaded value's bytes, or the type and message of its error."""
+    try:
+        loaded = loader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if loader in (load_state, per_line_load_state):
+        return loaded.num_qubits, loaded.amplitudes.tobytes()
+    return loaded.keyset.modulus, loaded.keyset.keys, repr(loaded.declared_epsilon)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_block_loaders_match_the_per_line_loaders(files, data):
+    base, originals = files
+    kind = data.draw(st.sampled_from(["keyset", "state"]))
+    content = originals[kind]
+    for change in (mutated, edged, interleaved):
+        if data.draw(st.booleans()):
+            content = data.draw(change(content))
+    path = base / "differential.txt"
+    path.write_bytes(content)
+    block, per_line = (load_keyset, per_line_load_keyset) if kind == "keyset" else (load_state, per_line_load_state)
+    # blocks of one line up to the default; 12 and 60 characters hold 2-3 key or state lines
+    chars = data.draw(st.sampled_from([1, 12, 60, textfile.BLOCK_CHARS]))
+    # a register of 2^4 amplitudes holds half the 2^5 lines of a dump
+    max_qubits = data.draw(st.sampled_from([4, 5, qsim.MAX_QUBITS]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textfile, "BLOCK_CHARS", chars)
+        patch.setattr(qsim, "MAX_QUBITS", max_qubits)
+        assert outcome(block, path) == outcome(per_line, path)
+

@@ -14,9 +14,11 @@ from qhashlab import (
     PrepareUniform,
     RotationLayer,
     build_hash_circuit,
+    bundled_table_dir,
     dump_circuit,
     hash_inner_product,
     hash_state,
+    load_keyset,
     make_rng,
     measure_all,
     reverse_test,
@@ -333,6 +335,24 @@ class TestFastPathsMatchGateByGate:
         assert np.array_equal(
             simulate_circuit(circuit).amplitudes, gate_by_gate(circuit, fancy_index_gate)
         )
+
+    @pytest.mark.parametrize("row", ["n1024_d65.txt", "n32_d15.txt", "64 keys mod 1024"])
+    def test_layers_built_once_turn_as_layers_built_per_message(self, row):
+        rng = make_rng(17)
+        if row.endswith(".txt"):
+            keyset = load_keyset(bundled_table_dir() / row).keyset
+        else:
+            keyset = KeySet(1024, tuple(int(k) for k in rng.integers(0, 1024, size=64)))
+        shared = HashParams(keyset)
+        messages = [0, keyset.modulus - 1, *(int(m) for m in rng.integers(0, keyset.modulus, size=60))]
+        for m in messages + messages[::-1]:
+            reused = simulate_circuit(build_hash_circuit(shared, m))
+            fresh = simulate_circuit(build_hash_circuit(HashParams(keyset), m))
+            assert reused.amplitudes.tobytes() == fresh.amplitudes.tobytes(), m
+        first, again = (build_hash_circuit(shared, keyset.modulus - 1).gates for _ in range(2))
+        layers = [(a, b) for a, b in zip(first, again) if isinstance(a, RotationLayer)]
+        assert len(layers) == keyset.modulus.bit_length() - 1
+        assert all(a is b for a, b in layers)
 
     def test_invalid_gate_still_raises(self):
         # five thetas for the four index branches of a 3-qubit register

@@ -32,7 +32,7 @@ from qhashlab.qsim import (
     zero_outcome_counts,
 )
 
-from conftest import ry
+from conftest import per_line_dump_text, ry
 
 
 def basis_state(num_qubits, index):
@@ -388,6 +388,15 @@ class TestStateFiles:
             want = "".join(f"{i} {float(amp.real)!r} {float(amp.imag)!r}\n"
                            for i, amp in enumerate(psi.amplitudes))
             assert path.read_text() == want
+
+    def test_dump_matches_the_line_by_line_formula_on_every_bundled_row(self, tmp_path, table_rows):
+        path = tmp_path / "s.state"
+        for _, loaded in table_rows:
+            params, modulus = HashParams(loaded.keyset), loaded.keyset.modulus
+            for m in (0, 1, modulus // 3, modulus - 1):
+                psi = hash_state(params, m)
+                dump_state(psi, path)
+                assert path.read_text() == per_line_dump_text(psi), (loaded.keyset.modulus, m)
 
     def test_dump_format(self, tmp_path):
         path = tmp_path / "b.state"

@@ -5,6 +5,8 @@ import re
 import pytest
 
 from qhashlab import KeySetFormatError, load_code, load_keyset, load_state
+from qhashlab import textfile
+from qhashlab.textfile import TextFile
 
 # loader, a valid file as its lines, and what to compare of the result
 FORMATS = {
@@ -59,3 +61,35 @@ def test_non_finite_numbers_are_refused_at_their_line(tmp_path, text):
     message = rf"bad\.txt:3: epsilon must be finite, got '{re.escape(text)}'$"
     with pytest.raises(KeySetFormatError, match=message):
         load_keyset(path)
+
+
+def line_by_line(path):
+    """The data lines a plain line-at-a-time read yields before any decoding error."""
+    got = []
+    with open(path, encoding="utf-8") as file:
+        try:
+            for lineno, raw in enumerate(file, start=1):
+                fields = raw.split()
+                if fields and not fields[0].startswith("#"):
+                    got.append((lineno, fields, raw))
+        except UnicodeDecodeError:
+            pass
+    return got
+
+
+@pytest.mark.parametrize("chars", [1, 40, 60, 1 << 13, 1 << 16])
+@pytest.mark.parametrize("blank_first", [True, False])
+def test_lines_before_an_undecodable_chunk_come_first_in_any_block(tmp_path, monkeypatch, chars, blank_first):
+    # Blank and data lines alternate over about 15 KB; the stray byte sits
+    # in the second 8 KiB decode chunk, so the lines of the first come first.
+    lines = [b"" if (i % 2 == 0) == blank_first else b"%d 1 2" % i for i in range(3000)]
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "stray.txt"
+    path.write_bytes(data[:12000] + b"\xff" + data[12000:])
+    want = line_by_line(path)
+    assert 500 < len(want) < 1500
+    monkeypatch.setattr(textfile, "BLOCK_CHARS", chars)
+    seen = []
+    with pytest.raises(ValueError, match=r"stray\.txt: not UTF-8 text \(invalid start byte\)$"):
+        seen.extend(TextFile(path))
+    assert seen == want
