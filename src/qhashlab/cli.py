@@ -83,6 +83,7 @@ class _ErrorMappingGroup(click.Group):
 seed_option = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed; echoed in the report.")
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 keyset_option = click.option("--keyset", "keyset_path", required=True, type=click.Path(dir_okay=False), help="Key-set file.")
+CIRCUIT_BLOCK = 64  # messages of one key set circuit-check simulates together, within 2^16 amplitudes
 
 
 @click.group(cls=_ErrorMappingGroup)
@@ -349,23 +350,23 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
     rng = qsim.make_rng(seed)
     fixed = None
     if keyset_path is not None:
+        if modulus is not None or d is not None:
+            raise ValueError("need exactly one of --keyset or --n/--d")
         fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
-        qhash.build_hash_circuit(fixed, 0)  # refuse a set with no circuit form before drawing
     elif modulus is None or d is None:
         raise ValueError("need --keyset, or --n and --d for random sets")
     elif modulus & (modulus - 1) or modulus < 2:
         raise ValueError(f"modulus {modulus} is not a power of two; no circuit form")
     else:
         qhash.hash_qubits(d)  # refuse an oversized register before drawing keys
-    worst = 0.0
-    for _ in range(count):
-        params = fixed
-        if params is None:
-            params = qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))
-        m = int(_draw_below(rng, params.keyset.modulus))
-        analytic = qhash.hash_state(params, m)
-        simulated = qhash.simulate_circuit(qhash.build_hash_circuit(params, m))
-        worst = max(worst, float(np.max(np.abs(simulated.amplitudes - analytic.amplitudes))))
+    worst, done = 0.0, 0
+    while done < count:  # the draws, in order, of one message (and drawn set) at a time
+        params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))
+        size = 1 if fixed is None else max(1, min(CIRCUIT_BLOCK, count - done, (1 << 16) >> params.s))
+        messages = [int(_draw_below(rng, params.keyset.modulus)) for _ in range(size)]
+        for m, simulated in zip(messages, qhash.simulate_circuits(params, messages)):
+            worst = max(worst, float(np.max(np.abs(simulated - qhash.hash_state(params, m).amplitudes))))
+        done += size
     ok = worst < 1e-10
     _emit(fmt, [
         ("count", count),
@@ -393,6 +394,8 @@ def cmd_fingerprint(code_path: str | None, n_bits: int | None, m_bits: int | Non
     """SWAP-test the fingerprints of two messages under a linear code."""
     rng = qsim.make_rng(seed)
     if code_path is not None:
+        if n_bits is not None or m_bits is not None:
+            raise ValueError("need exactly one of --code or --n/--m")
         code = fp_mod.load_code(code_path)
     elif n_bits is None or m_bits is None:
         raise ValueError("need --code, or --n and --m for a random code")

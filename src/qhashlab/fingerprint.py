@@ -14,9 +14,9 @@ cross-checked in tests).
 
 Codes here are seeded random generator matrices; their minimum distance
 is measured by brute force rather than designed, and reported alongside
-results.  The brute force enumerates the 2^n - 1 nonzero codewords once
-per code, by XOR doubling over bit-packed generator columns, and both
-min_distance and fingerprint_resistance read that one weight vector.
+results.  The brute force weighs the 2^n - 1 nonzero codewords once per
+code, a block of about LOW_TABLE_BYTES at a time, and keeps only the least and
+greatest weight: min_distance reads the first, fingerprint_resistance both.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ MAX_BRUTE_FORCE_BITS = 20
 # of MAX_QUBITS qubits may take.  Larger codes raise ValueError.
 MAX_GENERATOR_BYTES = 16 << MAX_QUBITS
 
+# Bytes of the low codeword table that each high codeword is XORed into.
+LOW_TABLE_BYTES = 1 << 16
+
 # Set bits of each byte value.
 _BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
@@ -64,7 +67,7 @@ class CodeFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LinearCode:
-    """Binary linear code given by an m x n generator matrix."""
+    """Binary linear code given by an m x n generator matrix; its weight range is swept once, on first use."""
 
     n: int
     m: int
@@ -86,27 +89,31 @@ class LinearCode:
         return self.n <= MAX_BRUTE_FORCE_BITS and (1 << self.n) * -(-self.m // 8) <= MAX_GENERATOR_BYTES
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        """Weights of the codewords of messages 1 .. 2^n - 1, enumerated once."""
+    def _weight_range(self) -> tuple[int, int]:
+        """Least and greatest weight of the codewords of messages 1 .. 2^n - 1."""
         if not self.enumerable:
             raise ValueError(f"brute force over 2^{self.n} codewords of {self.m} bits refused")
-        # The codeword of w is the XOR of the generator columns of w's set
-        # bits: build all 2^n in place by doubling, eight codeword bits per
-        # byte, then weigh about 64 KiB of them at a time, so the peak
-        # stays near one table.
+        # The codeword of w is the XOR of the generator columns of w's set bits, eight per
+        # byte: the codewords of the low bits are built by doubling, the high codeword steps
+        # in Gray-code order, one column XOR a step, and each step weighs low XOR high.
         columns = np.packbits(self.generator.T, axis=1)
-        words = np.zeros((1 << self.n, columns.shape[1]), dtype=np.uint8)
-        for j in range(self.n):
-            np.bitwise_xor(words[: 1 << j], columns[j], out=words[1 << j : 2 << j])
-        weights = np.empty(words.shape[0] - 1, dtype=np.uint64)
-        step = max(1, (1 << 16) // words.shape[1])
-        for start in range(0, weights.size, step):
-            _BYTE_WEIGHTS[words[1 + start : 1 + start + step]].sum(axis=1, out=weights[start : start + step])
-        return weights
+        low_bits = min(self.n, max(1, (LOW_TABLE_BYTES // columns.shape[1]).bit_length() - 1))
+        low = np.zeros((1 << low_bits, columns.shape[1]), dtype=np.uint8)
+        for j in range(low_bits):
+            np.bitwise_xor(low[: 1 << j], columns[j], out=low[1 << j : 2 << j])
+        high, block = np.zeros_like(columns[0]), np.empty_like(low)
+        least, most = self.m, 0
+        for h in range(1 << (self.n - low_bits)):
+            if h:
+                high ^= columns[low_bits + (h & -h).bit_length() - 1]
+            np.bitwise_xor(low, high, out=block)
+            weights = _BYTE_WEIGHTS[block[0 if h else 1 :]].sum(axis=1)  # row 0 of h = 0 is message 0
+            least, most = min(least, int(weights.min())), max(most, int(weights.max()))
+        return least, most
 
     def min_distance(self) -> int:
         """Minimum nonzero-codeword weight, by brute force over 2^n messages."""
-        return int(self._weights.min())
+        return self._weight_range[0]
 
 
 def _check_size(n: int, m: int) -> None:
@@ -168,11 +175,10 @@ def fingerprint_inner_product(code: LinearCode, u, v) -> float:
 def fingerprint_resistance(code: LinearCode) -> float:
     """Worst fingerprint overlap over distinct messages.
 
-    Linearity turns the pairwise maximum into a single sweep:
-    |<f(u)|f(v)>| = |1 - 2 wt(E(u xor v))/m|, so only the 2^n - 1
-    nonzero messages need checking.
+    Linearity turns the pairwise maximum into |1 - 2 wt(E(u xor v))/m|
+    over the 2^n - 1 nonzero messages, largest at the least or greatest weight.
     """
-    return float(np.max(np.abs(1.0 - 2.0 * code._weights / code.m)))
+    return max(abs(1.0 - 2.0 * w / code.m) for w in code._weight_range)
 
 
 def load_code(path: str | Path) -> LinearCode:

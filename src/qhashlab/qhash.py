@@ -25,6 +25,8 @@ rotations on disjoint pairs, turning the rows of the pair view at once.
 With the convention R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>,
 the rotations on a branch share an axis and sum to twice the amplitude
 angle, so the circuit reproduces the analytic state exactly.
+simulate_circuits runs a block of messages as the rows of one array,
+through simulate_circuit's kernels and to its bits.
 
 The REVERSE test checks a claimed message v against a held state by
 running the construction backward and accepting only the all-zero
@@ -66,6 +68,7 @@ __all__ = [
     "hash_state",
     "build_hash_circuit",
     "simulate_circuit",
+    "simulate_circuits",
     "dump_circuit",
     "uncompute_hash",
     "reverse_test",
@@ -165,11 +168,18 @@ def hash_qubits(d: int) -> int:
     return s
 
 
+def _check_message(params: HashParams, m: int, circuit: bool = False) -> None:
+    modulus = params.keyset.modulus
+    if circuit and params.n is None:
+        raise ValueError(f"modulus {modulus} is not a power of two; no circuit form")
+    if not 0 <= m < modulus:
+        raise ValueError(f"message {m} out of range [0, {modulus - 1}]")
+
+
 def hash_state(params: HashParams, m: int) -> StateVector:
     """Materialize |h_K(M)| analytically; amplitudes are real."""
+    _check_message(params, m)
     keyset = params.keyset
-    if not 0 <= m < keyset.modulus:
-        raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
     angles = phase_angles(keyset.key_array(), m, keyset.modulus)
     scale = 1.0 / math.sqrt(keyset.d)
     amp = np.zeros(1 << params.s, dtype=np.complex128)
@@ -188,23 +198,19 @@ def _preparation(params: HashParams) -> list[Gate]:
 
 def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
-    keyset = params.keyset
-    if params.n is None:
-        raise ValueError(f"modulus {keyset.modulus} is not a power of two; no circuit form")
-    if not 0 <= m < keyset.modulus:
-        raise ValueError(f"message {m} out of range [0, {keyset.modulus - 1}]")
+    _check_message(params, m, circuit=True)
     gates = _preparation(params)
     gates += [params.rotation_layer(j) for j in range(1, params.n + 1) if m >> (j - 1) & 1]
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
 def _turn_pairs(pairs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Turn row i < len(cos) of an (M, 2) branch-pair view by [[cos_i, -sin_i], [sin_i, cos_i]], in place."""
-    rows = pairs[: cos.size]
-    a0 = rows[:, 0].copy()
-    a1 = rows[:, 1].copy()
-    rows[:, 0] = cos * a0 + (-sin) * a1  # m00 a0 + m01 a1, summed as a gate's matrix product is
-    rows[:, 1] = sin * a0 + cos * a1
+    """Turn row i < len(cos) of an (..., M, 2) branch-pair view by [[cos_i, -sin_i], [sin_i, cos_i]], in place."""
+    rows = pairs[..., : cos.size, :]
+    a0 = rows[..., 0].copy()
+    a1 = rows[..., 1].copy()
+    rows[..., 0] = cos * a0 + (-sin) * a1  # m00 a0 + m01 a1, summed as a gate's matrix product is
+    rows[..., 1] = sin * a0 + cos * a1
 
 
 def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
@@ -231,6 +237,22 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
     for gate in circuit.gates:
         amp = _apply_gate(amp, gate)
     return StateVector(s, amp)
+
+
+def simulate_circuits(params: HashParams, messages: list[int]) -> np.ndarray:
+    """simulate_circuit(build_hash_circuit(params, m)).amplitudes for each m, as the rows of one array:
+    the preparation runs once, and layer j turns the rows whose message has bit j set."""
+    for m in messages:
+        _check_message(params, m, circuit=True)
+    prepared = simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params))))
+    rows = np.tile(prepared.amplitudes, (len(messages), 1))
+    for j in range(1, params.n + 1):
+        turned = [r for r, m in enumerate(messages) if m >> (j - 1) & 1]
+        if turned:
+            block = rows[turned]
+            _turn_pairs(block.reshape(len(turned), -1, 2), *params.rotation_layer(j).turns)
+            rows[turned] = block
+    return rows
 
 
 def dump_circuit(circuit: CircuitDescription) -> str:
@@ -263,8 +285,7 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
     keyset = params.keyset
     if psi.num_qubits != params.s:
         raise ValueError(f"state has {psi.num_qubits} qubits, hash needs {params.s}")
-    if not 0 <= v < keyset.modulus:
-        raise ValueError(f"message {v} out of range [0, {keyset.modulus - 1}]")
+    _check_message(params, v)
     angles = phase_angles(keyset.key_array(), v, keyset.modulus)
     amp = psi.amplitudes.copy()
     _turn_pairs(amp.reshape(-1, 2), np.cos(angles), -np.sin(angles))

@@ -19,8 +19,8 @@ one rule, the one zero_outcome_counts applies: a shot accepts when its
 uniform draw is below |amp_0|^2 of the uncomputed state.  That is the
 draw, and the verdict, of a full-register measurement finding the
 all-zero outcome; measure_all and sample_outcomes stay as the oracle
-that tests pin the rule to.  Shots are drawn in chunks of SHOT_CHUNK,
-so a huge shot count never allocates more than one chunk of draws.
+that tests pin the rule to.  A tally draws SHOT_CHUNK shots at a time
+into one reused 512 KiB buffer and mask, whatever the shot count.
 
 The SWAP test is simulated at the probability level: the analytic
 accept probability 1/2 (1 + |<psi|phi>|^2) drives one Bernoulli draw
@@ -70,8 +70,8 @@ MAX_QUBITS = 24
 
 NORM_TOL = 1e-10
 
-# Uniform draws per chunk of a shot tally: 8 MiB of float64.
-SHOT_CHUNK = 1 << 20
+# Uniform draws per chunk of a shot tally: 512 KiB of float64.
+SHOT_CHUNK = 1 << 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -150,9 +150,12 @@ def check_count(name: str, value: int) -> None:
 
 def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCounts:
     # Chunked draws continue one stream: the same values as rng.random(shots).
+    draws = np.empty(min(SHOT_CHUNK, shots))
+    below = np.empty(draws.size, dtype=bool)
     accepted = 0
-    for start in range(0, shots, SHOT_CHUNK):
-        accepted += int(np.count_nonzero(rng.random(min(SHOT_CHUNK, shots - start)) < p))
+    for start in range(0, shots, draws.size):
+        chunk = rng.random(out=draws[: shots - start])
+        accepted += int(np.count_nonzero(np.less(chunk, p, out=below[: chunk.size])))
     return TestCounts(accepted=accepted, rejected=shots - accepted)
 
 

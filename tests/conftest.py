@@ -1,7 +1,9 @@
 """Shared fixtures and oracles: bundled table key sets, a tiny worked example,
 the trial-by-trial forgery protocol run, the rotation matrix, the gate
-formula the kernel replaced, and the per-line state and key-set loaders and
-line-by-line state dump the block readers replaced."""
+formula the kernel replaced, the per-line state and key-set loaders and
+line-by-line state dump the block readers replaced, the one-message-at-a-time
+circuit check the block simulation replaced, and the full codeword table the
+weight sweep replaced."""
 
 import math
 from array import array
@@ -10,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhashlab import KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
-from qhashlab import bundled_table_dir, keygen, load_keyset, qsim, verify
+from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
+from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
+from qhashlab import simulate_circuit, verify
+from qhashlab.cli import _draw_below
 from qhashlab.textfile import TextFile
 
 
@@ -166,3 +170,32 @@ def per_line_dump_text(psi):
         for i, (real, imag) in enumerate(zip(amp.real.tolist(), amp.imag.tolist()))
     ]
     return "\n".join(lines) + "\n"
+
+
+def per_message_circuit_deviation(rng, count, fixed=None, modulus=None, d=None):
+    """circuit-check's max_deviation, one message (and, with no fixed set, one drawn set) at a time."""
+    worst = 0.0
+    for _ in range(count):
+        params = fixed or HashParams(KeySet(modulus, _draw_below(rng, modulus, d)))
+        m = int(_draw_below(rng, params.keyset.modulus))
+        analytic = hash_state(params, m)
+        simulated = simulate_circuit(build_hash_circuit(params, m))
+        worst = max(worst, float(np.max(np.abs(simulated.amplitudes - analytic.amplitudes))))
+    return worst
+
+
+def full_table_weights(code, piece_rows=4096):
+    """Weights of the codewords of messages 1 .. 2^n - 1, from the table of all 2^n codewords.
+
+    The table is built by XOR doubling over bit-packed generator columns,
+    for piece_rows codeword bits at a time; weights add over the pieces.
+    """
+    weights = np.zeros((1 << code.n) - 1, dtype=np.uint64)
+    byte_weights = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    for start in range(0, code.m, piece_rows):
+        columns = np.packbits(code.generator[start : start + piece_rows].T, axis=1)
+        words = np.zeros((1 << code.n, columns.shape[1]), dtype=np.uint8)
+        for j in range(code.n):
+            np.bitwise_xor(words[: 1 << j], columns[j], out=words[1 << j : 2 << j])
+        weights += byte_weights[words[1:]].sum(axis=1, dtype=np.uint64)
+    return weights

@@ -26,7 +26,7 @@ from qhashlab import signature as sig_mod
 from qhashlab import cli
 from qhashlab.cli import main
 
-from conftest import keygen_verify_records, trial_log
+from conftest import keygen_verify_records, per_message_circuit_deviation, trial_log
 
 N32 = bundled_table_dir() / "n32_d15.txt"
 N1024 = bundled_table_dir() / "n1024_d65.txt"
@@ -557,7 +557,79 @@ class TestEqualityTests:
         assert result.stderr == f"error: count must be >= 1, got {count}\n"
 
 
+class TestCircuitCheckBlocks:
+    """circuit-check simulates blocks of messages; its report is the one-message-at-a-time one."""
+
+    @staticmethod
+    def expected(count, seed, worst, fmt):
+        if fmt == "json":
+            return json.dumps({"count": count, "seed": seed, "max_deviation": worst, "ok": True}) + "\n"
+        return f"count {count}\nseed {seed}\nmax_deviation {worst!r}\nok 1\n"
+
+    @pytest.mark.parametrize("source,block", [
+        *((source, block) for source in ("n1024_d65", "64 keys mod 1024") for block in (1, 3, 7, cli.CIRCUIT_BLOCK)),
+        ("--n 64 --d 6", cli.CIRCUIT_BLOCK), ("--n 2^70 --d 3", cli.CIRCUIT_BLOCK),  # one message per drawn set
+    ])
+    def test_report_matches_one_message_at_a_time(self, runner, tmp_path, monkeypatch, source, block):
+        fixed, modulus, d = None, None, None
+        if source.startswith("--n"):
+            modulus, d = (64, 6) if source == "--n 64 --d 6" else (2**70, 3)
+            args = ["--n", str(modulus), "--d", str(d)]
+        else:
+            path = N1024
+            if source == "64 keys mod 1024":
+                path = tmp_path / "k64.txt"
+                save_keyset(KeySet(1024, tuple(int(k) for k in make_rng(64).integers(0, 1024, size=64))), path)
+            fixed = HashParams(load_keyset(path).keyset)
+            args = ["--keyset", str(path)]
+        monkeypatch.setattr(cli, "CIRCUIT_BLOCK", block)
+        for count in sorted({1, max(1, block - 1), block, block + 1, 100}):
+            for seed, fmt in [(0, "text"), (7, "json")]:
+                worst = per_message_circuit_deviation(make_rng(seed), count, fixed, modulus, d)
+                result = invoke(runner, ["circuit-check", *args, "--count", str(count),
+                                         "--seed", str(seed), "--format", fmt])
+                assert (result.exit_code, result.stderr) == (0, "")
+                assert result.stdout == self.expected(count, seed, worst, fmt), (count, seed)
+
+    def test_blocks_stay_within_64_messages_and_2_16_amplitudes(self, runner, tmp_path, monkeypatch):
+        blocks = []
+        simulate = cli.qhash.simulate_circuits
+        monkeypatch.setattr(cli.qhash, "simulate_circuits",
+                            lambda params, messages: blocks.append((params.s, len(messages))) or simulate(params, messages))
+        wide = tmp_path / "d1025.txt"  # 12 qubits: 16 states of 2^12 amplitudes a block
+        save_keyset(KeySet(4096, tuple(int(k) for k in make_rng(5).integers(0, 4096, size=1025))), wide)
+        for args, expected in [(["--keyset", str(N1024), "--count", "200"], [(8, 64)] * 3 + [(8, 8)]),
+                               (["--keyset", str(wide), "--count", "40"], [(12, 16), (12, 16), (12, 8)]),
+                               (["--n", "64", "--d", "6", "--count", "3"], [(4, 1)] * 3)]:
+            blocks.clear()
+            assert invoke(runner, ["circuit-check", *args]).exit_code == 0
+            assert blocks == expected
+
+    def test_reports_pinned_to_their_bytes(self, runner):
+        result = invoke(runner, ["circuit-check", "--keyset", str(N1024), "--count", "100"])
+        assert result.stdout == "count 100\nseed 0\nmax_deviation 3.3393426912553537e-16\nok 1\n"
+        result = invoke(runner, ["circuit-check", "--n", "64", "--d", "6", "--count", "65",
+                                 "--seed", "7", "--format", "json"])
+        assert result.stdout == '{"count": 65, "seed": 7, "max_deviation": 5.967448757360216e-16, "ok": true}\n'
+
+    @pytest.mark.parametrize("extra", [["--n", "12", "--d", "3"], ["--n", "1024"], ["--d", "65"]])
+    def test_keyset_with_random_set_options_exits_two(self, runner, extra):
+        result = invoke(runner, ["circuit-check", "--keyset", str(N1024), *extra, "--count", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: need exactly one of --keyset or --n/--d\n"
+
+
 class TestFingerprintCommand:
+    @pytest.mark.parametrize("extra", [["--n", "5", "--m", "7"], ["--n", "3"], ["--m", "8"]])
+    def test_code_with_random_code_options_exits_two(self, runner, tmp_path, extra):
+        out = tmp_path / "code.txt"
+        invoke(runner, ["fingerprint", "--n", "3", "--m", "8", "--u", "101", "--v", "100", "--out", str(out)])
+        result = invoke(runner, ["fingerprint", "--code", str(out), *extra, "--u", "101", "--v", "100"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: need exactly one of --code or --n/--m\n"
+
     def test_generated_code_round_trips(self, runner, tmp_path):
         out = tmp_path / "code.txt"
         result = invoke(runner, [

@@ -23,7 +23,10 @@ from qhashlab import (
     random_linear_code,
     save_code,
 )
+from qhashlab import fingerprint as fp_mod
 from qhashlab.fingerprint import MAX_BRUTE_FORCE_BITS
+
+from conftest import full_table_weights
 
 
 def all_messages(n):
@@ -143,25 +146,49 @@ class TestMinDistance:
                 np.max(np.abs(1.0 - 2.0 * weights / m))
             )
 
-    def test_weights_peak_near_one_codeword_table(self):
-        # 2^16 codewords of 64 bytes: a 4 MiB table, weighed in blocks
-        code = random_linear_code(16, 512, make_rng(4))
-        table, weights = (1 << 16) * 64, (1 << 16) * 8
+    @staticmethod
+    def assert_matches_the_full_table(code):
+        weights = full_table_weights(code)
+        assert code.min_distance() == int(weights.min())
+        assert fingerprint_resistance(code) == float(np.max(np.abs(1.0 - 2.0 * weights / code.m)))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (3, 8), (5, 17), (9, 64), (12, 100),
+                                     (12, 256), (13, 1000), (6, 20), (4, 10)])
+    @pytest.mark.parametrize("low_table_bytes", [1, 7, 64, fp_mod.LOW_TABLE_BYTES])
+    def test_sweep_matches_the_full_table(self, monkeypatch, n, m, low_table_bytes):
+        # a one-byte low table leaves all but the lowest bit to the high sweep
+        monkeypatch.setattr(fp_mod, "LOW_TABLE_BYTES", low_table_bytes)
+        for seed in range(3):
+            self.assert_matches_the_full_table(random_linear_code(n, m, make_rng(seed)))
+
+    @pytest.mark.parametrize("n,m", [
+        (14, 16), (15, 16), (16, 16),     # two bytes a codeword: 15 low bits
+        (10, 256), (11, 256), (12, 256),  # 32 bytes: 11 low bits
+        (16, 1 << 15),                    # the largest table the limit admits: 4 low bits
+    ])
+    def test_sweep_matches_the_full_table_around_the_low_width(self, n, m):
+        self.assert_matches_the_full_table(random_linear_code(n, m, make_rng(n + m)))
+
+    def test_weights_peak_near_one_block(self):
+        # a full table of these 2^16 codewords of 4096 bytes would be 256 MiB
+        code = random_linear_code(16, 1 << 15, make_rng(4))
         tracemalloc.start()
         try:
             code.min_distance()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= table + weights + (256 << 10), peak
+        assert peak <= 6 * fp_mod.LOW_TABLE_BYTES, peak
 
-    def test_codewords_enumerated_once(self):
+    def test_weight_range_swept_once(self):
         code = random_linear_code(6, 20, make_rng(1))
         code.min_distance()
-        weights = vars(code)["_weights"]
+        swept = vars(code)["_weight_range"]
+        weights = full_table_weights(code)
+        assert swept == (int(weights.min()), int(weights.max()))
         fingerprint_resistance(code)
         code.min_distance()
-        assert vars(code)["_weights"] is weights
+        assert vars(code)["_weight_range"] is swept
 
     def test_brute_force_limit(self):
         n = MAX_BRUTE_FORCE_BITS + 1

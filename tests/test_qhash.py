@@ -25,6 +25,7 @@ from qhashlab import (
     reverse_test_shots,
     sample_outcomes,
     simulate_circuit,
+    simulate_circuits,
     uncompute_hash,
 )
 from qhashlab.qsim import hadamard_matrix, reflect_to_uniform
@@ -402,3 +403,47 @@ class TestFastPathsMatchGateByGate:
                     oracle = measure_all(uncompute_hash(params, v, psi), oracle_rng)
                     assert reverse_test(params, v, psi, test_rng) is (oracle == 0)
                 assert test_rng.random() == oracle_rng.random()
+
+
+def bundled_rows():
+    return sorted(path.name for path in bundled_table_dir().glob("n*.txt"))
+
+
+class TestSimulateCircuits:
+    """A block of messages as the rows of one array, bit for bit simulate_circuit."""
+
+    @staticmethod
+    def assert_rows_match(params, messages, block):
+        for start in range(0, len(messages), block):
+            chunk = messages[start : start + block]
+            rows = simulate_circuits(params, chunk)
+            assert rows.shape == (len(chunk), 1 << params.s)
+            for m, row in zip(chunk, rows):
+                one = simulate_circuit(build_hash_circuit(params, m)).amplitudes
+                assert np.array_equal(row.view(np.uint64), one.view(np.uint64)), m
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    @pytest.mark.parametrize("row", bundled_rows())
+    def test_bundled_rows(self, row, block):
+        keyset = load_keyset(bundled_table_dir() / row).keyset
+        rng = make_rng(keyset.modulus + block)
+        messages = [0, keyset.modulus - 1, *(int(m) for m in rng.integers(0, keyset.modulus, size=20))]
+        self.assert_rows_match(HashParams(keyset), messages, block)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_full_registers_take_the_hadamard_path(self, block):
+        rng = make_rng(64 + block)
+        for _ in range(3):
+            params = HashParams(KeySet(1024, tuple(int(k) for k in rng.integers(0, 1024, size=64))))
+            assert isinstance(build_hash_circuit(params, 1).gates[0], Hadamard)
+            self.assert_rows_match(params, [int(m) for m in rng.integers(0, 1024, size=70)], block)
+
+    def test_messages_past_int64(self):
+        params = HashParams(KeySet(2**70, (5, 2**70 - 1, 2**69 + 3)))
+        self.assert_rows_match(params, [0, 2**70 - 1, 2**64 + 7, 3 * 2**62 + 1], 3)
+
+    def test_refusals_match_build_hash_circuit(self, tiny_keyset):
+        with pytest.raises(ValueError, match=r"message 8 out of range \[0, 7\]"):
+            simulate_circuits(HashParams(tiny_keyset), [1, 8])
+        with pytest.raises(ValueError, match="not a power of two"):
+            simulate_circuits(HashParams(KeySet(modulus=12, keys=(1, 5))), [1])

@@ -1,6 +1,7 @@
 """State-vector core: gates, sampling, SWAP test, state files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,43 @@ class TestZeroOutcomeCounts:
         chunked = make_rng(shots)
         assert zero_outcome_counts(psi, shots, chunked) == (accepted, shots - accepted)
         assert chunked.random() == whole.random()
+
+
+def same_generator_state(a, b):
+    """Equal bit_generator.state dicts, numpy arrays compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_generator_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestTallyChunks:
+    """Tallies draw into one reused buffer: the values, and the end state, of one rng.random(shots)."""
+
+    CHUNK = qsim.SHOT_CHUNK
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+    @pytest.mark.parametrize("shots", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_counts_and_state_match_one_draw(self, bit_generator, shots):
+        psi, phi = random_state(3, make_rng(8)), random_state(3, make_rng(9))
+        tallies = [(zero_outcome_counts, (psi,), abs(psi.amplitudes[0]) ** 2),
+                   (swap_test, (psi, phi), swap_test_accept_probability(psi, phi))]
+        for tally, states, p in tallies:
+            whole = np.random.Generator(bit_generator(shots))
+            accepted = int(np.count_nonzero(whole.random(shots) < p))
+            chunked = np.random.Generator(bit_generator(shots))
+            assert tally(*states, shots, chunked) == (accepted, shots - accepted)
+            assert same_generator_state(chunked.bit_generator.state, whole.bit_generator.state)
+
+    def test_four_million_shots_peak_below_one_mib(self):
+        psi, phi = random_state(3, make_rng(8)), random_state(3, make_rng(9))
+        tracemalloc.start()
+        try:
+            zero_outcome_counts(psi, 4_000_000, make_rng(1))
+            swap_test(psi, phi, 4_000_000, make_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
 
 
 class TestUniformReflection:
