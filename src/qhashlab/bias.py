@@ -14,14 +14,15 @@ nonzero shifts:
 delta(K) bounds the inner product between the hash states of any two
 distinct messages, which is what makes a low-bias K a usable hash
 parameter.  One kernel, worst_character_sums, computes both for a
-batch of key sets.  An rfft of each set's multiplicities locates the
-shifts near that set's own maximum, and a direct trigonometric gather
-evaluates exactly those (row, shift) pairs, computing only the roots
-of unity it reads; the full table of N roots is built only for a
-gather that reads at least N of them, such as the method="direct"
-reference over every shift.  Both methods report identical numbers
-and shifts, and a set's result does not depend on the rest of the
-batch.
+batch of key sets.  An rfft of each set's multiplicities, taken in
+cache-sized blocks of rows, locates the shifts near that set's own
+maximum, and one direct trigonometric gather evaluates exactly those
+(row, shift) pairs, computing only the roots of unity it reads; the
+full table of N roots is built only for a gather that reads at least
+N of them, such as the method="direct" reference over every shift.
+Both methods report identical numbers and shifts, and a set's result
+does not depend on the rest of the batch.  Callers that read only
+delta (GA fitness, random draws) pass real_only and skip lambda.
 
 Phases are exact at any modulus: phase_angles reduces k*m mod N as
 Python ints once the int64 product could wrap.
@@ -62,9 +63,16 @@ __all__ = [
     "save_keyset",
 ]
 
-# Largest (rows x N) spectrum a scan may allocate: 2^26 cells admits the
+# Largest (rows x N) spectrum a scan may cover: 2^26 cells admits the
 # GA's 64-row population at N = 2^20.  Larger requests raise ValueError.
+# The FFT locate takes a multi-row population in blocks of LOCATE_CELLS,
+# so there this bounds work; a single row, or method="direct", still
+# allocates up to the cap.
 MAX_SPECTRUM_CELLS = 1 << 26
+
+# The FFT locate transforms blocks of rows of at most this many cells (or one
+# row): 1 MiB of float64 multiplicities plus as large a spectrum fit in L2.
+LOCATE_CELLS = 1 << 17
 
 # Character sums within TIE_BAND * d of a row's maximum are ties for
 # the worst shift; the FFT locate band (1e-9 * d) contains this one.
@@ -211,14 +219,48 @@ def _gather(key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus
     return f
 
 
+def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.ndarray, ...]:
+    """(row, shift 1 .. N/2) pairs near each row's maximum of |Re f|, and of |f| unless real_only.
+
+    A band of 1e-9 in the normalized sums is far wider than the FFT's
+    rounding error (about d * log2(N) * 2^-52), so it keeps every shift
+    whose exact value can tie the maximum.  One block is the whole
+    population when it fits in LOCATE_CELLS.
+    """
+    rows, d = key_rows.shape
+    block = max(1, LOCATE_CELLS // modulus)
+    found = []
+    for first in range(0, rows, block):
+        keys = key_rows[first : first + block]
+        # Multiplicities as exact float64 integers: a float rfft input
+        # skips the cast an int64 one pays.
+        counts = np.bincount(
+            (np.arange(len(keys))[:, None] * modulus + keys).ravel(),
+            weights=np.ones(keys.size),
+            minlength=len(keys) * modulus,
+        ).reshape(len(keys), modulus)
+        half = np.fft.rfft(counts)[:, 1:]
+        del counts
+        near = np.zeros(half.shape, dtype=bool)
+        for part in (half.real,) if real_only else (half.real, half):
+            values = np.abs(part)
+            near |= values >= values.max(axis=1, keepdims=True) - 1e-9 * d
+            del values  # so two |part| arrays never coexist with near
+        owner, located = np.nonzero(near)
+        found.append((owner + first, located + 1))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
 def worst_character_sums(
-    key_rows: np.ndarray, modulus: int, method: str = "fft"
+    key_rows: np.ndarray, modulus: int, method: str = "fft", real_only: bool = False
 ) -> tuple[np.ndarray, ...]:
     """(max |Re f_K(l)|, its shift, max |f_K(l)|, its shift) over l != 0, per key row.
 
     "direct" gathers every shift of every row; "fft" gathers each row
     only at the shifts that an rfft of its multiplicities puts near the
     row's own maximum, plus their mirrors, with bit-identical results.
+    With real_only only the first two come back, with the same bits,
+    and the |f| band and reduction are skipped.
     The maxima are the largest gathered values; a shift ties when its
     value lies within 1e-12 * d of its row's maximum, far wider than the
     gather's rounding (about d * 2^-52) and far narrower than any
@@ -238,25 +280,7 @@ def worst_character_sums(
             f[row] = _gather(key_rows, owner[row], shifts, modulus)
         starts = np.arange(rows) * shifts.size
     elif method == "fft":
-        # Multiplicities as exact float64 integers: a float rfft input
-        # skips the cast an int64 one pays.
-        counts = np.bincount(
-            (np.arange(rows)[:, None] * modulus + key_rows).ravel(),
-            weights=np.ones(key_rows.size),
-            minlength=rows * modulus,
-        ).reshape(rows, modulus)
-        half = np.fft.rfft(counts)[:, 1:]  # shifts 1 .. N/2
-        del counts
-        # A band of 1e-9 in the normalized sums is far wider than the
-        # FFT's rounding error (about d * log2(N) * 2^-52), so it keeps
-        # every shift whose exact value can tie its row's maximum.
-        near = np.zeros(half.shape, dtype=bool)
-        for part in (half.real, half):
-            values = np.abs(part)
-            near |= values >= values.max(axis=1, keepdims=True) - 1e-9 * d
-            del values  # so two |part| arrays never coexist with near
-        owner, located = np.nonzero(near)
-        located += 1
+        owner, located = _locate(key_rows, modulus, real_only)
         # The mirrors N - l tie in exact arithmetic, not always in the last bit.
         owner = np.repeat(owner, 2)
         shifts = np.stack([located, modulus - located], axis=1).ravel()
@@ -266,7 +290,7 @@ def worst_character_sums(
     else:
         raise ValueError(f"unknown method {method!r}")
     out: list[np.ndarray] = []
-    for values in (np.abs(f.real), np.hypot(f.real, f.imag)):
+    for values in (np.abs(f.real),) if real_only else (np.abs(f.real), np.hypot(f.real, f.imag)):
         top = np.maximum.reduceat(values.ravel(), starts)
         tied = values >= (top - TIE_BAND * d)[owner]
         out += [top, np.minimum.reduceat(np.where(tied, shifts, modulus).ravel(), starts)]

@@ -151,20 +151,20 @@ def sample_random_keyset(
         rng = make_rng(0)
     best, best_delta = None, math.inf
     for attempt in range(1, max_attempts + 1):
-        candidate = KeySet(modulus, rng.integers(0, modulus, size=size, dtype=np.int64))
-        delta = bias_profile(candidate).delta
+        candidate = rng.integers(0, modulus, size=size, dtype=np.int64)
+        delta = float(_objective_values(candidate[None, :], modulus, "delta")[0])
         if delta < best_delta:
             best, best_delta = candidate, delta
         if delta < epsilon:
             break
-    return SearchOutcome(keyset=best, achieved_delta=best_delta, generations_used=attempt,
+    return SearchOutcome(keyset=KeySet(modulus, best), achieved_delta=best_delta, generations_used=attempt,
                          target_met=best_delta < epsilon, objective="delta", achieved_objective=best_delta)
 
 
 def _objective_values(population: np.ndarray, modulus: int, objective: str) -> np.ndarray:
     """Objective values for a (pop, d) array of key rows in one kernel call; ga_search checks the objective."""
     d = population.shape[1]
-    worst_re = worst_character_sums(population, modulus)[0]
+    worst_re = worst_character_sums(population, modulus, real_only=True)[0]
     if objective == "delta":
         return worst_re / d
     return (worst_re / padded_branch_count(d)) ** 2
@@ -222,24 +222,21 @@ def ga_search(
             break
 
         elite = population[: config.elitism_count]
-        children: list[np.ndarray] = []
         needed = pop_size - config.elitism_count
-        while len(children) < needed:
-            contenders = rng.integers(0, pop_size, size=(2, 3))
-            pa = population[contenders[0][np.argmin(values[contenders[0]])]]
-            pb = population[contenders[1][np.argmin(values[contenders[1]])]]
+        offspring = np.empty((needed + 1, d), dtype=np.int64)  # a spare row for an odd needed
+        aligned = np.sort(population, axis=1)
+        scores = values.tolist()
+        for child in range(0, needed, 2):
+            # min keeps the first of equal scores, as argmin does
+            a, b = (min(trio, key=scores.__getitem__)
+                    for trio in rng.integers(0, pop_size, size=(2, 3)).tolist())
             if d > 1 and rng.random() < config.crossover_rate:
                 point = int(rng.integers(1, d))
-                a_sorted = np.sort(pa)
-                b_sorted = np.sort(pb)
-                first = np.concatenate([a_sorted[:point], b_sorted[point:]])
-                second = np.concatenate([b_sorted[:point], a_sorted[point:]])
+                offspring[child, :point], offspring[child, point:] = aligned[a, :point], aligned[b, point:]
+                offspring[child + 1, :point], offspring[child + 1, point:] = aligned[b, :point], aligned[a, point:]
             else:
-                first, second = pa.copy(), pb.copy()
-            children.append(first)
-            if len(children) < needed:
-                children.append(second)
-        offspring = np.stack(children)
+                offspring[child], offspring[child + 1] = population[a], population[b]
+        offspring = offspring[:needed]
         mutate = rng.random(offspring.shape) < config.mutation_rate
         fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
         offspring[mutate] = fresh[mutate]

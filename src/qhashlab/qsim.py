@@ -136,10 +136,6 @@ def inner_product(psi: StateVector, phi: StateVector) -> complex:
     return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
-def _outcome_probabilities(psi: StateVector) -> np.ndarray:
-    return np.abs(psi.amplitudes) ** 2
-
-
 def check_count(name: str, value: int) -> None:
     """Refuse a work count (shots, trials, draws) below 1 or past int64 before any work starts."""
     if value < 1:
@@ -162,8 +158,7 @@ def _bernoulli_counts(p: float, shots: int, rng: np.random.Generator) -> TestCou
 def sample_outcomes(psi: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Sample basis-state outcomes for repeated full-register measurements."""
     check_count("shots", shots)
-    probs = _outcome_probabilities(psi)
-    edges = np.cumsum(probs)
+    edges = np.cumsum(np.abs(psi.amplitudes) ** 2)
     # norm is 1 within 1e-10; pin the last edge so a draw near 1 cannot
     # fall off the table.
     edges[-1] = 1.0
@@ -176,10 +171,10 @@ def zero_outcome_counts(psi: StateVector, shots: int, rng: np.random.Generator) 
 
     sample_outcomes reports outcome 0 exactly when a draw is below its
     first edge, |amp_0|^2, so this tally makes the same draws and
-    reaches the same verdicts without the cumulative table.
+    reaches the same verdicts from the same array loops on amp_0 alone.
     """
     check_count("shots", shots)
-    return _bernoulli_counts(_outcome_probabilities(psi)[0], shots, rng)
+    return _bernoulli_counts((np.abs(psi.amplitudes[:1]) ** 2)[0], shots, rng)
 
 
 def measure_all(psi: StateVector, rng: np.random.Generator) -> int:

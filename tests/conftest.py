@@ -2,8 +2,8 @@
 the trial-by-trial forgery protocol run, the rotation matrix, the gate
 formula the kernel replaced, the per-line state and key-set loaders and
 line-by-line state dump the block readers replaced, the one-message-at-a-time
-circuit check the block simulation replaced, and the full codeword table the
-weight sweep replaced."""
+circuit check the block simulation replaced, the full codeword table the
+weight sweep replaced, and the GA whose breeding built arrays per child."""
 
 import math
 from array import array
@@ -14,7 +14,8 @@ import pytest
 
 from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
 from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
-from qhashlab import simulate_circuit, verify
+from qhashlab import bias_profile, simulate_circuit, verify
+from qhashlab.keyset import _objective_values
 from qhashlab.cli import _draw_below
 from qhashlab.textfile import TextFile
 
@@ -35,6 +36,13 @@ def keygen_verify_records(params, trials, rng):
         guess = int(rng.integers(1, params.security_level + 1))
         records.append((b, guess, verify(params, keypair.public[b], b, guess, rng)))
     return tuple(records)
+
+
+def same_generator_state(a, b):
+    """Equal bit_generator.state dicts, numpy arrays compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_generator_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 def trial_log(records):
@@ -199,3 +207,49 @@ def full_table_weights(code, piece_rows=4096):
             np.bitwise_xor(words[: 1 << j], columns[j], out=words[1 << j : 2 << j])
         weights += byte_weights[words[1:]].sum(axis=1, dtype=np.uint64)
     return weights
+
+
+def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padded_sq", progress=None):
+    """ga_search with the breeding loop it replaced: per pair of children, argmin
+    tournaments, two np.sorts and two np.concatenates, stacked at the end.
+
+    Returns (keys, achieved_delta, achieved_objective, generations_used, target_met).
+    """
+    pop_size = config.population_size
+    population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
+    values = _objective_values(population, modulus, objective)
+    for generation in range(config.generations + 1):
+        order = np.argsort(values, kind="stable")
+        population = population[order]
+        values = values[order]
+        if progress is not None:
+            progress(f"gen {generation} best_delta {float(values[0])!r}")
+        if values[0] < target_epsilon or generation == config.generations:
+            break
+        elite = population[: config.elitism_count]
+        children = []
+        needed = pop_size - config.elitism_count
+        while len(children) < needed:
+            contenders = rng.integers(0, pop_size, size=(2, 3))
+            pa = population[contenders[0][np.argmin(values[contenders[0]])]]
+            pb = population[contenders[1][np.argmin(values[contenders[1]])]]
+            if d > 1 and rng.random() < config.crossover_rate:
+                point = int(rng.integers(1, d))
+                a_sorted = np.sort(pa)
+                b_sorted = np.sort(pb)
+                first = np.concatenate([a_sorted[:point], b_sorted[point:]])
+                second = np.concatenate([b_sorted[:point], a_sorted[point:]])
+            else:
+                first, second = pa.copy(), pb.copy()
+            children.append(first)
+            if len(children) < needed:
+                children.append(second)
+        offspring = np.stack(children)
+        mutate = rng.random(offspring.shape) < config.mutation_rate
+        fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
+        offspring[mutate] = fresh[mutate]
+        population = np.concatenate([elite, offspring])
+        values = np.concatenate([values[: config.elitism_count], _objective_values(offspring, modulus, objective)])
+    profile = bias_profile(KeySet(modulus, population[0]))
+    achieved = profile.delta if objective == "delta" else profile.padded_delta_squared
+    return tuple(population[0].tolist()), profile.delta, achieved, generation, achieved < target_epsilon

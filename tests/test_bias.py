@@ -21,6 +21,7 @@ from qhashlab import (
     padded_delta_squared,
     save_keyset,
 )
+from qhashlab.keyset import _objective_values
 
 
 def oracle_component(keyset, shift):
@@ -219,17 +220,72 @@ populations = st.tuples(
 )
 
 
+def check_rows_independent_and_direct(modulus, population):
+    batch = worst_rows(population, modulus)
+    single = [worst_rows(row[None, :], modulus) for row in population]
+    for column, value in enumerate(batch):
+        assert np.array_equal(value, np.concatenate([s[column] for s in single]))
+    for value, reference in zip(batch, worst_rows(population, modulus, "direct")):
+        assert np.array_equal(value, reference)
+
+
+# LOCATE_CELLS as a function of N: one row per block, a block just short
+# of one row, exactly one row, three rows, and the whole population.
+LOCATE_SIZES = {
+    "1": lambda n: 1,
+    "N-1": lambda n: n - 1,
+    "N": lambda n: n,
+    "3N": lambda n: 3 * n,
+    "2^26": lambda n: 1 << 26,
+}
+
+
 class TestWorstCharacterSums:
     @given(populations)
     @settings(max_examples=200, deadline=None)
     def test_rows_are_independent_and_match_direct(self, case):
+        check_rows_independent_and_direct(*case)
+
+    @pytest.mark.parametrize("cells", LOCATE_SIZES)
+    @given(case=populations)
+    @settings(max_examples=60, deadline=None)
+    def test_locate_blocks_give_the_same_bits(self, cells, case):
         modulus, population = case
-        batch = worst_rows(population, modulus)
-        single = [worst_rows(row[None, :], modulus) for row in population]
-        for column, value in enumerate(batch):
-            assert np.array_equal(value, np.concatenate([s[column] for s in single]))
-        for value, reference in zip(batch, worst_rows(population, modulus, "direct")):
-            assert np.array_equal(value, reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bias_mod, "LOCATE_CELLS", LOCATE_SIZES[cells](modulus))
+            check_rows_independent_and_direct(modulus, population)
+
+    @given(populations)
+    @settings(max_examples=200, deadline=None)
+    def test_real_only_equals_the_first_two_outputs(self, case):
+        modulus, population = case
+        for method in ("fft", "direct"):
+            full = worst_rows(population, modulus, method)
+            real = bias_mod.worst_character_sums(population, modulus, method, real_only=True)
+            assert len(real) == 2
+            for value, want in zip(real, full[:2]):
+                assert value.dtype == want.dtype and np.array_equal(value, want)
+
+    def test_real_only_on_ga_populations(self):
+        rng = np.random.default_rng(16)
+        for modulus, d in [(1024, 65), (16384, 129), (1000, 33)]:
+            population = rng.integers(0, modulus, size=(64, d))
+            population[3] = population[3, 0]  # a row that ties at every shift
+            full = worst_rows(population, modulus)
+            real = bias_mod.worst_character_sums(population, modulus, real_only=True)
+            assert all(np.array_equal(value, want) for value, want in zip(real, full[:2]))
+
+    def test_ga_fitness_memory_stays_per_block(self):
+        # The parent built the multiplicities and spectrum of the whole
+        # 64 x 16384 population at once: a 16 MiB traced peak.
+        population = np.random.default_rng(4).integers(0, 16384, size=(64, 129))
+        tracemalloc.start()
+        try:
+            _objective_values(population, 16384, "padded_sq")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     @pytest.mark.parametrize("gather_terms", [1, 7, 1 << 18])
     def test_gather_blocks_give_the_same_bits(self, monkeypatch, gather_terms):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qhashlab import (
+    OBJECTIVES,
     SearchConfig,
     bias_profile,
     bundled_table_dir,
@@ -27,7 +28,7 @@ from qhashlab.keyset import (
     table_row_passes,
 )
 
-from conftest import load_table_fixtures
+from conftest import load_table_fixtures, per_child_ga_search, same_generator_state
 
 
 class TestLemmaSize:
@@ -194,6 +195,47 @@ class TestGaSearch:
         assert rng.random() == make_rng(4).random()
         # exactly at the limit (125 x 8 keys, 125 x 8 spectrum cells) it runs
         ga_search(8, 8, 0.9, SearchConfig(population_size=125), make_rng(4))
+
+
+# (N, d, config): an odd number of children (7 - 2), no and certain
+# crossover, d = 1 (nothing to cut) and d = 2, and N = 1000, not a power of two.
+BREEDING_CASES = [
+    (32, 15, SearchConfig(population_size=7, elitism_count=2, generations=25)),
+    (64, 9, SearchConfig(crossover_rate=0.0, generations=12)),
+    (64, 9, SearchConfig(crossover_rate=1.0, generations=12)),
+    (1000, 1, SearchConfig(population_size=9, elitism_count=0, generations=12)),
+    (1000, 2, SearchConfig(population_size=10, elitism_count=1, generations=12)),
+    (1000, 33, SearchConfig(generations=10)),
+    (1024, 65, SearchConfig(population_size=15, elitism_count=4, crossover_rate=1.0, generations=8)),
+]
+
+
+def assert_matches_the_per_child_loop(modulus, d, target, config, seed, objective="padded_sq"):
+    lines, reference_lines = [], []
+    rng, reference_rng = make_rng(seed), make_rng(seed)
+    out = ga_search(modulus, d, target, config, rng, objective=objective, progress=lines.append)
+    reference = per_child_ga_search(modulus, d, target, config, reference_rng, objective,
+                                    progress=reference_lines.append)
+    assert (out.keyset.keys, out.achieved_delta, out.achieved_objective,
+            out.generations_used, out.target_met) == reference
+    assert lines == reference_lines
+    assert same_generator_state(rng.bit_generator.state, reference_rng.bit_generator.state)
+    return out
+
+
+class TestBreedingOracle:
+    """ga_search against the per-child breeding loop it replaced: every
+    reported value, every progress line and the generator's end state."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("modulus, d, config", BREEDING_CASES)
+    def test_matches_the_per_child_loop(self, modulus, d, config, seed, objective):
+        assert_matches_the_per_child_loop(modulus, d, 1e-12, config, seed, objective)
+
+    def test_early_stop_matches(self):
+        out = assert_matches_the_per_child_loop(32, 15, 0.02, SearchConfig(), 3)
+        assert 0 < out.generations_used < 500 and out.target_met
 
 
 class TestBundledTables:

@@ -33,7 +33,7 @@ from qhashlab.qsim import (
     zero_outcome_counts,
 )
 
-from conftest import per_line_dump_text, ry
+from conftest import per_line_dump_text, ry, same_generator_state
 
 
 def basis_state(num_qubits, index):
@@ -301,6 +301,37 @@ class TestZeroOutcomeCounts:
         with pytest.raises(ValueError, match="shots"):
             zero_outcome_counts(basis_state(1, 0), 0, make_rng(0))
 
+    @pytest.mark.parametrize("amp0", [
+        complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+        complex(5e-324, 0.0), complex(0.0, -2.5e-310), complex(1e-160, 3e-161),
+        complex(0.6, -0.3), complex(-0.1, 0.7), complex(math.sqrt(0.5), 1e-17),
+    ])
+    def test_reads_the_full_vector_entry(self, monkeypatch, amp0):
+        # the probability the tally compares with has the bits of entry 0
+        # of the whole |amp|^2 vector, however amp_0 is made
+        amp = random_state(4, make_rng(3)).amplitudes.copy()
+        amp[0] = amp0
+        amp[1:] *= math.sqrt(1.0 - abs(amp0) ** 2) / np.linalg.norm(amp[1:])
+        psi = StateVector(4, amp)
+        seen = []
+        monkeypatch.setattr(qsim, "_bernoulli_counts", lambda p, shots, rng: seen.append(p))
+        zero_outcome_counts(psi, 3, make_rng(0))
+        want = (np.abs(psi.amplitudes) ** 2)[0]
+        assert type(seen[0]) is type(want) and seen[0].tobytes() == want.tobytes()
+
+    def test_twenty_qubit_tally_reads_one_amplitude(self):
+        psi = basis_state(20, 0)
+        rng = make_rng(1)
+        tracemalloc.start()
+        try:
+            counts = zero_outcome_counts(psi, 10, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.accepted == 10
+        # |amp| and |amp|^2 of the whole state would be 8 MiB each
+        assert peak < 64 << 10
+
     @pytest.mark.parametrize("shots", [1, 6, 7, 8, 14, 30])
     def test_chunked_draws_match_one_draw(self, monkeypatch, shots):
         psi = random_state(3, make_rng(8))
@@ -310,13 +341,6 @@ class TestZeroOutcomeCounts:
         chunked = make_rng(shots)
         assert zero_outcome_counts(psi, shots, chunked) == (accepted, shots - accepted)
         assert chunked.random() == whole.random()
-
-
-def same_generator_state(a, b):
-    """Equal bit_generator.state dicts, numpy arrays compared by value."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_generator_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
 
 
 class TestTallyChunks:
