@@ -14,8 +14,7 @@ nonzero shifts:
 delta(K) bounds the inner product between the hash states of any two
 distinct messages, which is what makes a low-bias K a usable hash
 parameter.  One kernel, worst_character_sums, computes both for a
-batch of key sets.  An rfft of each set's multiplicities, taken in
-cache-sized blocks of rows, locates the shifts near that set's own
+batch of key sets.  An FFT locates the shifts near each set's own
 maximum, and one direct trigonometric gather evaluates exactly those
 (row, shift) pairs, computing only the roots of unity it reads; the
 full table of N roots is built only for a gather that reads at least
@@ -23,6 +22,15 @@ N of them, such as the method="direct" reference over every shift.
 Both methods report identical numbers and shifts, and a set's result
 does not depend on the rest of the batch.  Callers that read only
 delta (GA fitness, random draws) pass real_only and skip lambda.
+
+The locate exploits d << N.  For a large row it splits the shifts into
+residue classes l = r + P*t: each class is one short FFT of the d
+phasors e^{-2 pi i k r/N} folded into N/P bins, so about N/2 spectrum
+cells are formed in cache-sized blocks and the N - d zero
+multiplicities are never transformed (FFT pruning, after Markel 1971).
+Rows below N = 2^16, the GA's and the random draws' among them, take
+an rfft of whole rows in cache-sized blocks of rows: the same code
+with one class, P = 1.
 
 Phases are exact at any modulus: phase_angles reduces k*m mod N as
 Python ints once the int64 product could wrap.
@@ -65,14 +73,20 @@ __all__ = [
 
 # Largest (rows x N) spectrum a scan may cover: 2^26 cells admits the
 # GA's 64-row population at N = 2^20.  Larger requests raise ValueError.
-# The FFT locate takes a multi-row population in blocks of LOCATE_CELLS,
-# so there this bounds work; a single row, or method="direct", still
-# allocates up to the cap.
+# The FFT locate holds one block of rows at a time (LOCATE_CELLS, or one
+# row), and of a split row one block of classes (CLASS_CELLS), so there
+# this bounds work; method="direct" allocates all rows x N values.
 MAX_SPECTRUM_CELLS = 1 << 26
 
 # The FFT locate transforms blocks of rows of at most this many cells (or one
 # row): 1 MiB of float64 multiplicities plus as large a spectrum fit in L2.
+# From N = 2^16 up a row's spectrum may come in residue classes (_class_step).
 LOCATE_CELLS = 1 << 17
+
+# Its residue classes past class 0 go in blocks of at most this many complex
+# cells (or one class): the folded phasors, their spectrum and one |part|
+# take 40 bytes a cell, 1.25 MiB here.
+CLASS_CELLS = 1 << 15
 
 # Character sums within TIE_BAND * d of a row's maximum are ties for
 # the worst shift; the FFT locate band (1e-9 * d) contains this one.
@@ -219,35 +233,106 @@ def _gather(key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus
     return f
 
 
-def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.ndarray, ...]:
-    """(row, shift 1 .. N/2) pairs near each row's maximum of |Re f|, and of |f| unless real_only.
+def _class_step(modulus: int, d: int) -> int:
+    """P, the residue-class step of the FFT locate for d keys mod N.
 
-    A band of 1e-9 in the normalized sums is far wider than the FFT's
-    rounding error (about d * log2(N) * 2^-52), so it keeps every shift
-    whose exact value can tie the maximum.  One block is the whole
-    population when it fits in LOCATE_CELLS.
+    The largest power of two dividing N that leaves Q = N/P >= 8d bins,
+    when that P is at least 16 and N at least 2^16; otherwise 1, one
+    class: the rfft of the whole row.  Timed from N = 2^12 to 2^20 at
+    d = 15 .. 2357: below 2^16 a row's rfft runs from L2 and wins, and
+    with fewer classes or bins the phasors (d per class) and the short
+    transforms cost more than the rfft they replace.
+    """
+    if modulus < 1 << 16:
+        return 1
+    bound = modulus // (8 * d)
+    step = min(modulus & -modulus, 1 << max(bound.bit_length() - 1, 0))
+    return step if step >= 16 else 1
+
+
+def _class_spectra(keys: np.ndarray, modulus: int, step: int):
+    """Blocks (classes r, t0, S) with S[row, c, t] = conj f_K(r[c] + P*(t + t0)).
+
+    With l = r + P*t and Q = N/P bins, f_K(l) = sum_k e^{2 pi i k r/N}
+    e^{2 pi i (k mod Q) t/Q}: one length-Q transform of the phasors
+    e^{-2 pi i k r/N} folded into the bins k mod Q gives the conjugate
+    of a whole class.  Class 0 folds real multiplicities and takes an
+    rfft (t = 1 .. Q/2; t = 0 is shift 0); classes 1 .. P/2 follow in
+    blocks of at most CLASS_CELLS cells, or one class.
+    """
+    rows, d = keys.shape
+    span = modulus // step
+    bins = keys % span
+    first = np.arange(rows)[:, None] * span
+    # Multiplicities as exact float64 integers: a float rfft input
+    # skips the cast an int64 one pays.
+    counts = np.bincount((first + bins).ravel(), weights=np.ones(keys.size), minlength=rows * span)
+    half = np.fft.rfft(counts.reshape(rows, span))[:, None, 1:]
+    del counts
+    yield np.zeros(1, dtype=np.int64), 1, half
+    per_block = max(1, CLASS_CELLS // (rows * span))
+    for low in range(1, step // 2 + 1, per_block):
+        classes = np.arange(low, min(low + per_block, step // 2 + 1), dtype=np.int64)
+        angles = (-2.0 * np.pi / modulus) * _angle_index(keys[:, None, :], classes[:, None], modulus)
+        cells = first[:, :, None] * len(classes) + span * np.arange(len(classes))[:, None] + bins[:, None, :]
+        # The phasors' (cos, sin) pairs summed into interleaved floats: complex128 bins.
+        folded = np.bincount(
+            (2 * cells[..., None] + [0, 1]).ravel(),
+            weights=np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel(),
+            minlength=2 * rows * len(classes) * span,
+        ).view(np.complex128)
+        yield classes, 0, np.fft.fft(folded.reshape(rows, len(classes), span))
+
+
+def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.ndarray, ...]:
+    """(row, shift) pairs near each row's maximum of |Re f|, and of |f| unless real_only.
+
+    The caller gathers each shift l with its mirror N - l, and they tie
+    in exact arithmetic, so the classes r = 0 .. P/2 of _class_spectra
+    (step P = _class_step(N, d)) cover every shift: class P - r is the
+    mirror of class r.  Rows go in blocks of LOCATE_CELLS // N (at least
+    one).  A running maximum per row keeps, after the last class, every
+    shift within 1e-9 * d of the row's maximum: a band far wider than
+    the transforms' rounding error (about d * log2(N) * 2^-52), so it
+    holds every shift whose exact value can tie the maximum.  At P = 1
+    there is one class, an rfft of the whole row giving shifts 1 .. N/2,
+    and the running maximum is the row's own.
     """
     rows, d = key_rows.shape
+    step = _class_step(modulus, d)
+    band = 1e-9 * d
     block = max(1, LOCATE_CELLS // modulus)
     found = []
     for first in range(0, rows, block):
         keys = key_rows[first : first + block]
-        # Multiplicities as exact float64 integers: a float rfft input
-        # skips the cast an int64 one pays.
-        counts = np.bincount(
-            (np.arange(len(keys))[:, None] * modulus + keys).ravel(),
-            weights=np.ones(keys.size),
-            minlength=len(keys) * modulus,
-        ).reshape(len(keys), modulus)
-        half = np.fft.rfft(counts)[:, 1:]
-        del counts
-        near = np.zeros(half.shape, dtype=bool)
-        for part in (half.real,) if real_only else (half.real, half):
-            values = np.abs(part)
-            near |= values >= values.max(axis=1, keepdims=True) - 1e-9 * d
-            del values  # so two |part| arrays never coexist with near
-        owner, located = np.nonzero(near)
-        found.append((owner + first, located + 1))
+        # Running maxima of |Re f| and |f|; zip stops at the first if real_only.
+        top = np.full((1 if real_only else 2, len(keys)), -np.inf)
+        picked = []
+        for classes, t0, spectrum in _class_spectra(keys, modulus, step):
+            # One line per row: a class block's spectra side by side.
+            width = spectrum.shape[2]
+            spectrum = spectrum.reshape(len(keys), -1)
+            near = np.zeros(spectrum.shape, dtype=bool)
+            for part, peak in zip((spectrum.real, spectrum), top):
+                values = np.abs(part)
+                best = values.max(axis=1)
+                np.maximum(peak, best, out=peak)
+                if (best >= peak - band).any():  # else no shift of the block is near
+                    near |= values >= (peak - band)[:, None]
+                del values  # so two |part| arrays never coexist with near
+            # A 2-D np.nonzero walks a multi-index: on a (1, 2^17) mask it
+            # took 40x the time of np.flatnonzero.
+            owner, cell = np.divmod(np.flatnonzero(near), near.shape[1])
+            c, t = np.divmod(cell, width)
+            picked.append((owner, classes[c] + step * (t + t0), spectrum[owner, cell]))
+        owner, located, value = (np.concatenate(column) for column in zip(*picked))
+        if len(picked) > 1:  # earlier classes met a lower running maximum
+            keep = np.abs(value.real) >= top[0][owner] - band
+            if not real_only:
+                keep |= np.abs(value) >= top[1][owner] - band
+            order = np.argsort(owner[keep], kind="stable")
+            owner, located = owner[keep][order], located[keep][order]
+        found.append((owner + first, located))
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
@@ -257,8 +342,8 @@ def worst_character_sums(
     """(max |Re f_K(l)|, its shift, max |f_K(l)|, its shift) over l != 0, per key row.
 
     "direct" gathers every shift of every row; "fft" gathers each row
-    only at the shifts that an rfft of its multiplicities puts near the
-    row's own maximum, plus their mirrors, with bit-identical results.
+    only at the shifts that the FFT locate (_locate) puts near the row's
+    own maximum, plus their mirrors, with bit-identical results.
     With real_only only the first two come back, with the same bits,
     and the |f| band and reduction are skipped.
     The maxima are the largest gathered values; a shift ties when its

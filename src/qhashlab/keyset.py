@@ -227,9 +227,10 @@ def ga_search(
         aligned = np.sort(population, axis=1)
         scores = values.tolist()
         for child in range(0, needed, 2):
-            # min keeps the first of equal scores, as argmin does
-            a, b = (min(trio, key=scores.__getitem__)
-                    for trio in rng.integers(0, pop_size, size=(2, 3)).tolist())
+            # min keeps the first of equal scores, as argmin does.  A flat
+            # size draws the values of size=(2, 3) without its np.prod call.
+            draw = rng.integers(0, pop_size, size=6).tolist()
+            a, b = (min(trio, key=scores.__getitem__) for trio in (draw[:3], draw[3:]))
             if d > 1 and rng.random() < config.crossover_rate:
                 point = int(rng.integers(1, d))
                 offspring[child, :point], offspring[child, point:] = aligned[a, :point], aligned[b, point:]

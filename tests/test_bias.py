@@ -327,6 +327,105 @@ class TestWorstCharacterSums:
         assert all(np.array_equal(b[:1], a) for b, a in zip(batch, direct))
 
 
+# Moduli past the rfft-only sizes of `populations`, and one whose class
+# steps leave bins Q that are not powers of two (Q = 3 at P = 4096).
+SPLIT_MODULI = [1 << e for e in range(10, 17)] + [3 << 12]
+
+
+def class_steps(modulus, d, most=None):
+    """Every power-of-two step P dividing N with Q = N/P >= 2 bins (up to most), and the one _class_step picks."""
+    steps = [1 << e for e in range(1, (modulus & -modulus).bit_length()) if modulus >> e >= 2]
+    steps.append(bias_mod._class_step(modulus, d))
+    return [step for step in steps if most is None or step <= most]
+
+
+def split_rows(modulus, d, step):
+    """row_kinds plus rows whose keys all fall in one bin k mod Q, so every class folds into one bin."""
+    span = modulus // step
+    one_bin = st.tuples(
+        st.integers(min_value=0, max_value=span - 1),
+        st.lists(st.integers(min_value=0, max_value=step - 1), min_size=d, max_size=d),
+    ).map(lambda c_ms: [c_ms[0] + span * m for m in c_ms[1]])
+    return st.one_of(row_kinds(modulus, d), one_bin)
+
+
+def split_cases(most=None):
+    return st.tuples(st.sampled_from(SPLIT_MODULI), st.integers(min_value=1, max_value=16)).flatmap(
+        lambda nd: st.sampled_from(class_steps(*nd, most)).flatmap(
+            lambda step: st.tuples(
+                st.just(nd[0]),
+                st.just(step),
+                st.lists(split_rows(*nd, step), min_size=1, max_size=4).map(
+                    lambda rows: np.array(rows, dtype=np.int64)
+                ),
+            )
+        )
+    )
+
+
+# CLASS_CELLS as a function of Q: one class per block, just short of
+# one class, three classes, and every class in one block.
+CLASS_SIZES = {
+    "1": lambda span: 1,
+    "Q-1": lambda span: span - 1,
+    "3Q": lambda span: 3 * span,
+    "2^26": lambda span: 1 << 26,
+}
+
+
+def check_split_locate(modulus, step, population):
+    """Under class step P, fft matches direct bit for bit, real_only both ways, and a row alone matches it in the batch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bias_mod, "_class_step", lambda n, d: step)
+        direct = worst_rows(population, modulus, "direct")
+        for real_only in (False, True):
+            batch = bias_mod.worst_character_sums(population, modulus, real_only=real_only)
+            assert all(np.array_equal(value, want) for value, want in zip(batch, direct))
+            for i, row in enumerate(population):
+                alone = bias_mod.worst_character_sums(row[None, :], modulus, real_only=real_only)
+                assert all(np.array_equal(value, want[i : i + 1]) for value, want in zip(alone, batch))
+
+
+class TestResidueClassLocate:
+    @given(split_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_class_steps_match_direct(self, case):
+        check_split_locate(*case)
+
+    @pytest.mark.parametrize("cells", CLASS_SIZES)
+    @given(case=split_cases(most=64))  # at most 33 classes, so one class a block stays quick
+    @settings(max_examples=30, deadline=None)
+    def test_class_blocks_give_the_same_bits(self, cells, case):
+        modulus, step, population = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bias_mod, "CLASS_CELLS", CLASS_SIZES[cells](modulus // step))
+            check_split_locate(modulus, step, population)
+
+    def test_step_choice(self, table_rows):
+        # The benchmark's GA and random-draw shapes keep the row rfft;
+        # the bundled rows from 2^16 up split into classes.
+        assert [bias_mod._class_step(n, d) for n, d in [(1024, 65), (16384, 129), (65536, 2357)]] == [1, 1, 1]
+        large = [f.keyset for _, f in table_rows if f.keyset.modulus >= 1 << 16]
+        assert len(large) == 5
+        assert all(bias_mod._class_step(ks.modulus, ks.d) > 1 for ks in large)
+
+    def test_bundled_split_rows_match_direct(self, table_rows):
+        for _, f in table_rows:
+            if (1 << 16) <= f.keyset.modulus <= 1 << 17:
+                assert bias_profile(f.keyset) == bias_profile(f.keyset, method="direct")
+
+    def test_large_row_memory(self, table_rows):
+        # An rfft of the whole N = 2^20 row peaked at 16.1 MiB traced.
+        keyset = next(f.keyset for _, f in table_rows if f.keyset.modulus == 1 << 20)
+        tracemalloc.start()
+        try:
+            bias_profile(keyset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 << 20
+
+
 class TestBiasProfile:
     def test_worked_example(self, tiny_keyset):
         profile = bias_profile(tiny_keyset)
