@@ -18,7 +18,8 @@ batch of key sets.  An FFT locates the shifts near each set's own
 maximum, and one direct trigonometric gather evaluates exactly those
 (row, shift) pairs, computing only the roots of unity it reads; the
 full table of N roots is built only for a gather that reads at least
-N of them, such as the method="direct" reference over every shift.
+N of them, such as the method="direct" reference over every shift,
+or, at moderate N, once the gathers of one search have read N.
 Both methods report identical numbers and shifts, and a set's result
 does not depend on the rest of the batch.  Callers that read only
 delta (GA fitness, random draws) pass real_only and skip lambda.
@@ -31,6 +32,14 @@ multiplicities are never transformed (FFT pruning, after Markel 1971).
 Rows below N = 2^16, the GA's and the random draws' among them, take
 an rfft of whole rows in cache-sized blocks of rows: the same code
 with one class, P = 1.
+
+A scan writes into one set of working buffers (_ScanBuffers): the
+multiplicities, the folded phasors, the spectra, |part|, the band
+mask and the N-root table are refilled in place, block after block,
+by np.add.at and the out= forms of the FFTs and ufuncs.  A one-shot
+scan makes its own set, so its faults follow its working set and not
+its block count; a search passes one set to every fitness call, so
+its generations and draws do not page their arrays in again.
 
 Phases are exact at any modulus: phase_angles reduces k*m mod N as
 Python ints once the int64 product could wrap.
@@ -46,6 +55,7 @@ instead of d.  See that function's docstring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -73,19 +83,20 @@ __all__ = [
 
 # Largest (rows x N) spectrum a scan may cover: 2^26 cells admits the
 # GA's 64-row population at N = 2^20.  Larger requests raise ValueError.
-# The FFT locate holds one block of rows at a time (LOCATE_CELLS, or one
+# The FFT locate's buffers hold one block of rows (LOCATE_CELLS, or one
 # row), and of a split row one block of classes (CLASS_CELLS), so there
 # this bounds work; method="direct" allocates all rows x N values.
 MAX_SPECTRUM_CELLS = 1 << 26
 
 # The FFT locate transforms blocks of rows of at most this many cells (or one
-# row): 1 MiB of float64 multiplicities plus as large a spectrum fit in L2.
-# From N = 2^16 up a row's spectrum may come in residue classes (_class_step).
+# row), so its buffers of 1 MiB of float64 multiplicities plus as large a
+# spectrum fit in L2.  From N = 2^16 up a row's spectrum may come in residue
+# classes (_class_step).
 LOCATE_CELLS = 1 << 17
 
 # Its residue classes past class 0 go in blocks of at most this many complex
-# cells (or one class): the folded phasors, their spectrum and one |part|
-# take 40 bytes a cell, 1.25 MiB here.
+# cells (or one class): the buffers of the folded phasors, their spectrum and
+# |part| take 40 bytes a cell, 1.25 MiB here.
 CLASS_CELLS = 1 << 15
 
 # Character sums within TIE_BAND * d of a row's maximum are ties for
@@ -197,7 +208,44 @@ def _check_cells(rows: int, modulus: int) -> None:
         )
 
 
-def _gather(key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus: int) -> np.ndarray:
+class _ScanBuffers:
+    """Working arrays of one spectrum scan, refilled in place call after call.
+
+    take(name, shape, dtype) hands out the first entries of the flat
+    buffer of that name as an array of that shape, and replaces the
+    buffer with a larger zeroed one only when a shape outgrows it; a
+    name always has one dtype.  The flat "counts" and "folded" buffers
+    are all zero between transforms: whoever adds into them sets the
+    entries it touched back to zero.  roots(N, reads) keeps the table
+    of the N roots of unity for the last modulus asked.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+        self._modulus = 0
+        self._reads = 0
+        self._roots: np.ndarray | None = None
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.zeros(size, dtype=dtype)
+        return array[:size].reshape(shape)
+
+    def roots(self, modulus: int, reads: int) -> np.ndarray | None:
+        """The N-root table for a gather of reads roots, or None where it computes them (see _gather)."""
+        if modulus != self._modulus:
+            self._modulus, self._reads, self._roots = modulus, 0, None
+        self._reads += reads
+        if self._roots is None and (reads >= modulus or modulus <= LOCATE_CELLS and self._reads >= modulus):
+            self._roots = _unit_roots(np.arange(modulus, dtype=np.int64), modulus)
+        return self._roots
+
+
+def _gather(
+    key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus: int, buffers: _ScanBuffers
+) -> np.ndarray:
     """f_K(l) at each shift l, for the row of key_rows paired with it.
 
     owner[p] names the row paired with shifts[p]; a one-entry owner
@@ -208,26 +256,31 @@ def _gather(key_rows: np.ndarray, owner: np.ndarray, shifts: np.ndarray, modulus
 
     A gather that reads at least N roots (every shift of a set, as
     method="direct" and fourier_components ask, or a GA population's
-    few shifts per row) takes them from one table of all N.  Building
-    the table costs about N computed roots; timed, it wins from between
-    N/2 and N reads at N = 2^14 .. 2^20, and on the bundled rows' full
-    gathers it is 1.3x (N = 2^20) to 8x (N = 2^12) faster than
-    computing each root.  A smaller gather computes only the
-    roots it reads, and add.accumulate sums them down the key axis one
-    term after another, the order of the table loop, so both give the
-    same bits.
+    few shifts per row) takes them from the table of all N that buffers
+    keeps.  Building the table costs about N computed roots; timed, it
+    wins from between N/2 and N reads at N = 2^14 .. 2^20, and on the
+    bundled rows' full gathers it is 1.3x (N = 2^20) to 8x (N = 2^12)
+    faster than computing each root.  Up to N = LOCATE_CELLS (a table
+    of at most 2 MiB) the table is also built once the gathers through
+    one set of buffers have read N roots in all, as a search's
+    generations and draws do, and later gathers look their roots up.
+    A gather of fewer than N terms reads its roots, computed or looked
+    up, in blocks down the key axis, and add.accumulate sums them one
+    term after another, the order of the column loop, so every path
+    gives the same bits.
     """
     d = key_rows.shape[1]
+    table = buffers.roots(modulus, d * shifts.size)
     f = np.zeros(shifts.size, dtype=np.complex128)
     if d * shifts.size >= modulus:
-        table = _unit_roots(np.arange(modulus, dtype=np.int64), modulus)
         for column in key_rows.T:
             f += table[_angle_index(column[owner], shifts, modulus)]
         return f
     step = max(1, GATHER_TERMS // shifts.size)
     for start in range(0, d, step):
         block = np.ascontiguousarray(key_rows[owner, start : start + step].T)
-        terms = _unit_roots(_angle_index(block, shifts, modulus), modulus)
+        index = _angle_index(block, shifts, modulus)
+        terms = _unit_roots(index, modulus) if table is None else table[index]
         terms[0] += f
         f = np.add.accumulate(terms)[-1]
     return f
@@ -250,7 +303,7 @@ def _class_step(modulus: int, d: int) -> int:
     return step if step >= 16 else 1
 
 
-def _class_spectra(keys: np.ndarray, modulus: int, step: int):
+def _class_spectra(keys: np.ndarray, modulus: int, step: int, buffers: _ScanBuffers):
     """Blocks (classes r, t0, S) with S[row, c, t] = conj f_K(r[c] + P*(t + t0)).
 
     With l = r + P*t and Q = N/P bins, f_K(l) = sum_k e^{2 pi i k r/N}
@@ -258,33 +311,41 @@ def _class_spectra(keys: np.ndarray, modulus: int, step: int):
     e^{-2 pi i k r/N} folded into the bins k mod Q gives the conjugate
     of a whole class.  Class 0 folds real multiplicities and takes an
     rfft (t = 1 .. Q/2; t = 0 is shift 0); classes 1 .. P/2 follow in
-    blocks of at most CLASS_CELLS cells, or one class.
+    blocks of at most CLASS_CELLS cells, or one class.  Each S is a
+    view of the "spectrum" buffer, valid until the next block.
     """
     rows, d = keys.shape
     span = modulus // step
     bins = keys % span
     first = np.arange(rows)[:, None] * span
-    # Multiplicities as exact float64 integers: a float rfft input
-    # skips the cast an int64 one pays.
-    counts = np.bincount((first + bins).ravel(), weights=np.ones(keys.size), minlength=rows * span)
-    half = np.fft.rfft(counts.reshape(rows, span))[:, None, 1:]
-    del counts
-    yield np.zeros(1, dtype=np.int64), 1, half
+    # Multiplicities as exact float64 integers, added in key order as
+    # a weighted bincount adds them: a float rfft input skips the cast
+    # an int64 one pays.
+    counts = buffers.take("counts", (rows * span,), np.float64)
+    cells = (first + bins).ravel()
+    np.add.at(counts, cells, 1.0)
+    half = buffers.take("spectrum", (rows, span // 2 + 1), np.complex128)
+    np.fft.rfft(counts.reshape(rows, span), out=half)
+    counts[cells] = 0.0
+    yield np.zeros(1, dtype=np.int64), 1, half[:, None, 1:]
     per_block = max(1, CLASS_CELLS // (rows * span))
     for low in range(1, step // 2 + 1, per_block):
         classes = np.arange(low, min(low + per_block, step // 2 + 1), dtype=np.int64)
         angles = (-2.0 * np.pi / modulus) * _angle_index(keys[:, None, :], classes[:, None], modulus)
         cells = first[:, :, None] * len(classes) + span * np.arange(len(classes))[:, None] + bins[:, None, :]
         # The phasors' (cos, sin) pairs summed into interleaved floats: complex128 bins.
-        folded = np.bincount(
-            (2 * cells[..., None] + [0, 1]).ravel(),
-            weights=np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel(),
-            minlength=2 * rows * len(classes) * span,
-        ).view(np.complex128)
-        yield classes, 0, np.fft.fft(folded.reshape(rows, len(classes), span))
+        slots = (2 * cells[..., None] + [0, 1]).ravel()
+        folded = buffers.take("folded", (2 * rows * len(classes) * span,), np.float64)
+        np.add.at(folded, slots, np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel())
+        spectrum = buffers.take("spectrum", (rows, len(classes), span), np.complex128)
+        np.fft.fft(folded.view(np.complex128).reshape(spectrum.shape), out=spectrum)
+        folded[slots] = 0.0
+        yield classes, 0, spectrum
 
 
-def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.ndarray, ...]:
+def _locate(
+    key_rows: np.ndarray, modulus: int, real_only: bool, buffers: _ScanBuffers
+) -> tuple[np.ndarray, ...]:
     """(row, shift) pairs near each row's maximum of |Re f|, and of |f| unless real_only.
 
     The caller gathers each shift l with its mirror N - l, and they tie
@@ -296,7 +357,9 @@ def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.nda
     the transforms' rounding error (about d * log2(N) * 2^-52), so it
     holds every shift whose exact value can tie the maximum.  At P = 1
     there is one class, an rfft of the whole row giving shifts 1 .. N/2,
-    and the running maximum is the row's own.
+    and the running maximum is the row's own.  |part| and the band mask
+    are written into buffers, and a class block with no shift in the
+    band adds no pairs.
     """
     rows, d = key_rows.shape
     step = _class_step(modulus, d)
@@ -308,18 +371,24 @@ def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.nda
         # Running maxima of |Re f| and |f|; zip stops at the first if real_only.
         top = np.full((1 if real_only else 2, len(keys)), -np.inf)
         picked = []
-        for classes, t0, spectrum in _class_spectra(keys, modulus, step):
+        for classes, t0, spectrum in _class_spectra(keys, modulus, step, buffers):
             # One line per row: a class block's spectra side by side.
             width = spectrum.shape[2]
             spectrum = spectrum.reshape(len(keys), -1)
-            near = np.zeros(spectrum.shape, dtype=bool)
+            values = buffers.take("values", spectrum.shape, np.float64)
+            near = None
             for part, peak in zip((spectrum.real, spectrum), top):
-                values = np.abs(part)
+                np.abs(part, out=values)
                 best = values.max(axis=1)
                 np.maximum(peak, best, out=peak)
                 if (best >= peak - band).any():  # else no shift of the block is near
-                    near |= values >= (peak - band)[:, None]
-                del values  # so two |part| arrays never coexist with near
+                    low = (peak - band)[:, None]
+                    if near is None:
+                        near = np.greater_equal(values, low, out=buffers.take("near", spectrum.shape, bool))
+                    else:
+                        near |= np.greater_equal(values, low, out=buffers.take("hit", spectrum.shape, bool))
+            if near is None:
+                continue
             # A 2-D np.nonzero walks a multi-index: on a (1, 2^17) mask it
             # took 40x the time of np.flatnonzero.
             owner, cell = np.divmod(np.flatnonzero(near), near.shape[1])
@@ -337,7 +406,11 @@ def _locate(key_rows: np.ndarray, modulus: int, real_only: bool) -> tuple[np.nda
 
 
 def worst_character_sums(
-    key_rows: np.ndarray, modulus: int, method: str = "fft", real_only: bool = False
+    key_rows: np.ndarray,
+    modulus: int,
+    method: str = "fft",
+    real_only: bool = False,
+    buffers: _ScanBuffers | None = None,
 ) -> tuple[np.ndarray, ...]:
     """(max |Re f_K(l)|, its shift, max |f_K(l)|, its shift) over l != 0, per key row.
 
@@ -353,23 +426,27 @@ def worst_character_sums(
     Re f(l) = Re f(N - l) and |f(l)| = |f(N - l)| in exact arithmetic,
     so the shifts reported are at most N/2.  A row's result does not
     depend on the other rows.
+    The scan refills buffers, a fresh set unless a caller that scans
+    again (a search) passes its own.
     """
     rows, d = key_rows.shape
     _check_cells(rows, modulus)
+    if buffers is None:
+        buffers = _ScanBuffers()
     if method == "direct":
         shifts = np.arange(1, modulus, dtype=np.int64)
         # Row r's values are line r of f; owner broadcasts its threshold.
         owner = np.arange(rows)[:, None]
         f = np.empty((rows, shifts.size), dtype=np.complex128)
         for row in range(rows):
-            f[row] = _gather(key_rows, owner[row], shifts, modulus)
+            f[row] = _gather(key_rows, owner[row], shifts, modulus, buffers)
         starts = np.arange(rows) * shifts.size
     elif method == "fft":
-        owner, located = _locate(key_rows, modulus, real_only)
+        owner, located = _locate(key_rows, modulus, real_only, buffers)
         # The mirrors N - l tie in exact arithmetic, not always in the last bit.
         owner = np.repeat(owner, 2)
         shifts = np.stack([located, modulus - located], axis=1).ravel()
-        f = _gather(key_rows, owner, shifts, modulus)
+        f = _gather(key_rows, owner, shifts, modulus, buffers)
         # owner is sorted and names every row, so each row's pairs form one run.
         starts = np.searchsorted(owner, np.arange(rows))
     else:
@@ -386,7 +463,8 @@ def fourier_components(keyset: KeySet, shifts: np.ndarray) -> np.ndarray:
     """f_K(l) at each shift l in [0, N) of shifts, by the exact gather; an entry's bits do not depend on the rest."""
     n = keyset.modulus
     _check_cells(1, n)
-    return _gather(keyset.key_array()[None, :], np.zeros(1, dtype=np.intp), shifts, n)
+    keys = keyset.key_array()[None, :]
+    return _gather(keys, np.zeros(1, dtype=np.intp), shifts, n, _ScanBuffers())
 
 
 def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:

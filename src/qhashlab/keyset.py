@@ -150,9 +150,10 @@ def sample_random_keyset(
     if rng is None:
         rng = make_rng(0)
     best, best_delta = None, math.inf
+    buffers = bias_mod._ScanBuffers()
     for attempt in range(1, max_attempts + 1):
         candidate = rng.integers(0, modulus, size=size, dtype=np.int64)
-        delta = float(_objective_values(candidate[None, :], modulus, "delta")[0])
+        delta = float(_objective_values(candidate[None, :], modulus, "delta", buffers)[0])
         if delta < best_delta:
             best, best_delta = candidate, delta
         if delta < epsilon:
@@ -161,10 +162,16 @@ def sample_random_keyset(
                          target_met=best_delta < epsilon, objective="delta", achieved_objective=best_delta)
 
 
-def _objective_values(population: np.ndarray, modulus: int, objective: str) -> np.ndarray:
-    """Objective values for a (pop, d) array of key rows in one kernel call; ga_search checks the objective."""
+def _objective_values(
+    population: np.ndarray, modulus: int, objective: str, buffers: bias_mod._ScanBuffers | None = None
+) -> np.ndarray:
+    """Objective values for a (pop, d) array of key rows in one kernel call; ga_search checks the objective.
+
+    A search passes the same buffers to every call, so its scans refill
+    one set of arrays.
+    """
     d = population.shape[1]
-    worst_re = worst_character_sums(population, modulus, real_only=True)[0]
+    worst_re = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
     if objective == "delta":
         return worst_re / d
     return (worst_re / padded_branch_count(d)) ** 2
@@ -209,7 +216,8 @@ def ga_search(
             f"MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
         )
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
-    values = _objective_values(population, modulus, objective)
+    buffers = bias_mod._ScanBuffers()
+    values = _objective_values(population, modulus, objective, buffers)
 
     for generation in range(config.generations + 1):
         # generation 0 is the initial population.
@@ -246,7 +254,7 @@ def ga_search(
         values = np.concatenate(
             [
                 values[: config.elitism_count],
-                _objective_values(offspring, modulus, objective),
+                _objective_values(offspring, modulus, objective, buffers),
             ]
         )
 

@@ -426,6 +426,78 @@ class TestResidueClassLocate:
         assert peak <= 10 << 20
 
 
+# Scans of growing and shrinking shape through one set of buffers:
+# (N, rows, d, real_only).  The rows of 64 x 1024 and of 16384 (8 a
+# block) are GA shapes; 2^16 and 2^17 split into classes (P > 1, the
+# classes of 2^17 in more than one block); 1000 and 12288 are not powers
+# of two.
+BUFFER_SCANS = [
+    (1024, 64, 65, True),
+    (16384, 10, 129, True),
+    (65536, 1, 15, False),
+    (1000, 3, 33, False),
+    (1 << 17, 2, 65, True),
+    (3 << 12, 2, 9, False),
+    (65536, 1, 700, True),
+    (1024, 62, 65, False),
+    (64, 5, 7, True),
+]
+
+
+def check_reused_scan(buffers, population, modulus, real_only):
+    """A scan through kept buffers gives the bits of a fresh scan and of the direct one."""
+    kept = bias_mod.worst_character_sums(population, modulus, real_only=real_only, buffers=buffers)
+    fresh = bias_mod.worst_character_sums(population, modulus, real_only=real_only)
+    direct = bias_mod.worst_character_sums(population, modulus, "direct", real_only=real_only)
+    for value, want, reference in zip(kept, fresh, direct, strict=True):
+        assert value.dtype == want.dtype and np.array_equal(value, want)
+        assert np.array_equal(value, reference)
+
+
+class TestScanBuffers:
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self):
+        # Each shape is scanned twice: first with every row one repeated
+        # key (a count of d in one bin, a spectrum flat at d), then with
+        # distinct keys, so multiplicities or phasors left in a buffer by
+        # the scan before would show in the second.
+        rng = np.random.default_rng(19)
+        buffers = bias_mod._ScanBuffers()
+        assert [bias_mod._class_step(n, d) > 1 for n, _, d, _ in BUFFER_SCANS] == [
+            False, False, True, False, True, False, False, False, False
+        ]
+        for modulus, rows, d, real_only in BUFFER_SCANS:
+            repeated = np.repeat(rng.integers(0, modulus, size=(rows, 1)), d, axis=1)
+            distinct = np.array([rng.choice(modulus, size=d, replace=False) for _ in range(rows)])
+            for population in (repeated, distinct):
+                check_reused_scan(buffers, population, modulus, real_only)
+
+    @given(st.lists(st.tuples(populations, st.booleans()), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_buffers_over_small_populations(self, scans):
+        buffers = bias_mod._ScanBuffers()
+        for (modulus, population), real_only in scans:
+            check_reused_scan(buffers, population, modulus, real_only)
+
+    @given(st.lists(st.tuples(split_cases(most=64), st.booleans()), min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_reused_buffers_over_class_steps(self, scans):
+        buffers = bias_mod._ScanBuffers()
+        for (modulus, step, population), real_only in scans:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bias_mod, "_class_step", lambda n, d: step)
+                check_reused_scan(buffers, population, modulus, real_only)
+
+    def test_counts_and_folded_are_zero_between_scans(self):
+        buffers = bias_mod._ScanBuffers()
+        for modulus, rows, d, real_only in BUFFER_SCANS[:3]:
+            population = np.random.default_rng(modulus).integers(0, modulus, size=(rows, d))
+            bias_mod.worst_character_sums(population, modulus, real_only=real_only, buffers=buffers)
+            for name in ("counts", "folded"):
+                kept = buffers._arrays.get(name)
+                assert kept is None or not kept.any()
+        assert buffers._arrays["folded"].size > 0
+
+
 class TestBiasProfile:
     def test_worked_example(self, tiny_keyset):
         profile = bias_profile(tiny_keyset)

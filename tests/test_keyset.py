@@ -1,7 +1,11 @@
 """Key-set search: lemma-size sampling, the GA, bundled fixtures."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,24 @@ class TestGaSearch:
         assert rng.random() == make_rng(4).random()
         # exactly at the limit (125 x 8 keys, 125 x 8 spectrum cells) it runs
         ga_search(8, 8, 0.9, SearchConfig(population_size=125), make_rng(4))
+
+    def test_generations_do_not_page_their_spectra_in_again(self):
+        # Minor page faults of one 100-generation search in a fresh
+        # interpreter, counted after the imports.  With arrays allocated
+        # per fitness call it took about 33,500; refilling one set of
+        # buffers, about 1,100.
+        code = (
+            "import resource\n"
+            "from qhashlab import SearchConfig, ga_search, make_rng\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "ga_search(1024, 65, 1e-12, SearchConfig(generations=100), make_rng(1))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 8000
 
 
 # (N, d, config): an odd number of children (7 - 2), no and certain
