@@ -486,7 +486,7 @@ def bias_profile(keyset: KeySet, method: str = "fft") -> BiasProfile:
 def padded_branch_count(d: int) -> int:
     """Smallest power of two >= d: the index-register capacity for d branches."""
     if d < 1:
-        raise ValueError(f"need at least one branch, got {d}")
+        raise ValueError(f"d must be >= 1, got {d}")
     return 1 << (d - 1).bit_length()
 
 

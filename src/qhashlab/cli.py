@@ -166,19 +166,18 @@ def cmd_verify_tables(fixtures_dir: str | None, max_modulus: int, fmt: str) -> N
 @click.option("--objective", type=click.Choice(list(keyset_mod.OBJECTIVES)), default="padded_sq",
               show_default=True, help="Statistic the GA drives (ga mode).")
 @click.option("--max-attempts", type=int, default=100, show_default=True, help="Draws (random mode).")
-@click.option("--population-size", type=int, default=64, show_default=True)
-@click.option("--generations", type=int, default=500, show_default=True)
-@click.option("--mutation-rate", type=float, default=0.1, show_default=True)
-@click.option("--crossover-rate", type=float, default=0.7, show_default=True)
-@click.option("--elitism-count", type=int, default=2, show_default=True)
+@click.option("--population-size", type=int, default=keyset_mod.SearchConfig.population_size, show_default=True)
+@click.option("--generations", type=int, default=keyset_mod.SearchConfig.generations, show_default=True)
+@click.option("--mutation-rate", type=float, default=keyset_mod.SearchConfig.mutation_rate, show_default=True)
+@click.option("--crossover-rate", type=float, default=keyset_mod.SearchConfig.crossover_rate, show_default=True)
+@click.option("--elitism-count", type=int, default=keyset_mod.SearchConfig.elitism_count, show_default=True)
 @click.option("--progress", is_flag=True, help="Stream per-generation best values (ga mode).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @seed_option
 @format_option
 def cmd_search(mode: str, modulus: int, d: int | None, epsilon: float | None, objective: str,
-               max_attempts: int, population_size: int, generations: int, mutation_rate: float,
-               crossover_rate: float, elitism_count: int, progress: bool, out_path: str,
-               seed: int, fmt: str) -> None:
+               max_attempts: int, progress: bool, out_path: str, seed: int, fmt: str,
+               **knobs: float) -> None:
     """Search for a key set and write it to a file."""
     rng = qsim.make_rng(seed)
     progress_lines: list[str] = []
@@ -190,16 +189,9 @@ def cmd_search(mode: str, modulus: int, d: int | None, epsilon: float | None, ob
         if d is None:
             raise ValueError("ga mode needs --d")
         target = keyset_mod.TABLE_BOUND if epsilon is None else epsilon
-        config = keyset_mod.SearchConfig(
-            population_size=population_size,
-            generations=generations,
-            mutation_rate=mutation_rate,
-            crossover_rate=crossover_rate,
-            elitism_count=elitism_count,
-        )
         sink = (click.echo if fmt == "text" else progress_lines.append) if progress else None
         outcome = keyset_mod.ga_search(
-            modulus, d, target, config, rng, objective=objective, progress=sink
+            modulus, d, target, keyset_mod.SearchConfig(**knobs), rng, objective=objective, progress=sink
         )
     bias_mod.save_keyset(outcome.keyset, out_path, declared_epsilon=outcome.achieved_objective)
     pairs: list[tuple[str, object]] = [
@@ -325,13 +317,17 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
 
 
 def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None):
-    """Uniform draws from [0, N): rng.integers up to N = 2^63, so reports keep their bytes;
-    past that N = 2^n, and a draw is the low n bits of ceil(n/64) uint64 words."""
+    """Uniform draws from [0, N): rng.integers up to N = 2^63, so reports keep their bytes; past
+    that a draw is the low b = (N - 1).bit_length() bits of ceil(b/64) uint64 words, and the
+    values >= N are drawn again, in order (never for N = 2^b)."""
     if modulus <= 1 << 63:
         return rng.integers(0, modulus, size=size)
-    words = rng.integers(0, 1 << 64, size=(1 if size is None else size, -(-(modulus.bit_length() - 1) // 64)),
-                         dtype=np.uint64)
-    values = [sum(w << 64 * i for i, w in enumerate(row)) % modulus for row in words.tolist()]
+    bits, wanted = (modulus - 1).bit_length(), 1 if size is None else size
+    values: list[int] = []
+    while len(values) < wanted:
+        words = rng.integers(0, 1 << 64, size=(wanted - len(values), -(-bits // 64)), dtype=np.uint64)
+        drawn = (sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in words.tolist())
+        values += [value for value in drawn if value < modulus]
     return values if size is not None else values[0]
 
 
@@ -355,10 +351,10 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
     elif modulus is None or d is None:
         raise ValueError("need --keyset, or --n and --d for random sets")
-    elif modulus & (modulus - 1) or modulus < 2:
-        raise ValueError(f"modulus {modulus} is not a power of two; no circuit form")
+    elif modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
     else:
-        qhash.hash_qubits(d)  # refuse an oversized register before drawing keys
+        qhash.hash_qubits(d)  # refuse d < 1 or an oversized register before drawing keys
     worst, done = 0.0, 0
     while done < count:  # the draws, in order, of one message (and drawn set) at a time
         params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))

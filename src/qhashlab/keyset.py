@@ -16,8 +16,8 @@ Two ways to obtain a key set with small bias:
   files declare.  Pass objective="delta" to drive the unit-normalized
   bias instead.
 
-Both return a SearchOutcome whose achieved_delta is always the true
-delta(K), recomputed from scratch on the returned set.
+Both return a SearchOutcome whose achieved_delta is the true delta(K)
+of the returned set; SearchOutcome says how each obtains it.
 """
 
 from __future__ import annotations
@@ -97,8 +97,9 @@ class SearchConfig:
 class SearchOutcome:
     """Result of a key-set search.
 
-    achieved_delta is the true bias delta(K) of the returned set,
-    recomputed via bias_profile (never a cached fitness).
+    achieved_delta is the true bias delta(K) of the returned set: a GA
+    recomputes it via bias_profile, and a random draw returns its
+    real-only fitness value, bit for bit bias_profile(...).delta.
     achieved_objective is the value of the statistic the search drove
     (equal to achieved_delta when objective="delta");  target_met
     compares it against the requested bound.  generations_used counts
@@ -235,8 +236,8 @@ def ga_search(
         aligned = np.sort(population, axis=1)
         scores = values.tolist()
         for child in range(0, needed, 2):
-            # min keeps the first of equal scores, as argmin does.  A flat
-            # size draws the values of size=(2, 3) without its np.prod call.
+            # min keeps the first of equal scores, as argmin does.  size=6
+            # draws the values, and leaves the generator state, of size=(2, 3).
             draw = rng.integers(0, pop_size, size=6).tolist()
             a, b = (min(trio, key=scores.__getitem__) for trio in (draw[:3], draw[3:]))
             if d > 1 and rng.random() < config.crossover_rate:

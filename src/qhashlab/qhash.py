@@ -13,10 +13,11 @@ key set at the message difference, which is what ties collision
 resistance to the bias module: |<h(M1)|h(M2)>| <= delta(K) for any
 distinct messages.
 
-The circuit realization exists for N = 2^n: it prepares the uniform
+The circuit realization exists for every N: it prepares the uniform
 index superposition, then applies one rotation layer per set bit b_j of
-M (LSB first, so bit j carries weight 2^{j-1}).  The layer of bit j
-turns the target of every branch i at once, by
+the n-bit message M, n = (N - 1).bit_length() (LSB first, so bit j
+carries weight 2^{j-1}).  The layer of bit j turns the target of every
+branch i at once, by
 
     theta_{i,j} = 4 pi (k_i 2^{j-1} mod N) / N
 
@@ -24,7 +25,8 @@ on the pair the index register holding i selects: d controlled
 rotations on disjoint pairs, turning the rows of the pair view at once.
 With the convention R(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>,
 the rotations on a branch share an axis and sum to twice the amplitude
-angle, so the circuit reproduces the analytic state exactly.
+angle: their halves sum to 2 pi k_i M / N mod 2 pi, N a power of two
+or not, so the circuit reproduces the analytic state.
 simulate_circuits runs a block of messages as the rows of one array,
 through simulate_circuit's kernels and to its bits.
 
@@ -80,22 +82,20 @@ __all__ = [
 class HashParams:
     """Hash configuration derived from a key set.
 
-    n is the message bit-length when the modulus is a power of two
-    (messages are then n-bit numbers), otherwise None and only the
-    analytic construction is available.  s = ceil(log2 d) + 1 qubits:
+    n = (N - 1).bit_length() is the bit length of the largest message,
+    for any modulus: the circuit has a rotation layer for each set bit
+    of an n-bit message.  s = ceil(log2 d) + 1 qubits:
     one target plus an index register wide enough for d branches.
     Each message bit's RotationLayer is made once, on first use.
     """
 
     keyset: KeySet
-    n: int | None = field(init=False)
+    n: int = field(init=False)
     s: int = field(init=False)
     _layers: dict[int, RotationLayer] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        modulus = self.keyset.modulus
-        n = modulus.bit_length() - 1 if modulus & (modulus - 1) == 0 else None
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", (self.keyset.modulus - 1).bit_length())
         object.__setattr__(self, "s", hash_qubits(self.keyset.d))
 
     @property
@@ -159,8 +159,8 @@ class CircuitDescription:
 
 
 def hash_qubits(d: int) -> int:
-    """Qubits of a d-branch hash state, ceil(log2 d) + 1, at most MAX_QUBITS."""
-    s = (d - 1).bit_length() + 1
+    """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most MAX_QUBITS."""
+    s = padded_branch_count(d).bit_length()
     if s > MAX_QUBITS:
         raise ValueError(
             f"{d} keys need {s} qubits; states hold at most MAX_QUBITS = {MAX_QUBITS}"
@@ -168,10 +168,8 @@ def hash_qubits(d: int) -> int:
     return s
 
 
-def _check_message(params: HashParams, m: int, circuit: bool = False) -> None:
+def _check_message(params: HashParams, m: int) -> None:
     modulus = params.keyset.modulus
-    if circuit and params.n is None:
-        raise ValueError(f"modulus {modulus} is not a power of two; no circuit form")
     if not 0 <= m < modulus:
         raise ValueError(f"message {m} out of range [0, {modulus - 1}]")
 
@@ -198,7 +196,7 @@ def _preparation(params: HashParams) -> list[Gate]:
 
 def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
-    _check_message(params, m, circuit=True)
+    _check_message(params, m)
     gates = _preparation(params)
     gates += [params.rotation_layer(j) for j in range(1, params.n + 1) if m >> (j - 1) & 1]
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
@@ -243,7 +241,7 @@ def simulate_circuits(params: HashParams, messages: list[int]) -> np.ndarray:
     """simulate_circuit(build_hash_circuit(params, m)).amplitudes for each m, as the rows of one array:
     the preparation runs once, and layer j turns the rows whose message has bit j set."""
     for m in messages:
-        _check_message(params, m, circuit=True)
+        _check_message(params, m)
     prepared = simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params))))
     rows = np.tile(prepared.amplitudes, (len(messages), 1))
     for j in range(1, params.n + 1):

@@ -138,7 +138,8 @@ def test_criterion_03_circuit_matches_analytic_states():
     rng = make_rng(303)
     trials = 0
     worst = 0.0
-    for modulus in (8, 32, 1024):
+    # powers of two first, so their draws are the ones they always were
+    for modulus in (8, 32, 1024, 3, 12, 1000, 3 * 2**20 + 7, 10**12 + 39):
         for d in (2, 15, 65):
             for _ in range(12):
                 keys = tuple(int(k) for k in rng.integers(0, modulus, size=d))
@@ -151,7 +152,7 @@ def test_criterion_03_circuit_matches_analytic_states():
                 trials += 1
     ok = trials >= 100 and worst < 1e-10
     report(3, ok, f"{trials} random key-set/message draws over"
-                  f" N in {{8,32,1024}} x d in {{2,15,65}},"
+                  f" N in {{8,32,1024,3,12,1000,3*2^20+7,10^12+39}} x d in {{2,15,65}},"
                   f" max componentwise deviation {worst:.2e} < 1e-10")
     assert ok
 

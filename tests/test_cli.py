@@ -381,14 +381,19 @@ class TestHashAndInner:
         assert lines[1] == "PREP 15"
         assert sum(1 for line in lines if line.startswith("CRY ")) == 30
 
-    def test_circuit_dump_needs_power_of_two(self, runner, tmp_path):
+    def test_circuit_dump_of_a_non_power_of_two_modulus(self, runner, tmp_path):
         path = tmp_path / "k12.txt"
-        save_keyset(KeySet(modulus=12, keys=(1, 2)), path)
+        save_keyset(KeySet(modulus=12, keys=(1, 2, 5)), path)
         result = invoke(runner, [
-            "hash", "--keyset", str(path), "--message", "1", "--dump-circuit",
+            "hash", "--keyset", str(path), "--message", "11", "--dump-circuit",
         ])
-        assert result.exit_code == 2
-        assert "not a power of two" in result.stderr
+        assert (result.exit_code, result.stderr) == (0, "")
+        lines = result.output.splitlines()
+        assert lines[:2] == ["qubits 3", "PREP 3"]
+        # bits 1, 2 and 4 of M = 11 over the n = 4 bits of N = 12: three layers of 3 branches
+        assert sum(1 for line in lines if line.startswith("CRY ")) == 9
+        assert lines[2:11] == [f"CRY {i} 0 {theta!r}" for j in (1, 2, 4) for i, theta in enumerate(
+            HashParams(KeySet(12, (1, 2, 5))).rotation_layer(j).thetas)]
 
     def test_message_out_of_range(self, runner):
         assert invoke(runner, [
@@ -504,10 +509,29 @@ class TestEqualityTests:
         ])
         assert result.exit_code == 0
 
-    def test_circuit_check_rejects_odd_modulus(self, runner):
-        assert invoke(runner, [
-            "circuit-check", "--n", "12", "--d", "3", "--count", "1",
-        ]).exit_code == 2
+    @pytest.mark.parametrize("modulus,d", [(12, 3), (1000, 33), (3, 5), (2**64 + 1, 3), (3 * 2**63, 3), (3**50, 5)])
+    def test_circuit_check_random_sets_of_any_modulus(self, runner, modulus, d):
+        result = invoke(runner, [
+            "circuit-check", "--n", str(modulus), "--d", str(d), "--count", "20", "--seed", "4",
+        ])
+        assert (result.exit_code, result.stderr) == (0, "")
+        worst = per_message_circuit_deviation(make_rng(4), 20, None, modulus, d)
+        assert result.stdout == f"count 20\nseed 4\nmax_deviation {worst!r}\nok 1\n"
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("modulus", ["1", "0", "-12"])
+    def test_circuit_check_refuses_a_modulus_below_two(self, runner, monkeypatch, modulus):
+        monkeypatch.setattr(cli, "_draw_below", None)  # refused before any draw
+        result = invoke(runner, ["circuit-check", "--n", modulus, "--d", "3", "--count", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: modulus must be >= 2, got {modulus}\n"
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_circuit_check_refuses_d_below_one(self, runner, monkeypatch, d):
+        monkeypatch.setattr(cli, "_draw_below", None)  # refused before any draw
+        result = invoke(runner, ["circuit-check", "--n", "1024", "--d", d, "--count", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: d must be >= 1, got {d}\n"
 
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
@@ -535,12 +559,52 @@ class TestEqualityTests:
         assert result.exit_code == 0
         assert float(parse_report(result.output)["max_deviation"]) < 1e-10
 
-    def test_circuit_check_refuses_a_huge_set_with_no_circuit_form(self, runner, tmp_path):
+    @pytest.mark.parametrize("modulus,keys", [
+        (12, (1, 2, 5)), (1000, (3, 999, 500, 0)), (3 * 2**20 + 7, (5, 3 * 2**20 + 6)),
+        (10**12 + 39, (10**12 + 36, 1)), (2**64 + 1, (5, 7)), (3 * 2**63, (2**64 + 5, 3, 3 * 2**63 - 1)),
+        (3**50, (3**49, 2, 3**50 - 1)),
+    ])
+    def test_circuit_check_sets_of_any_modulus(self, runner, tmp_path, modulus, keys):
         path = tmp_path / "k.txt"
-        save_keyset(KeySet(2**64 + 1, (5, 7)), path)
-        result = invoke(runner, ["circuit-check", "--keyset", str(path), "--count", "1"])
-        assert result.exit_code == 2
-        assert result.stderr == f"error: modulus {2**64 + 1} is not a power of two; no circuit form\n"
+        save_keyset(KeySet(modulus, keys), path)
+        result = invoke(runner, ["circuit-check", "--keyset", str(path), "--count", "30", "--seed", "9"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        worst = per_message_circuit_deviation(make_rng(9), 30, HashParams(KeySet(modulus, keys)))
+        assert result.stdout == f"count 30\nseed 9\nmax_deviation {worst!r}\nok 1\n"
+        assert worst < 1e-10
+
+    @staticmethod
+    def power_of_two_draws(rng, modulus, size=None):
+        """The low n bits of ceil(n/64) words, by % N: the draws _draw_below must keep for N = 2^n past 2^63."""
+        words = rng.integers(0, 1 << 64, size=(1 if size is None else size, -(-(modulus.bit_length() - 1) // 64)),
+                             dtype=np.uint64)
+        values = [sum(w << 64 * i for i, w in enumerate(row)) % modulus for row in words.tolist()]
+        return values if size is not None else values[0]
+
+    @pytest.mark.parametrize("bits", [64, 70, 130, 200])
+    @pytest.mark.parametrize("size", [None, 1, 7, 2000])
+    def test_power_of_two_draws_keep_their_values_and_stream(self, bits, size):
+        rng, oracle = make_rng(bits), make_rng(bits)
+        assert cli._draw_below(rng, 2**bits, size) == self.power_of_two_draws(oracle, 2**bits, size)
+        assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+    @pytest.mark.parametrize("modulus", [3 * 2**63, 2**64 + 1, 2**63 + 1, 3**50])
+    def test_draws_below_any_modulus_are_the_masked_words_below_n(self, modulus):
+        # each draw is the next word group's low b bits that lands below N: a value >= N is drawn again
+        bits = (modulus - 1).bit_length()
+        stream = make_rng(11).integers(0, 1 << 64, size=(8000, -(-bits // 64)), dtype=np.uint64).tolist()
+        masked = [sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in stream]
+        below = [value for value in masked if value < modulus]
+        rng = make_rng(11)
+        assert [cli._draw_below(rng, modulus) for _ in range(3)] + cli._draw_below(rng, modulus, 2000) == below[:2003]
+
+    def test_draws_reach_the_top_of_the_range(self):
+        # one 64-bit word per draw, the power-of-two rule's word count here, would never reach [2^64, N)
+        modulus = 3 * 2**63
+        values = cli._draw_below(make_rng(3), modulus, 3000)
+        assert all(0 <= v < modulus for v in values)
+        thirds = np.bincount([v >> 63 for v in values], minlength=3)
+        assert len(thirds) == 3 and all(abs(t - 1000) < 4 * math.sqrt(3000 * 2 / 9) for t in thirds), thirds
 
     def test_draws_past_int64_cover_the_range(self):
         assert np.array_equal(cli._draw_below(make_rng(3), 2**63, 50), make_rng(3).integers(0, 2**63, size=50))

@@ -1,6 +1,7 @@
 """Hash states, the rotation circuit and its inverse, the REVERSE test."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,28 +34,44 @@ from qhashlab.qsim import hadamard_matrix, reflect_to_uniform
 from conftest import ry
 
 
+# Moduli with no power-of-two form, past int64 and float64's 2^53 among them
+NON_POWER_OF_TWO_MODULI = [3, 5, 12, 100, 1000, 3 * 2**20 + 7, 10**12 + 39, 2**64 + 1, 3**50]
+
+
 def circuit_state(params, m):
     return simulate_circuit(build_hash_circuit(params, m))
+
+
+def non_power_of_two_params(modulus, d):
+    rng = random.Random(modulus * 100 + d)
+    return HashParams(KeySet(modulus, tuple(rng.randrange(modulus) for _ in range(d))))
+
+
+def edge_messages(modulus):
+    """0, N - 1 (the largest message, with bit n set), N/2 and N/3."""
+    return [0, modulus - 1, modulus // 2, modulus // 3]
 
 
 class TestHashParams:
     @pytest.mark.parametrize(
         "modulus,d,n,s",
-        [(8, 2, 3, 2), (32, 15, 5, 5), (1024, 65, 10, 8), (8, 4, 3, 3)],
+        [(8, 2, 3, 2), (32, 15, 5, 5), (1024, 65, 10, 8), (8, 4, 3, 3),
+         # n bits hold every message below any N: one rotation layer per bit
+         (2, 1, 1, 1), (3, 2, 2, 2), (12, 2, 4, 2), (1000, 65, 10, 8), (2**64 + 1, 2, 65, 2), (3**50, 5, 80, 4)],
     )
     def test_register_sizes(self, modulus, d, n, s):
         params = HashParams(KeySet(modulus=modulus, keys=tuple(range(1, d + 1))))
         assert params.n == n
         assert params.s == s
 
-    def test_non_power_of_two_modulus_has_no_bit_length(self):
-        params = HashParams(KeySet(modulus=12, keys=(1, 2)))
-        assert params.n is None
-        assert params.s == 2
-
     def test_branch_capacity(self):
         params = HashParams(KeySet(modulus=32, keys=tuple(range(15))))
         assert params.branch_capacity == 16
+
+    @pytest.mark.parametrize("d", [0, -1, -(1 << 40)])
+    def test_register_needs_a_key(self, d):
+        with pytest.raises(ValueError, match=rf"^d must be >= 1, got {d}$"):
+            qhash_mod.hash_qubits(d)
 
     def test_register_beyond_max_qubits_raises(self, monkeypatch):
         assert qhash_mod.hash_qubits(1 << 23) == 24
@@ -156,10 +173,17 @@ class TestCircuit:
             )
             assert dev < 1e-10
 
-    def test_needs_power_of_two_modulus(self):
-        params = HashParams(KeySet(modulus=12, keys=(1, 2)))
-        with pytest.raises(ValueError, match="^modulus 12 is not a power of two; no circuit form$"):
-            build_hash_circuit(params, 3)
+    @pytest.mark.parametrize("modulus", NON_POWER_OF_TWO_MODULI)
+    @pytest.mark.parametrize("d", [1, 5, 33])
+    def test_non_power_of_two_moduli_match_analytic(self, modulus, d):
+        params = non_power_of_two_params(modulus, d)
+        for m in edge_messages(modulus):
+            circuit = build_hash_circuit(params, m)
+            assert [g.message_bit for g in circuit.gates if isinstance(g, RotationLayer)] == [
+                j for j in range(1, params.n + 1) if m >> (j - 1) & 1
+            ]
+            dev = np.max(np.abs(simulate_circuit(circuit).amplitudes - hash_state(params, m).amplitudes))
+            assert dev < 1e-10, m
 
     def test_message_range_checked(self, tiny_keyset):
         params = HashParams(tiny_keyset)
@@ -300,9 +324,9 @@ def reference_uncompute(params, v, amp, gate):
 
 
 def criterion_3_draws(rng, count):
-    """Random key sets and messages as criterion 3 draws them, plus d = 64."""
+    """Random key sets and messages as criterion 3 draws them, plus d = 64 and two N not powers of two."""
     for modulus, d in [(8, 2), (32, 15), (1024, 65), (8, 15), (1024, 2),
-                       (32, 65), (1024, 64), (256, 16)]:
+                       (32, 65), (1024, 64), (256, 16), (12, 3), (1000, 33)]:
         for _ in range(count):
             keys = tuple(int(k) for k in rng.integers(0, modulus, size=d))
             yield HashParams(KeySet(modulus=modulus, keys=keys)), int(rng.integers(modulus))
@@ -445,5 +469,14 @@ class TestSimulateCircuits:
     def test_refusals_match_build_hash_circuit(self, tiny_keyset):
         with pytest.raises(ValueError, match=r"message 8 out of range \[0, 7\]"):
             simulate_circuits(HashParams(tiny_keyset), [1, 8])
-        with pytest.raises(ValueError, match="not a power of two"):
-            simulate_circuits(HashParams(KeySet(modulus=12, keys=(1, 5))), [1])
+        with pytest.raises(ValueError, match=r"message 12 out of range \[0, 11\]"):
+            simulate_circuits(HashParams(KeySet(modulus=12, keys=(1, 5))), [1, 12])
+
+    @pytest.mark.parametrize("modulus", NON_POWER_OF_TWO_MODULI)
+    @pytest.mark.parametrize("d", [1, 5, 33])
+    def test_non_power_of_two_moduli(self, modulus, d):
+        params = non_power_of_two_params(modulus, d)
+        messages = edge_messages(modulus)
+        self.assert_rows_match(params, messages, 3)
+        for m, row in zip(messages, simulate_circuits(params, messages)):
+            assert np.max(np.abs(row - hash_state(params, m).amplitudes)) < 1e-10, m
