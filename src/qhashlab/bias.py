@@ -113,6 +113,19 @@ class KeySetFormatError(ValueError):
     """A key-set file does not follow the text format."""
 
 
+def _check_modulus(modulus: int) -> None:
+    """Refuse an N that no key set may have: below 2, or from 2^1021 up.
+
+    Every residue 0 .. N - 1 is a key, and the phase 2*pi*j of a key
+    stays a finite float64 for j < N < 2^1021.  KeySet checks this, and
+    the searches and circuit-check call it before they draw anything.
+    """
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if modulus >= 1 << 1021:
+        raise ValueError(f"modulus must be below 2^1021, got a {modulus.bit_length()}-bit one")
+
+
 @dataclass(frozen=True)
 class KeySet:
     """Multiset of residues mod N; repeats are kept and counted.
@@ -125,10 +138,7 @@ class KeySet:
     keys: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if self.modulus >= 1 << 1021:  # 2*pi*j stays a finite float64 for j < N
-            raise ValueError(f"modulus must be below 2^1021, got a {self.modulus.bit_length()}-bit one")
+        _check_modulus(self.modulus)
         object.__setattr__(self, "keys", tuple(map(int, self.keys)))
         if len(self.keys) < 1:
             raise ValueError("key set must contain at least one key")
@@ -352,14 +362,19 @@ def _locate(
     in exact arithmetic, so the classes r = 0 .. P/2 of _class_spectra
     (step P = _class_step(N, d)) cover every shift: class P - r is the
     mirror of class r.  Rows go in blocks of LOCATE_CELLS // N (at least
-    one).  A running maximum per row keeps, after the last class, every
-    shift within 1e-9 * d of the row's maximum: a band far wider than
+    one).  Each class block keeps every shift within 1e-9 * d of the
+    row's running maximum as that block is scanned: a band far wider than
     the transforms' rounding error (about d * log2(N) * 2^-52), so it
-    holds every shift whose exact value can tie the maximum.  At P = 1
-    there is one class, an rfft of the whole row giving shifts 1 .. N/2,
-    and the running maximum is the row's own.  |part| and the band mask
-    are written into buffers, and a class block with no shift in the
-    band adds no pairs.
+    holds every shift whose exact value can tie the maximum.  The pairs
+    are a superset of the band around the final maximum (3 to 7 shifts
+    against 2 on the bundled rows from 2^16): a shift kept only under a
+    lower running maximum lies more than the band below the final one,
+    so its gathered value neither sets the maximum nor falls in
+    worst_character_sums' far narrower tie band, and the reported bits
+    do not change.  At P = 1 there is one class, an rfft of the whole
+    row giving shifts 1 .. N/2, and the running maximum is the row's
+    own.  |part| and the band mask are written into buffers, and a class
+    block with no shift in the band adds no pairs.
     """
     rows, d = key_rows.shape
     step = _class_step(modulus, d)
@@ -393,14 +408,11 @@ def _locate(
             # took 40x the time of np.flatnonzero.
             owner, cell = np.divmod(np.flatnonzero(near), near.shape[1])
             c, t = np.divmod(cell, width)
-            picked.append((owner, classes[c] + step * (t + t0), spectrum[owner, cell]))
-        owner, located, value = (np.concatenate(column) for column in zip(*picked))
-        if len(picked) > 1:  # earlier classes met a lower running maximum
-            keep = np.abs(value.real) >= top[0][owner] - band
-            if not real_only:
-                keep |= np.abs(value) >= top[1][owner] - band
-            order = np.argsort(owner[keep], kind="stable")
-            owner, located = owner[keep][order], located[keep][order]
+            picked.append((owner, classes[c] + step * (t + t0)))
+        owner, located = (np.concatenate(column) for column in zip(*picked))
+        if len(picked) > 1:  # each class block lists its rows in order: sort them into one run per row
+            order = np.argsort(owner, kind="stable")
+            owner, located = owner[order], located[order]
         found.append((owner + first, located))
     return tuple(np.concatenate(column) for column in zip(*found))
 

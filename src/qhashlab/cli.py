@@ -351,10 +351,9 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
     elif modulus is None or d is None:
         raise ValueError("need --keyset, or --n and --d for random sets")
-    elif modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    else:
-        qhash.hash_qubits(d)  # refuse d < 1 or an oversized register before drawing keys
+    else:  # refuse a bad N, d < 1 or an oversized register before drawing keys
+        bias_mod._check_modulus(modulus)
+        qhash.hash_qubits(d)
     worst, done = 0.0, 0
     while done < count:  # the draws, in order, of one message (and drawn set) at a time
         params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))

@@ -55,12 +55,6 @@ MAX_GENERATOR_BYTES = 16 << MAX_QUBITS
 # Bytes of the low codeword table that each high codeword is XORed into.
 LOW_TABLE_BYTES = 1 << 16
 
-# Set bits of each byte value.
-_BYTE_WEIGHTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
-
 class CodeFormatError(ValueError):
     """A code file does not follow the text format."""
 
@@ -107,7 +101,7 @@ class LinearCode:
             if h:
                 high ^= columns[low_bits + (h & -h).bit_length() - 1]
             np.bitwise_xor(low, high, out=block)
-            weights = _BYTE_WEIGHTS[block[0 if h else 1 :]].sum(axis=1)  # row 0 of h = 0 is message 0
+            weights = np.bitwise_count(block[0 if h else 1 :]).sum(axis=1)  # row 0 of h = 0 is message 0
             least, most = min(least, int(weights.min())), max(most, int(weights.max()))
         return least, most
 

@@ -123,11 +123,6 @@ def lemma_size(modulus: int, epsilon: float) -> int:
     return math.ceil((2.0 / (epsilon * epsilon)) * math.log(2 * modulus))
 
 
-def _check_modulus(modulus: int) -> None:
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-
-
 def sample_random_keyset(
     modulus: int,
     epsilon: float,
@@ -140,7 +135,7 @@ def sample_random_keyset(
     target_met=False.  Draws are with replacement: repeats are legal
     keys.
     """
-    _check_modulus(modulus)
+    bias_mod._check_modulus(modulus)
     check_count("max_attempts", max_attempts)
     size = lemma_size(modulus, epsilon)
     if size > bias_mod.MAX_SPECTRUM_CELLS:
@@ -196,7 +191,7 @@ def ga_search(
     sample_random_keyset.  Each generation can report a line
     ``gen <g> best_delta <value>`` through the progress callback.
     """
-    _check_modulus(modulus)
+    bias_mod._check_modulus(modulus)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not 0.0 < target_epsilon < 1.0:

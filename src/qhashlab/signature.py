@@ -51,13 +51,13 @@ for any trial count.  At the first trial with a rejected draw the
 helper restores the chunk's starting state, advances 3t words, runs
 that one trial through the scalar calls and resumes decoding.  Each
 rejected draw takes one more 32-bit half, so after an odd count of
-them the generator keeps a half buffered (has_uint32) and the next
-trials read the halves shifted by one: x_0 is the buffered half, word 0 gives x_1 and
-b, and word 1's low half the guess.  The decoder reads both layouts,
-and whichever it starts from.  After each chunk it sets the
-generator's stale uinteger field to the last word 1's high half, as
-the scalar calls leave it, so the whole state dict, not only the next
-draw, equals the loop's.
+them the generator keeps a half buffered (has_uint32), which the next
+32-bit draw takes first.  So the decoder reads one stream of halves:
+those of words 0 and 1 of each trial, low half first, behind the
+buffered half if there is one, four to a trial (x_0, x_1, b, guess).
+After each chunk it sets the generator's uinteger field to the last
+word 1's high half, buffered or stale, as the scalar calls leave it,
+so the whole state dict, not only the next draw, equals the loop's.
 
 The bulk path runs only for a Philox generator and 2 <= L < 2^32 (L = 1
 draws nothing for the bounded calls; L = 2^32 takes raw halves), and
@@ -295,14 +295,11 @@ def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
         n = min(size, trials - done)
         snapshot = bitgen.state
         words = bitgen.random_raw(3 * n).reshape(n, 3)
-        low, high = words[:, :2] & _LOW_HALF, words[:, :2] >> np.uint64(32)
+        # The halves of words 0 and 1, low first, after any buffered one.
+        halves = np.stack([words[:, :2] & _LOW_HALF, words[:, :2] >> np.uint64(32)], axis=2).ravel()
         if snapshot["has_uint32"]:
-            # A buffered half opens the first trial, and each trial
-            # leaves the high half of its word 1 buffered for the next.
-            x0 = np.concatenate(([np.uint64(snapshot["uinteger"])], high[:-1, 1]))
-            x1, coin, guess = low[:, 0], high[:, 0], low[:, 1]
-        else:
-            x0, x1, coin, guess = low[:, 0], high[:, 0], low[:, 1], high[:, 1]
+            halves = np.concatenate(([np.uint64(snapshot["uinteger"])], halves))
+        x0, x1, coin, guess = halves[: 4 * n].reshape(n, 4).T
         products = np.stack([x0, x1, guess]) * scale
         rejecting = np.flatnonzero(((products & _LOW_HALF) < threshold).any(axis=0))
         t = int(rejecting[0]) if rejecting.size else n
@@ -313,7 +310,7 @@ def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
             # The scalar calls leave word 1's high half in uinteger,
             # buffered or stale; random_raw never touches it.
             state = bitgen.state
-            state["uinteger"] = int(high[t - 1, 1])
+            state["uinteger"] = int(words[t - 1, 1] >> np.uint64(32))
             bitgen.state = state
             values = (products[:, :t] >> np.uint64(32)).astype(np.int64) + 1
             bits = (coin[:t] >> np.uint64(31)).astype(np.int8)

@@ -106,6 +106,16 @@ def test_search_modulus_below_two_exits_two(runner, tmp_path, mode, modulus):
     assert result.stderr == f"error: modulus must be >= 2, got {modulus}\n"
 
 
+@pytest.mark.parametrize("mode", ["ga", "random"])
+def test_search_modulus_from_two_to_the_1021_exits_two(runner, tmp_path, mode):
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", mode, "--n", str(1 << 1021), "--d", "3",
+                             "--epsilon", "0.5", "--out", str(out)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: modulus must be below 2^1021, got a 1022-bit one\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (["--mode", "ga", "--n", "128", "--d", "3"], "spectrum of 64 x 128 = 8192 cells"),
     (["--mode", "random", "--n", "8192", "--epsilon", "0.5"], "spectrum of 1 x 8192 = 8192 cells"),

@@ -79,6 +79,18 @@ class TestRandomSampling:
             sample_random_keyset(64, 0.5, max_attempts=0)
 
 
+class TestModulusUpperBound:
+    @pytest.mark.parametrize("search", [
+        lambda rng: ga_search(1 << 1021, 3, 0.5, rng=rng),
+        lambda rng: sample_random_keyset(1 << 1021, 0.5, rng=rng),
+    ], ids=["ga", "random"])
+    def test_refused_before_drawing(self, search):
+        rng = make_rng(4)
+        with pytest.raises(ValueError, match=r"^modulus must be below 2\^1021, got a 1022-bit one$"):
+            search(rng)
+        assert same_generator_state(rng.bit_generator.state, make_rng(4).bit_generator.state)
+
+
 class TestObjectiveValues:
     def test_matches_per_row_profiles(self):
         rng = make_rng(3)
