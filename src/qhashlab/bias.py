@@ -208,6 +208,12 @@ def phase_angles(keys: np.ndarray, m: int, modulus: int) -> np.ndarray:
     return 2.0 * np.pi * _angle_index(keys, m, modulus) / modulus
 
 
+def _check_message(modulus: int, m: int) -> None:
+    """Refuse a message outside Z_N: the one range rule of the hash, its overlap and REVERSE."""
+    if not 0 <= m < modulus:
+        raise ValueError(f"message {m} out of range [0, {modulus - 1}]")
+
+
 def _check_cells(rows: int, modulus: int) -> None:
     cells = rows * modulus
     if cells > MAX_SPECTRUM_CELLS:
@@ -385,7 +391,6 @@ def _locate(
         keys = key_rows[first : first + block]
         # Running maxima of |Re f| and |f|; zip stops at the first if real_only.
         top = np.full((1 if real_only else 2, len(keys)), -np.inf)
-        picked = []
         for classes, t0, spectrum in _class_spectra(keys, modulus, step, buffers):
             # One line per row: a class block's spectra side by side.
             width = spectrum.shape[2]
@@ -408,13 +413,11 @@ def _locate(
             # took 40x the time of np.flatnonzero.
             owner, cell = np.divmod(np.flatnonzero(near), near.shape[1])
             c, t = np.divmod(cell, width)
-            picked.append((owner, classes[c] + step * (t + t0)))
-        owner, located = (np.concatenate(column) for column in zip(*picked))
-        if len(picked) > 1:  # each class block lists its rows in order: sort them into one run per row
-            order = np.argsort(owner, kind="stable")
-            owner, located = owner[order], located[order]
-        found.append((owner + first, located))
-    return tuple(np.concatenate(column) for column in zip(*found))
+            found.append((owner + first, classes[c] + step * (t + t0)))
+    # Each class block lists its rows in order: a stable sort makes one run per row.
+    owner, located = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], located[order]
 
 
 def worst_character_sums(
@@ -526,8 +529,7 @@ def hash_inner_product(keyset: KeySet, m1: int, m2: int) -> float:
     """
     n = keyset.modulus
     for m in (m1, m2):
-        if not 0 <= m < n:
-            raise ValueError(f"message must be in [0, {n - 1}], got {m}")
+        _check_message(n, m)
     angles = phase_angles(keyset.key_array(), (m1 - m2) % n, n)
     return float(np.cos(angles).sum() / keyset.d)
 

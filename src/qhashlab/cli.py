@@ -68,6 +68,12 @@ def _emit(fmt: str, pairs: list[tuple[str, object]], records: "dict[str, Iterabl
             click.echo(f"{key} {_fmt(value)}")
 
 
+def _tally(probability: float, counts: qsim.TestCounts) -> list[tuple[str, object]]:
+    """The report pairs of a repeated equality test: its exact accept chance, then the shot counts."""
+    return [("accept_probability", probability), ("accepted", counts.accepted),
+            ("rejected", counts.rejected), ("accept_rate", counts.accept_rate)]
+
+
 class _ErrorMappingGroup(click.Group):
     """Report bad input and file errors as ``error: <message>``, exit 2."""
 
@@ -276,10 +282,7 @@ def cmd_swap_test(keyset_path: str, m1: int, m2: int, shots: int, seed: int, fmt
         ("m2", m2),
         ("shots", shots),
         ("seed", seed),
-        ("accept_probability", qsim.swap_test_accept_probability(psi, phi)),
-        ("accepted", counts.accepted),
-        ("rejected", counts.rejected),
-        ("accept_rate", counts.accept_rate),
+        *_tally(qsim.swap_test_accept_probability(psi, phi), counts),
     ])
 
 
@@ -309,26 +312,8 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
         source,
         ("shots", shots),
         ("seed", seed),
-        ("accept_probability", float(abs(uncomputed.amplitudes[0]) ** 2)),
-        ("accepted", counts.accepted),
-        ("rejected", counts.rejected),
-        ("accept_rate", counts.accept_rate),
+        *_tally(float(abs(uncomputed.amplitudes[0]) ** 2), counts),
     ])
-
-
-def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None):
-    """Uniform draws from [0, N): rng.integers up to N = 2^63, so reports keep their bytes; past
-    that a draw is the low b = (N - 1).bit_length() bits of ceil(b/64) uint64 words, and the
-    values >= N are drawn again, in order (never for N = 2^b)."""
-    if modulus <= 1 << 63:
-        return rng.integers(0, modulus, size=size)
-    bits, wanted = (modulus - 1).bit_length(), 1 if size is None else size
-    values: list[int] = []
-    while len(values) < wanted:
-        words = rng.integers(0, 1 << 64, size=(wanted - len(values), -(-bits // 64)), dtype=np.uint64)
-        drawn = (sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in words.tolist())
-        values += [value for value in drawn if value < modulus]
-    return values if size is not None else values[0]
 
 
 @main.command("circuit-check")
@@ -356,9 +341,9 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         qhash.hash_qubits(d)
     worst, done = 0.0, 0
     while done < count:  # the draws, in order, of one message (and drawn set) at a time
-        params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, _draw_below(rng, modulus, d)))
+        params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, qsim._draw_below(rng, modulus, d)))
         size = 1 if fixed is None else max(1, min(CIRCUIT_BLOCK, count - done, (1 << 16) >> params.s))
-        messages = [int(_draw_below(rng, params.keyset.modulus)) for _ in range(size)]
+        messages = [int(qsim._draw_below(rng, params.keyset.modulus)) for _ in range(size)]
         for m, simulated in zip(messages, qhash.simulate_circuits(params, messages)):
             worst = max(worst, float(np.max(np.abs(simulated - qhash.hash_state(params, m).amplitudes))))
         done += size
@@ -410,10 +395,7 @@ def cmd_fingerprint(code_path: str | None, n_bits: int | None, m_bits: int | Non
         ("shots", shots),
         ("seed", seed),
         ("inner_product", ip),
-        ("accept_probability", qsim.swap_test_accept_probability(psi, phi)),
-        ("accepted", counts.accepted),
-        ("rejected", counts.rejected),
-        ("accept_rate", counts.accept_rate),
+        *_tally(qsim.swap_test_accept_probability(psi, phi), counts),
     ]
     if code.enumerable:
         pairs.append(("min_distance", code.min_distance()))

@@ -82,8 +82,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.population_size < 1:
             raise ValueError("population_size must be positive")
-        if self.generations < 1:
-            raise ValueError("generations must be positive")
         check_count("generations", self.generations)
         for name in ("mutation_rate", "crossover_rate"):
             value = getattr(self, name)
@@ -143,6 +141,7 @@ def sample_random_keyset(
             f"lemma size {size} keys (about {size * 8 / 2**30:.1f} GiB per draw) "
             f"exceeds MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
         )
+    bias_mod._check_cells(1, modulus)  # before the first draw
     if rng is None:
         rng = make_rng(0)
     best, best_delta = None, math.inf
@@ -192,8 +191,7 @@ def ga_search(
     ``gen <g> best_delta <value>`` through the progress callback.
     """
     bias_mod._check_modulus(modulus)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    padded_branch_count(d)  # refuses d < 1
     if not 0.0 < target_epsilon < 1.0:
         raise ValueError(f"target_epsilon must be in (0, 1), got {target_epsilon!r}")
     if objective not in OBJECTIVES:
@@ -211,6 +209,7 @@ def ga_search(
             f"{cells * 8 / 2**30:.1f} GiB as int64) exceeds "
             f"MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
         )
+    bias_mod._check_cells(pop_size, modulus)  # before the first draw
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
     buffers = bias_mod._ScanBuffers()
     values = _objective_values(population, modulus, objective, buffers)

@@ -48,7 +48,7 @@ from typing import Union
 
 import numpy as np
 
-from .bias import KeySet, padded_branch_count, phase_angles
+from .bias import KeySet, _check_message, padded_branch_count, phase_angles
 from .qsim import (
     MAX_QUBITS,
     StateVector,
@@ -168,15 +168,9 @@ def hash_qubits(d: int) -> int:
     return s
 
 
-def _check_message(params: HashParams, m: int) -> None:
-    modulus = params.keyset.modulus
-    if not 0 <= m < modulus:
-        raise ValueError(f"message {m} out of range [0, {modulus - 1}]")
-
-
 def hash_state(params: HashParams, m: int) -> StateVector:
     """Materialize |h_K(M)| analytically; amplitudes are real."""
-    _check_message(params, m)
+    _check_message(params.keyset.modulus, m)
     keyset = params.keyset
     angles = phase_angles(keyset.key_array(), m, keyset.modulus)
     scale = 1.0 / math.sqrt(keyset.d)
@@ -196,7 +190,7 @@ def _preparation(params: HashParams) -> list[Gate]:
 
 def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
     """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
-    _check_message(params, m)
+    _check_message(params.keyset.modulus, m)
     gates = _preparation(params)
     gates += [params.rotation_layer(j) for j in range(1, params.n + 1) if m >> (j - 1) & 1]
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
@@ -241,7 +235,7 @@ def simulate_circuits(params: HashParams, messages: list[int]) -> np.ndarray:
     """simulate_circuit(build_hash_circuit(params, m)).amplitudes for each m, as the rows of one array:
     the preparation runs once, and layer j turns the rows whose message has bit j set."""
     for m in messages:
-        _check_message(params, m)
+        _check_message(params.keyset.modulus, m)
     prepared = simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params))))
     rows = np.tile(prepared.amplitudes, (len(messages), 1))
     for j in range(1, params.n + 1):
@@ -283,7 +277,7 @@ def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:
     keyset = params.keyset
     if psi.num_qubits != params.s:
         raise ValueError(f"state has {psi.num_qubits} qubits, hash needs {params.s}")
-    _check_message(params, v)
+    _check_message(params.keyset.modulus, v)
     angles = phase_angles(keyset.key_array(), v, keyset.modulus)
     amp = psi.amplitudes.copy()
     _turn_pairs(amp.reshape(-1, 2), np.cos(angles), -np.sin(angles))

@@ -7,6 +7,9 @@ matrices applied to one qubit, optionally conditioned on the value of
 other qubits.  Measurement is Born-rule sampling from an explicit,
 replayable generator.
 
+Bounded draws, uniform in [0, N) for any N, have one rule, _draw_below:
+circuit-check's keys and messages and signature's numbers in 1..L.
+
 apply_gate_inplace applies single-qubit gates: it views the amplitudes
 as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves are the
 pairs that differ in qubit q, and updates those pairs in place (all of
@@ -77,6 +80,21 @@ SHOT_CHUNK = 1 << 16
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based Philox generator: replayable and cheaply splittable."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None):
+    """Uniform draws from [0, N): rng.integers up to N = 2^63, so reports keep their bytes; past
+    that a draw is the low b = (N - 1).bit_length() bits of ceil(b/64) uint64 words, and the
+    values >= N are drawn again, in order (never for N = 2^b)."""
+    if modulus <= 1 << 63:
+        return rng.integers(0, modulus, size=size)
+    bits, wanted = (modulus - 1).bit_length(), 1 if size is None else size
+    values: list[int] = []
+    while len(values) < wanted:
+        words = rng.integers(0, 1 << 64, size=(wanted - len(values), -(-bits // 64)), dtype=np.uint64)
+        drawn = (sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in words.tolist())
+        values += [value for value in drawn if value < modulus]
+    return values if size is not None else values[0]
 
 
 @dataclass(frozen=True)

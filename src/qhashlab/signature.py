@@ -34,18 +34,18 @@ per-trial data: it holds a copy of the generator from before the first
 draw and replays the same draws whenever its trial log is read.
 
 forgery_experiment makes those draws in bulk where it can show the
-result is the same.  Each trial's scalar calls, integers(1, L+1,
-size=2), integers(0, 2), integers(1, L+1) and random(), read exactly
-3 Philox 64-bit words, and the helper reads them with random_raw:
+result is the same.  Each trial's scalar calls, integers(0, L,
+size=2), integers(0, 2), integers(0, L) (the qsim draws) and random(),
+read 3 Philox 64-bit words, and the helper reads them with random_raw:
 
     word 0: low 32-bit half x_0, high half x_1
     word 1: low half the bit b, high half the guess
     word 2: the uniform draw, (w >> 11) * 2^-53
 
-Each bounded value is Lemire's (x * L) >> 32 (plus the low end of the
-range; b is x >> 31), and a draw is rejected and redrawn when the low
-32 bits of x * L fall below (2^32 - L) mod L, which never happens for
-a power-of-two L and otherwise with chance below L / 2^32.  Chunks of
+Each bounded value is Lemire's (x * L) >> 32 (1 more for a number
+in 1..L; b is x >> 31), and a draw is rejected and redrawn when the
+low 32 bits of x * L fall below (2^32 - L) mod L, which never happens
+for a power-of-two L and otherwise with chance below L / 2^32.  Chunks of
 at most DRAW_CHUNK trials are decoded at once, so memory stays bounded
 for any trial count.  At the first trial with a rejected draw the
 helper restores the chunk's starting state, advances 3t words, runs
@@ -77,7 +77,7 @@ import numpy as np
 
 from .bias import KeySet, _check_cells, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
-from .qsim import StateVector, check_count
+from .qsim import StateVector, _draw_below, check_count
 
 __all__ = [
     "ProtocolParams",
@@ -148,12 +148,13 @@ class ForgeryReport:
 def keygen(params: ProtocolParams, rng: np.random.Generator) -> SignatureKeyPair:
     """Draw the private pair and materialize the public states.
 
-    Private numbers run 1..L inclusive and enter the hash as residues
-    mod N, so with L = N the number N hashes as 0.
+    Private numbers run 1..L inclusive, 1 + qsim's draws below L (for
+    L < 2^63 those of rng.integers(1, L + 1, size=2)), and enter the
+    hash as residues mod N, so with L = N the number N hashes as 0.
     """
     level = params.security_level
     modulus = params.hash_params.keyset.modulus
-    x0, x1 = (int(x) for x in rng.integers(1, level + 1, size=2))
+    x0, x1 = (1 + int(x) for x in _draw_below(rng, level, 2))
     return SignatureKeyPair(
         private=(x0, x1),
         public=(
@@ -268,10 +269,10 @@ def _trial_draws(rng: np.random.Generator, level: int, trials: int):
 
 
 def _scalar_trial(rng: np.random.Generator, level: int) -> tuple[int, int, int, float]:
-    private = rng.integers(1, level + 1, size=2)
+    private = _draw_below(rng, level, 2)
     b = int(rng.integers(0, 2))
-    guess = int(rng.integers(1, level + 1))
-    return b, guess, int(private[b]), rng.random()
+    guess = 1 + int(_draw_below(rng, level))
+    return b, guess, 1 + int(private[b]), rng.random()
 
 
 def _columns(rows: list[tuple[int, int, int, float]]) -> tuple[np.ndarray, ...]:

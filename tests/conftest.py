@@ -16,7 +16,7 @@ from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPEC
 from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
 from qhashlab import bias_profile, simulate_circuit, verify
 from qhashlab.keyset import _objective_values
-from qhashlab.cli import _draw_below
+from qhashlab.qsim import _draw_below
 from qhashlab.textfile import TextFile
 
 

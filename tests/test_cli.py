@@ -23,7 +23,7 @@ from qhashlab import (
 )
 from qhashlab import bias as bias_mod
 from qhashlab import signature as sig_mod
-from qhashlab import cli
+from qhashlab import cli, qsim
 from qhashlab.cli import main
 
 from conftest import keygen_verify_records, per_message_circuit_deviation, trial_log
@@ -113,6 +113,21 @@ def test_search_modulus_from_two_to_the_1021_exits_two(runner, tmp_path, mode):
                              "--epsilon", "0.5", "--out", str(out)])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: modulus must be below 2^1021, got a 1022-bit one\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,message", [
+    ("ga", "spectrum of 64 x 1180591620717411303424 = 75557863725914323419136 cells "
+           "(about 1125899906842624.0 GiB as complex128)"),
+    ("random", "spectrum of 1 x 1180591620717411303424 = 1180591620717411303424 cells "
+               "(about 17592186044416.0 GiB as complex128)"),
+], ids=["ga", "random"])
+def test_search_past_int64_is_refused_before_drawing(runner, tmp_path, mode, message):
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", mode, "--n", str(2**70), "--d", "3",
+                             "--epsilon", "0.5", "--out", str(out)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message} exceeds MAX_SPECTRUM_CELLS = 67108864\n"
     assert not out.exists()
 
 
@@ -410,6 +425,14 @@ class TestHashAndInner:
             "hash", "--keyset", str(N32), "--message", "32",
         ]).exit_code == 2
 
+    @pytest.mark.parametrize("message", ["-1", "32"])
+    def test_hash_inner_and_reverse_refuse_a_message_in_one_text(self, runner, message):
+        for args in (["hash", "--message", message], ["inner", "--m1", message, "--m2", "0"],
+                     ["inner", "--m1", "0", "--m2", message], ["reverse-test", "--claim", message, "--message", "0"]):
+            result = invoke(runner, [*args, "--keyset", str(N32)])
+            assert (result.exit_code, result.stdout) == (2, ""), args
+            assert result.stderr == f"error: message {message} out of range [0, 31]\n", args
+
     def test_inner_matches_library(self, runner):
         result = invoke(runner, [
             "inner", "--keyset", str(N32), "--m1", "5", "--m2", "9",
@@ -531,14 +554,14 @@ class TestEqualityTests:
 
     @pytest.mark.parametrize("modulus", ["1", "0", "-12"])
     def test_circuit_check_refuses_a_modulus_below_two(self, runner, monkeypatch, modulus):
-        monkeypatch.setattr(cli, "_draw_below", None)  # refused before any draw
+        monkeypatch.setattr(qsim, "_draw_below", None)  # refused before any draw
         result = invoke(runner, ["circuit-check", "--n", modulus, "--d", "3", "--count", "1"])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: modulus must be >= 2, got {modulus}\n"
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_circuit_check_refuses_d_below_one(self, runner, monkeypatch, d):
-        monkeypatch.setattr(cli, "_draw_below", None)  # refused before any draw
+        monkeypatch.setattr(qsim, "_draw_below", None)  # refused before any draw
         result = invoke(runner, ["circuit-check", "--n", "1024", "--d", d, "--count", "1"])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == f"error: d must be >= 1, got {d}\n"
@@ -595,7 +618,7 @@ class TestEqualityTests:
     @pytest.mark.parametrize("size", [None, 1, 7, 2000])
     def test_power_of_two_draws_keep_their_values_and_stream(self, bits, size):
         rng, oracle = make_rng(bits), make_rng(bits)
-        assert cli._draw_below(rng, 2**bits, size) == self.power_of_two_draws(oracle, 2**bits, size)
+        assert qsim._draw_below(rng, 2**bits, size) == self.power_of_two_draws(oracle, 2**bits, size)
         assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
 
     @pytest.mark.parametrize("modulus", [3 * 2**63, 2**64 + 1, 2**63 + 1, 3**50])
@@ -606,22 +629,22 @@ class TestEqualityTests:
         masked = [sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in stream]
         below = [value for value in masked if value < modulus]
         rng = make_rng(11)
-        assert [cli._draw_below(rng, modulus) for _ in range(3)] + cli._draw_below(rng, modulus, 2000) == below[:2003]
+        assert [qsim._draw_below(rng, modulus) for _ in range(3)] + qsim._draw_below(rng, modulus, 2000) == below[:2003]
 
     def test_draws_reach_the_top_of_the_range(self):
         # one 64-bit word per draw, the power-of-two rule's word count here, would never reach [2^64, N)
         modulus = 3 * 2**63
-        values = cli._draw_below(make_rng(3), modulus, 3000)
+        values = qsim._draw_below(make_rng(3), modulus, 3000)
         assert all(0 <= v < modulus for v in values)
         thirds = np.bincount([v >> 63 for v in values], minlength=3)
         assert len(thirds) == 3 and all(abs(t - 1000) < 4 * math.sqrt(3000 * 2 / 9) for t in thirds), thirds
 
     def test_draws_past_int64_cover_the_range(self):
-        assert np.array_equal(cli._draw_below(make_rng(3), 2**63, 50), make_rng(3).integers(0, 2**63, size=50))
-        keys = cli._draw_below(make_rng(3), 2**70, 2000)
+        assert np.array_equal(qsim._draw_below(make_rng(3), 2**63, 50), make_rng(3).integers(0, 2**63, size=50))
+        keys = qsim._draw_below(make_rng(3), 2**70, 2000)
         assert all(0 <= k < 2**70 for k in keys)
         assert max(keys) >= 2**69 and min(keys) < 2**64
-        assert 0 <= cli._draw_below(make_rng(3), 2**130) < 2**130
+        assert 0 <= qsim._draw_below(make_rng(3), 2**130) < 2**130
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_circuit_check_rejects_an_empty_count(self, runner, count):
@@ -786,6 +809,19 @@ class TestSignatureCommands:
             "--public", report["public1"], "--seed", "1",
         ])
         assert verified.exit_code == 0
+        assert parse_report(verified.output)["accepted"] == "1"
+
+    def test_sign_verify_round_trip_past_int64(self, runner, tmp_path):
+        # L = N = 2^100: private numbers past numpy's int64 draws
+        keys, prefix, level = tmp_path / "k.txt", str(tmp_path / "alice"), str(2**100)
+        save_keyset(KeySet(2**100, (5, 2**100 - 1, 2**99 + 3)), keys)
+        signed = invoke(runner, ["sign", "--keyset", str(keys), "--security-level", level,
+                                 "--bit", "1", "--seed", "11", "--out", prefix])
+        assert (signed.exit_code, signed.stderr) == (0, "")
+        report = parse_report(signed.output)
+        verified = invoke(runner, ["verify", "--keyset", str(keys), "--security-level", level, "--bit", "1",
+                                   "--signature", report["signature"], "--public", report["public1"]])
+        assert (verified.exit_code, verified.stderr) == (0, "")
         assert parse_report(verified.output)["accepted"] == "1"
 
     def test_wrong_signature_rejects(self, runner, tmp_path):

@@ -91,6 +91,25 @@ class TestModulusUpperBound:
         assert same_generator_state(rng.bit_generator.state, make_rng(4).bit_generator.state)
 
 
+class TestSpectrumAdmission:
+    """A search refuses an N it cannot scan, 2^26 < rows * N, before its first draw."""
+
+    @pytest.mark.parametrize("modulus", [2**27, 2**70], ids=["2^27", "2^70"])
+    @pytest.mark.parametrize("search,rows", [
+        (lambda modulus, rng: ga_search(modulus, 3, 0.5, rng=rng), 64),
+        (lambda modulus, rng: sample_random_keyset(modulus, 0.5, rng=rng), 1),
+    ], ids=["ga", "random"])
+    def test_refused_before_drawing(self, search, rows, modulus):
+        cells = rows * modulus
+        rng = make_rng(4)
+        with pytest.raises(ValueError, match="^" + re.escape(
+            f"spectrum of {rows} x {modulus} = {cells} cells (about {cells * 16 / 2**30:.1f} GiB "
+            "as complex128) exceeds MAX_SPECTRUM_CELLS = 67108864"
+        ) + "$"):
+            search(modulus, rng)
+        assert same_generator_state(rng.bit_generator.state, make_rng(4).bit_generator.state)
+
+
 class TestObjectiveValues:
     def test_matches_per_row_profiles(self):
         rng = make_rng(3)

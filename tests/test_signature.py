@@ -88,6 +88,22 @@ class TestKeygenAndSign:
                 break
         assert found
 
+    @pytest.mark.parametrize("level", [1, 2, 1000, 2**32, 2**32 + 1, 2**63 - 1])
+    def test_draws_are_those_of_integers_up_to_int64(self, level):
+        params = ProtocolParams(HashParams(KeySet(2**64, (5, 2**63 + 3, 2**64 - 1))), level)
+        for seed in range(5):
+            rng, oracle = make_rng(seed), make_rng(seed)
+            assert keygen(params, rng).private == tuple(int(x) for x in oracle.integers(1, level + 1, size=2))
+            assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+    def test_level_past_int64_signs_and_verifies(self):
+        params = ProtocolParams(HashParams(KeySet(2**100, (5, 2**99 + 3, 2**100 - 1))), 2**100)
+        keypair = keygen(params, make_rng(2))
+        assert all(1 <= x <= 2**100 for x in keypair.private)
+        assert max(keypair.private) > 2**64
+        for b in (0, 1):
+            assert verify(params, keypair.public[b], b, sign(keypair, b), make_rng(b))
+
     def test_deterministic(self, tiny_protocol):
         assert keygen(tiny_protocol, make_rng(9)).private == keygen(
             tiny_protocol, make_rng(9)
