@@ -31,7 +31,11 @@ cells are formed in cache-sized blocks and the N - d zero
 multiplicities are never transformed (FFT pruning, after Markel 1971).
 Rows below N = 2^16, the GA's and the random draws' among them, take
 an rfft of whole rows in cache-sized blocks of rows: the same code
-with one class, P = 1.
+with one class, P = 1.  Where only Re f is read (real_only) and
+4 | N, such rows from 2^12 to 2^16 take a cosine transform instead:
+Re f is even in the keys, so an rfft of half the length gives the
+even shifts and a prefix sum of its imaginary parts the odd ones
+(_cosine_spectra).
 
 A scan writes into one set of working buffers (_ScanBuffers): the
 multiplicities, the folded phasors, the spectra, |part|, the band
@@ -288,7 +292,7 @@ def _gather(
     d = key_rows.shape[1]
     table = buffers.roots(modulus, d * shifts.size)
     f = np.zeros(shifts.size, dtype=np.complex128)
-    if d * shifts.size >= modulus:
+    if d * shifts.size >= modulus and (owner.size == 1 or d * shifts.size > GATHER_TERMS):
         for column in key_rows.T:
             f += table[_angle_index(column[owner], shifts, modulus)]
         return f
@@ -359,6 +363,56 @@ def _class_spectra(keys: np.ndarray, modulus: int, step: int, buffers: _ScanBuff
         yield classes, 0, spectrum
 
 
+def _takes_cosine(modulus: int) -> bool:
+    """Whether a real-only whole-row locate takes _cosine_spectra: 4 | N and 2^12 <= N <= 2^16.
+
+    Timed on 62-row GA fitness calls through kept buffers, the rfft
+    against the cosine block (first quartiles of 80 alternations):
+    0.41 -> 0.57 ms at N = 2^10 (d = 65) loses; 0.82 -> 0.78 ms at 2^11
+    (d = 65) is a 3-5% gain, inside the spread between runs; 1.51 ->
+    1.32 ms at 2^12 (d = 65), 3.67 -> 2.97 ms at 2^13 and 6.33 ->
+    4.97 ms at 2^14 (d = 129) win, as does one d = 2357 row at 2^16
+    (0.71 -> 0.62 ms).  The cap keeps the prefix sums' rounding inside
+    the locate band (see _locate).
+    """
+    return modulus % 4 == 0 and 1 << 12 <= modulus <= 1 << 16
+
+
+def _cosine_spectra(keys: np.ndarray, modulus: int, buffers: _ScanBuffers):
+    """One block (classes, 0, V) with V[row, c, t] = Re f_K(classes[c] + 2t), from an rfft of length N/2.
+
+    Re f_K(l) = sum_k cos(pi k l / M), M = N/2, is a cosine transform of
+    the keys folded to j = min(k, N - k), and one real FFT of length M
+    gives it (FFTPACK's COST): each key adds 1/2 + sin(pi k/M) at k mod M
+    and 1/2 - sin(pi k/M) at -k mod M (both halves of a key at 0 or M
+    land in bin 0).  The transform Y of those bins gives the even shifts
+    as Re Y[t], t = 1 .. M/2, and the odd shifts 2t + 1 as
+    Re f_K(1) + sum_{1 <= s <= t} Im Y[s], t = 0 .. M/2 - 1: one cumsum
+    once Re f_K(1), an O(d) sum, replaces Im Y[0] = 0.  The even shifts
+    (class 2) and the odd ones (class 1) fill the two halves of the
+    "values" buffer, into which _locate then takes |V| in place; two
+    blocks, or the strided Re Y read as it stands, each cost more.
+    """
+    rows, _ = keys.shape
+    half = modulus // 2
+    angles = (np.pi / half) * keys
+    sines = np.sin(angles)
+    first = np.arange(rows)[:, None] * half
+    counts = buffers.take("counts", (rows * half,), np.float64)
+    cells = [(first + keys % half).ravel(), (first + -keys % half).ravel()]
+    for at, weights in zip(cells, (0.5 + sines, 0.5 - sines)):
+        np.add.at(counts, at, weights.ravel())
+    spectrum = buffers.take("spectrum", (rows, half // 2 + 1), np.complex128)
+    np.fft.rfft(counts.reshape(rows, half), out=spectrum)
+    for at in cells:
+        counts[at] = 0.0
+    spectrum.imag[:, 0] = np.cos(angles).sum(axis=1)
+    values = buffers.take("values", (rows, 2, half // 2), np.float64)
+    values[:, 0] = spectrum.real[:, 1:]
+    np.cumsum(spectrum.imag[:, :-1], axis=1, out=values[:, 1])
+    yield np.array([2, 1]), 0, values
+
+
 def _locate(
     key_rows: np.ndarray, modulus: int, real_only: bool, buffers: _ScanBuffers
 ) -> tuple[np.ndarray, ...]:
@@ -381,9 +435,18 @@ def _locate(
     row giving shifts 1 .. N/2, and the running maximum is the row's
     own.  |part| and the band mask are written into buffers, and a class
     block with no shift in the band adds no pairs.
+    A real-only whole-row scan with _takes_cosine(N) reads the even
+    and the odd shifts from _cosine_spectra as classes 2 and 1 of
+    step 2.  Its odd values are prefix sums of N/4 transform
+    outputs, so their rounding grows to about (N/4) log2(N) d 2^-52:
+    5.8e-11 d at N = 2^16, 17 times inside the band, but 1.2e-9 d at
+    2^20, outside it; hence its cap at 2^16.
     """
     rows, d = key_rows.shape
     step = _class_step(modulus, d)
+    cosine = real_only and step == 1 and _takes_cosine(modulus)
+    if cosine:
+        step = 2
     band = 1e-9 * d
     block = max(1, LOCATE_CELLS // modulus)
     found = []
@@ -391,7 +454,8 @@ def _locate(
         keys = key_rows[first : first + block]
         # Running maxima of |Re f| and |f|; zip stops at the first if real_only.
         top = np.full((1 if real_only else 2, len(keys)), -np.inf)
-        for classes, t0, spectrum in _class_spectra(keys, modulus, step, buffers):
+        blocks = _cosine_spectra(keys, modulus, buffers) if cosine else _class_spectra(keys, modulus, step, buffers)
+        for classes, t0, spectrum in blocks:
             # One line per row: a class block's spectra side by side.
             width = spectrum.shape[2]
             spectrum = spectrum.reshape(len(keys), -1)

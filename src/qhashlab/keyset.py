@@ -22,6 +22,7 @@ of the returned set; SearchOutcome says how each obtains it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib.resources import files
@@ -41,7 +42,7 @@ from .bias import (
     padded_branch_count,
     worst_character_sums,
 )
-from .qsim import check_count, make_rng
+from .qsim import _resume, check_count, make_rng
 
 __all__ = [
     "SearchConfig",
@@ -64,6 +65,10 @@ OBJECTIVES = ("padded_sq", "delta")
 # and matches the declared value to the files' 4-decimal rounding.
 TABLE_BOUND = 0.01
 ROUNDING_TOL = 5e-4
+
+# Most raw 64-bit words one GA pair of children reads: six 32-bit
+# tournament draws (three words), the crossover uniform and its point.
+PAIR_WORDS = 5
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,22 @@ def ga_search(
     With rng omitted, the stream is make_rng(0), as in
     sample_random_keyset.  Each generation can report a line
     ``gen <g> best_delta <value>`` through the progress callback.
+
+    Each pair of children draws, in order, rng.integers(0, pop_size,
+    size=6) (two trios of rows), then if d > 1 rng.random(), and if that
+    is below crossover_rate and d > 2 the point rng.integers(1, d).  A
+    generation reads all of it with one random_raw of PAIR_WORDS words a
+    pair and decodes the words as numpy does (_decode_tournaments): a
+    bounded draw below 2^32 is Lemire's on one 32-bit half, the halves
+    taken low first behind any half the generator holds buffered, and
+    the uniform is a whole word w, (w >> 11) * 2^-53.  qsim._resume then
+    leaves the generator where those calls leave it.  The calls
+    themselves run instead on a rejected draw (possible only when
+    2^32 mod R != 0 for the bound R), for a bit generator whose state
+    has no buffered half (MT19937), for a population of one, and on a
+    numpy where a once-per-process check of the decode fails; the
+    children, progress lines and generator state never depend on the
+    path.
     """
     bias_mod._check_modulus(modulus)
     padded_branch_count(d)  # refuses d < 1
@@ -226,21 +247,7 @@ def ga_search(
 
         elite = population[: config.elitism_count]
         needed = pop_size - config.elitism_count
-        offspring = np.empty((needed + 1, d), dtype=np.int64)  # a spare row for an odd needed
-        aligned = np.sort(population, axis=1)
-        scores = values.tolist()
-        for child in range(0, needed, 2):
-            # min keeps the first of equal scores, as argmin does.  size=6
-            # draws the values, and leaves the generator state, of size=(2, 3).
-            draw = rng.integers(0, pop_size, size=6).tolist()
-            a, b = (min(trio, key=scores.__getitem__) for trio in (draw[:3], draw[3:]))
-            if d > 1 and rng.random() < config.crossover_rate:
-                point = int(rng.integers(1, d))
-                offspring[child, :point], offspring[child, point:] = aligned[a, :point], aligned[b, point:]
-                offspring[child + 1, :point], offspring[child + 1, point:] = aligned[b, :point], aligned[a, point:]
-            else:
-                offspring[child], offspring[child + 1] = population[a], population[b]
-        offspring = offspring[:needed]
+        offspring = _breed(rng, population, values, needed, config.crossover_rate)
         mutate = rng.random(offspring.shape) < config.mutation_rate
         fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
         offspring[mutate] = fresh[mutate]
@@ -265,6 +272,138 @@ def ga_search(
         achieved_objective=achieved_objective,
     )
 
+
+def _breed(
+    rng: np.random.Generator, population: np.ndarray, values: np.ndarray, needed: int, crossover_rate: float
+) -> np.ndarray:
+    """The needed children of one generation, bred from the value-sorted population.
+
+    Each pair's two winners are the first rows of least value in its
+    two trios.  A pair with a crossover point below d swaps the
+    winners' sorted key lists from that point on; one whose point is d
+    copies the two rows as stored.  Children come in pairs, the spare
+    dropped for an odd needed.
+    """
+    pop_size, d = population.shape
+    pairs = (needed + 1) // 2
+    trios, points = _tournaments(rng, pop_size, d, crossover_rate, pairs)
+    trios = np.array(trios, dtype=np.intp).reshape(2 * pairs, 3)
+    winners = trios[np.arange(2 * pairs), values[trios].argmin(axis=1)].reshape(pairs, 2)
+    points = np.array(points, dtype=np.intp)[:, None, None]
+    rows = population[winners]
+    parents = np.where(points < d, np.sort(rows, axis=2), rows)
+    children = np.where(np.arange(d) < points, parents, parents[:, ::-1])
+    return children.reshape(2 * pairs, d)[:needed]
+
+
+def _tournaments(
+    rng: np.random.Generator, pop_size: int, d: int, crossover_rate: float, pairs: int
+) -> tuple[list[int], list[int]]:
+    """Each pair's six tournament rows and its crossover point (d for none), as the scalar calls draw them.
+
+    The values and the generator's whole state are those of
+    _scalar_tournaments; they are decoded from one random_raw read (see
+    ga_search) where that is exact.
+    """
+    bitgen = rng.bit_generator
+    snapshot = bitgen.state
+    if "has_uint32" in snapshot and pop_size > 1 and _bulk_breeding_matches(type(bitgen)):
+        drawn = _decoded_tournaments(bitgen, snapshot, pop_size, d, crossover_rate, pairs)
+        if drawn is not None:
+            return drawn
+    return _scalar_tournaments(rng, pop_size, d, crossover_rate, pairs)
+
+
+def _decoded_tournaments(
+    bitgen: np.random.BitGenerator, snapshot: dict, pop_size: int, d: int, crossover_rate: float, pairs: int
+) -> tuple[list[int], list[int]] | None:
+    """_scalar_tournaments' draws from one random_raw read, the generator left where they leave it; or
+    None, the generator back at snapshot, where a draw is rejected."""
+    words = bitgen.random_raw(PAIR_WORDS * pairs).tolist()
+    decoded = _decode_tournaments(words, bool(snapshot["has_uint32"]), snapshot["uinteger"], pop_size, d,
+                                  crossover_rate)
+    if decoded is None:
+        bitgen.state = snapshot
+        return None
+    trios, points, read, buffered, uinteger = decoded
+    _resume(bitgen, snapshot, read, buffered, uinteger)
+    return trios, points
+
+
+def _scalar_tournaments(
+    rng: np.random.Generator, pop_size: int, d: int, crossover_rate: float, pairs: int
+) -> tuple[list[int], list[int]]:
+    trios: list[int] = []
+    points: list[int] = []
+    for _ in range(pairs):
+        trios += rng.integers(0, pop_size, size=6).tolist()
+        crossed = d > 1 and rng.random() < crossover_rate
+        points.append(int(rng.integers(1, d)) if crossed else d)
+    return trios, points
+
+
+def _decode_tournaments(
+    words: list[int], buffered: bool, uinteger: int, pop_size: int, d: int, crossover_rate: float
+) -> tuple[list[int], list[int], int, bool, int] | None:
+    """The draws of len(words) // PAIR_WORDS pairs, decoded from raw 64-bit words; None at a rejected draw.
+
+    buffered and uinteger are the generator's 32-bit half before the
+    draws.  Returns (trios, points, words read, buffered, uinteger), the
+    last two as the draws leave them.  A bounded draw from a half x is
+    Lemire's (x * R) >> 32, redrawn when the low half of x * R is below
+    2^32 mod R.
+    """
+    low = 0xFFFFFFFF
+    halves: list[int] = []
+    points: list[int] = []
+    at, rejected = 0, False
+    for _ in range(len(words) // PAIR_WORDS):
+        # Six 32-bit draws read three words, behind the buffered half if
+        # any; the buffer's state is kept, and w2's high half is left.
+        w0, w1, w2 = words[at : at + 3]
+        pair = [w0 & low, w0 >> 32, w1 & low, w1 >> 32, w2 & low, w2 >> 32]
+        halves += [uinteger, *pair[:5]] if buffered else pair
+        uinteger, at, point = w2 >> 32, at + 3, d
+        if d > 1:
+            at += 1
+            if (words[at - 1] >> 11) * (1.0 / 9007199254740992.0) < crossover_rate:
+                point = 1
+                if d > 2:
+                    if buffered:
+                        x = uinteger
+                    else:
+                        x, uinteger = words[at] & low, words[at] >> 32
+                        at += 1
+                    buffered = not buffered
+                    scaled = x * (d - 1)
+                    rejected |= scaled & low < (1 << 32) % (d - 1)
+                    point += scaled >> 32
+        points.append(point)
+    scaled = np.array(halves, dtype=np.uint64) * np.uint64(pop_size)
+    if rejected or ((scaled & np.uint64(low)) < np.uint64((1 << 32) % pop_size)).any():
+        return None
+    return (scaled >> np.uint64(32)).tolist(), points, at, buffered, uinteger
+
+
+@functools.cache
+def _bulk_breeding_matches(kind: type) -> bool:
+    """Whether the decoded tournaments reproduce the scalar calls for this bit generator type on this numpy.
+
+    Checked once per process and type on fixed draws: 31 pairs at
+    population 64, d = 65 and rate 0.7 from an empty 32-bit buffer, and
+    behind a buffered half at population 37 (whose draws can reject),
+    d = 3 and rate 0.5.
+    """
+    for pop_size, d, rate, lead in ((64, 65, 0.7, 0), (37, 3, 0.5, 1)):
+        fast, slow = (np.random.Generator(kind(20130901)) for _ in range(2))
+        for rng in (fast, slow):
+            rng.integers(0, 5, size=lead)  # one 32-bit draw leaves a half buffered
+        drawn = _decoded_tournaments(fast.bit_generator, fast.bit_generator.state, pop_size, d, rate, 31)
+        if drawn != _scalar_tournaments(slow, pop_size, d, rate, 31):
+            return False
+        if repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
+            return False
+    return True
 
 def bundled_table_dir() -> Path:
     """Directory of the packaged key-set table fixtures."""

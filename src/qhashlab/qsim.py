@@ -9,6 +9,8 @@ replayable generator.
 
 Bounded draws, uniform in [0, N) for any N, have one rule, _draw_below:
 circuit-check's keys and messages and signature's numbers in 1..L.
+Decoders that read a stream ahead in raw words (signature's trial
+draws, the GA's tournaments) rewind it with one rule, _resume.
 
 apply_gate_inplace applies single-qubit gates: it views the amplitudes
 as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves are the
@@ -95,6 +97,21 @@ def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None)
         drawn = (sum(w << 64 * i for i, w in enumerate(row)) & ((1 << bits) - 1) for row in words.tolist())
         values += [value for value in drawn if value < modulus]
     return values if size is not None else values[0]
+
+
+def _resume(bitgen: np.random.BitGenerator, snapshot: dict, words: int, buffered: bool, uinteger: int) -> None:
+    """Leave bitgen where scalar draws that read words raw 64-bit words from snapshot leave it.
+
+    A decoder that read ahead with random_raw rewinds here: the snapshot
+    advanced by words, then the 32-bit draws' buffered half set as
+    given (has_uint32 and uinteger, which random_raw never touches), so
+    the whole state dict, not only the next draw, is the scalar calls'.
+    """
+    bitgen.state = snapshot
+    bitgen.random_raw(words)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(buffered), uinteger
+    bitgen.state = state
 
 
 @dataclass(frozen=True)

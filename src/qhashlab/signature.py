@@ -55,9 +55,10 @@ them the generator keeps a half buffered (has_uint32), which the next
 32-bit draw takes first.  So the decoder reads one stream of halves:
 those of words 0 and 1 of each trial, low half first, behind the
 buffered half if there is one, four to a trial (x_0, x_1, b, guess).
-After each chunk it sets the generator's uinteger field to the last
-word 1's high half, buffered or stale, as the scalar calls leave it,
-so the whole state dict, not only the next draw, equals the loop's.
+After each chunk qsim._resume rewinds the generator to the words the
+decoded trials read and sets its uinteger field to the last word 1's
+high half, buffered or stale, as the scalar calls leave it, so the
+whole state dict, not only the next draw, equals the loop's.
 
 The bulk path runs only for a Philox generator and 2 <= L < 2^32 (L = 1
 draws nothing for the bounded calls; L = 2^32 takes raw halves), and
@@ -77,7 +78,7 @@ import numpy as np
 
 from .bias import KeySet, _check_cells, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
-from .qsim import StateVector, _draw_below, check_count
+from .qsim import StateVector, _draw_below, _resume, check_count
 
 __all__ = [
     "ProtocolParams",
@@ -304,15 +305,11 @@ def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
         products = np.stack([x0, x1, guess]) * scale
         rejecting = np.flatnonzero(((products & _LOW_HALF) < threshold).any(axis=0))
         t = int(rejecting[0]) if rejecting.size else n
-        if t < n:
-            bitgen.state = snapshot
-            bitgen.random_raw(3 * t)
+        # The scalar calls leave the last word 1's high half in uinteger,
+        # buffered or stale, and a trial's four halves keep has_uint32.
+        uinteger = int(words[t - 1, 1] >> np.uint64(32)) if t else snapshot["uinteger"]
+        _resume(bitgen, snapshot, 3 * t, snapshot["has_uint32"], uinteger)
         if t:
-            # The scalar calls leave word 1's high half in uinteger,
-            # buffered or stale; random_raw never touches it.
-            state = bitgen.state
-            state["uinteger"] = int(words[t - 1, 1] >> np.uint64(32))
-            bitgen.state = state
             values = (products[:, :t] >> np.uint64(32)).astype(np.int64) + 1
             bits = (coin[:t] >> np.uint64(31)).astype(np.int8)
             uniforms = (words[:t, 2] >> np.uint64(11)) * (1.0 / 9007199254740992.0)

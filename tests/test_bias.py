@@ -454,6 +454,69 @@ def check_reused_scan(buffers, population, modulus, real_only):
         assert np.array_equal(value, reference)
 
 
+# (N, d) on the half-length cosine locate: its floor, the GA's N = 16384,
+# 3 * 2^12 (not a power of two) and its cap, where d > 512 keeps whole rows.
+COSINE_CASES = [(4096, 65), (8192, 33), (16384, 129), (3 << 12, 17), (65536, 700)]
+
+
+def cosine_rows(modulus, d, seed):
+    """Random rows beside rows with keys at 0 and N/2, repeated keys, and one tied at every shift."""
+    rows = np.random.default_rng(seed).integers(0, modulus, size=(7, d))
+    rows[1, :3] = [0, modulus // 2, 0]
+    rows[2] = modulus // 2
+    rows[3] = 0  # Re f = d at every shift
+    rows[4, ::2] = rows[4, 0]
+    rows[5] = [(i % 2) * (modulus // 2) for i in range(d)]
+    rows[6, : d // 2] = -rows[6, d - d // 2 :] % modulus  # K = -K but for one key
+    return rows
+
+
+class TestCosineLocate:
+    def test_size_rule(self):
+        moduli = [2048, 4096, 3 << 12, 4098, 1 << 16, 1 << 17]
+        assert [bias_mod._takes_cosine(n) for n in moduli] == [False, True, True, False, True, False]
+
+    @pytest.mark.parametrize("modulus, d", COSINE_CASES)
+    def test_matches_direct(self, monkeypatch, modulus, d):
+        taken = []
+        cosine = bias_mod._cosine_spectra
+        monkeypatch.setattr(bias_mod, "_cosine_spectra", lambda *args: taken.append(1) or cosine(*args))
+        rows = cosine_rows(modulus, d, modulus + d)
+        fast = bias_mod.worst_character_sums(rows, modulus, real_only=True)
+        assert taken
+        direct = bias_mod.worst_character_sums(rows, modulus, "direct", real_only=True)
+        assert all(np.array_equal(value, want) for value, want in zip(fast, direct))
+        for i, row in enumerate(rows):
+            alone = bias_mod.worst_character_sums(row[None, :], modulus, real_only=True)
+            assert all(np.array_equal(value, want[i : i + 1]) for value, want in zip(alone, fast))
+
+    @pytest.mark.parametrize("modulus, d", [(4096, 65), (3 << 12, 17), (65536, 700)])
+    def test_values_within_the_prefix_sum_bound(self, modulus, d):
+        # Every shift 1 .. N/2 once, within (N/4) log2(N) d 2^-52 of the
+        # gathered Re f: far inside the locate band of 1e-9 d.
+        rows = cosine_rows(modulus, d, d)
+        values = np.full((len(rows), modulus // 2 + 1), np.nan)
+        for classes, t0, block in bias_mod._cosine_spectra(rows, modulus, bias_mod._ScanBuffers()):
+            for c, first in enumerate(classes):
+                values[:, first + 2 * (np.arange(block.shape[2]) + t0)] = block[:, c]
+        shifts = np.arange(1, modulus // 2 + 1)
+        bound = modulus / 4 * math.log2(modulus) * d * 2.0**-52
+        for row, got in zip(rows, values):
+            exact = fourier_components(KeySet(modulus, row), shifts).real
+            assert np.abs(got[1:] - exact).max() <= bound
+
+    @given(st.sampled_from([4096, 3 << 12, 16384]).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=9)).flatmap(
+            lambda nd: st.tuples(st.just(n), st.lists(row_kinds(*nd), min_size=1, max_size=3)))))
+    @settings(max_examples=30, deadline=None)
+    def test_row_kinds_match_direct(self, case):
+        modulus, rows = case
+        rows = np.array(rows, dtype=np.int64)
+        fast = bias_mod.worst_character_sums(rows, modulus, real_only=True)
+        direct = bias_mod.worst_character_sums(rows, modulus, "direct", real_only=True)
+        assert all(np.array_equal(value, want) for value, want in zip(fast, direct))
+
+
 class TestScanBuffers:
     def test_reused_buffers_give_the_bits_of_fresh_ones(self):
         # Each shape is scanned twice: first with every row one repeated

@@ -24,6 +24,7 @@ from qhashlab import (
     sample_random_keyset,
 )
 from qhashlab import bias as bias_mod
+from qhashlab import keyset as keyset_mod
 from qhashlab.keyset import (
     ROUNDING_TOL,
     TABLE_BOUND,
@@ -263,9 +264,9 @@ BREEDING_CASES = [
 ]
 
 
-def assert_matches_the_per_child_loop(modulus, d, target, config, seed, objective="padded_sq"):
+def assert_matches_the_per_child_loop(modulus, d, target, config, seed, objective="padded_sq", generator=make_rng):
     lines, reference_lines = [], []
-    rng, reference_rng = make_rng(seed), make_rng(seed)
+    rng, reference_rng = generator(seed), generator(seed)
     out = ga_search(modulus, d, target, config, rng, objective=objective, progress=lines.append)
     reference = per_child_ga_search(modulus, d, target, config, reference_rng, objective,
                                     progress=reference_lines.append)
@@ -289,6 +290,110 @@ class TestBreedingOracle:
     def test_early_stop_matches(self):
         out = assert_matches_the_per_child_loop(32, 15, 0.02, SearchConfig(), 3)
         assert 0 < out.generations_used < 500 and out.target_met
+
+
+def buffered_philox(seed):
+    """make_rng(seed) after one 32-bit draw, so it holds a buffered half."""
+    rng = make_rng(seed)
+    rng.integers(0, 7)
+    return rng
+
+
+# Generators: Philox behind a buffered 32-bit half, PCG64 (its own
+# buffered half) and MT19937, whose state has none, so it takes the
+# scalar calls.
+GENERATORS = {
+    "buffered-philox": buffered_philox,
+    "pcg64": lambda seed: np.random.Generator(np.random.PCG64(seed)),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+}
+
+# Populations of 5, 37 (whose draws can reject) and 100 beside BREEDING_CASES.
+BULK_CASES = BREEDING_CASES + [
+    (1000, 33, SearchConfig(population_size=5, elitism_count=0, generations=20)),
+    (4096, 17, SearchConfig(population_size=37, elitism_count=3, generations=8)),
+    (1024, 65, SearchConfig(population_size=100, elitism_count=3, generations=5)),
+]
+
+
+def scalar_philox(seed, buffered=None):
+    """A Philox generator and its first 5 * 31 raw words, optionally behind a buffered half."""
+    rng = make_rng(seed)
+    if buffered is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        rng.bit_generator.state = state
+    return rng, make_rng(seed).bit_generator.random_raw(keyset_mod.PAIR_WORDS * 31).tolist()
+
+
+class TestBulkTournaments:
+    """Each generation's tournament and crossover draws decoded from raw words:
+    the same children, progress lines and generator state as the scalar calls."""
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("modulus, d, config", BULK_CASES)
+    def test_matches_the_per_child_loop(self, modulus, d, config, generator):
+        assert_matches_the_per_child_loop(modulus, d, 1e-12, config, 5, generator=GENERATORS[generator])
+
+    def test_the_bulk_path_runs(self, monkeypatch):
+        assert keyset_mod._bulk_breeding_matches(np.random.Philox)  # checked before the patch
+        calls = []
+        monkeypatch.setattr(keyset_mod, "_scalar_tournaments", lambda *args: calls.append(args))
+        ga_search(1024, 65, 1e-12, SearchConfig(generations=3), make_rng(1))
+        assert calls == []
+
+    @pytest.mark.parametrize("pop_size, d, rate", [(64, 65, 0.7), (37, 3, 0.5), (5, 2, 1.0), (9, 1, 0.7), (100, 9, 0.0)])
+    @pytest.mark.parametrize("buffered", [None, 123456789])
+    def test_decode_is_the_scalar_calls(self, pop_size, d, rate, buffered):
+        rng, words = scalar_philox(11, buffered)
+        want = keyset_mod._scalar_tournaments(rng, pop_size, d, rate, 31)
+        trios, points, read, half, uinteger = keyset_mod._decode_tournaments(
+            words, buffered is not None, 0 if buffered is None else buffered, pop_size, d, rate)
+        assert (trios, points) == want
+        state = rng.bit_generator.state
+        assert (half, uinteger) == (bool(state["has_uint32"]), state["uinteger"])
+        advanced = make_rng(11).bit_generator
+        advanced.random_raw(read)
+        assert np.array_equal(advanced.state["state"]["counter"], state["state"]["counter"])
+        assert advanced.state["buffer_pos"] == state["buffer_pos"]
+
+    def test_a_rejected_draw_asks_for_the_fallback(self):
+        # 2^32 mod 37 = 7: a low half of 0 scales to 0 and is redrawn
+        words = [0, 2**63 + 5, 3, 4, 5]
+        assert keyset_mod._decode_tournaments(words, False, 0, 37, 65, 0.7) is None
+        # 2^32 mod 64 = 0: a power-of-two population never rejects
+        assert keyset_mod._decode_tournaments(words, False, 0, 64, 65, 0.7) is not None
+
+    def test_a_rejected_generation_takes_the_scalar_calls(self, monkeypatch):
+        decode, refused = keyset_mod._decode_tournaments, []
+
+        def refuse_every_other(*args):
+            refused.append(len(refused) % 2 == 0)
+            return None if refused[-1] else decode(*args)
+
+        monkeypatch.setattr(keyset_mod, "_decode_tournaments", refuse_every_other)
+        assert_matches_the_per_child_loop(1000, 33, 1e-12, SearchConfig(generations=6), 3)
+        assert refused.count(True) == 3
+
+    def test_self_check(self, monkeypatch):
+        for kind in (np.random.Philox, np.random.PCG64, np.random.SFC64):
+            keyset_mod._bulk_breeding_matches.cache_clear()
+            assert keyset_mod._bulk_breeding_matches(kind)
+        monkeypatch.setattr(keyset_mod, "_bulk_breeding_matches", lambda kind: False)
+        assert_matches_the_per_child_loop(64, 9, 1e-12, SearchConfig(generations=5), 2)
+
+    @pytest.mark.parametrize("generator, seed, config, pinned", [
+        (make_rng, 1, SearchConfig(generations=5), ([8245, 0, 0, 0], 1, 1, 3042414270, 34225)),
+        (buffered_philox, 2, SearchConfig(population_size=37, elitism_count=3, generations=4),
+         ([3690, 0, 0, 0], 4, 0, 4051671982, 34630)),
+    ])
+    def test_generator_state_after_a_search_is_pinned(self, generator, seed, config, pinned):
+        # Recorded from the per-pair scalar loop.
+        rng = generator(seed)
+        out = ga_search(1024, 65, 1e-12, config, rng)
+        state = rng.bit_generator.state
+        assert (state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"],
+                state["uinteger"], sum(out.keyset.keys)) == pinned
 
 
 class TestBundledTables:
