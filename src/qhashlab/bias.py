@@ -38,9 +38,10 @@ even shifts and a prefix sum of its imaginary parts the odd ones
 (_cosine_spectra).
 
 A scan writes into one set of working buffers (_ScanBuffers): the
-multiplicities, the folded phasors, the spectra, |part|, the band
-mask and the N-root table are refilled in place, block after block,
-by np.add.at and the out= forms of the FFTs and ufuncs.  A one-shot
+multiplicities, the folded phasors, the rfft spectra, |part|, the
+band mask and the N-root table are refilled in place, block after
+block, by np.add.at and the out= forms of the FFTs and ufuncs, and
+each spectrum is read where its transform wrote it.  A one-shot
 scan makes its own set, so its faults follow its working set and not
 its block count; a search passes one set to every fitness call, so
 its generations and draws do not page their arrays in again.
@@ -99,8 +100,8 @@ MAX_SPECTRUM_CELLS = 1 << 26
 LOCATE_CELLS = 1 << 17
 
 # Its residue classes past class 0 go in blocks of at most this many complex
-# cells (or one class): the buffers of the folded phasors, their spectrum and
-# |part| take 40 bytes a cell, 1.25 MiB here.
+# cells (or one class): the buffers of the folded phasors, transformed in
+# place into their spectrum, and |part| take 24 bytes a cell, 768 KiB here.
 CLASS_CELLS = 1 << 15
 
 # Character sums within TIE_BAND * d of a row's maximum are ties for
@@ -235,9 +236,10 @@ class _ScanBuffers:
     buffer of that name as an array of that shape, and replaces the
     buffer with a larger zeroed one only when a shape outgrows it; a
     name always has one dtype.  The flat "counts" and "folded" buffers
-    are all zero between transforms: whoever adds into them sets the
-    entries it touched back to zero.  roots(N, reads) keeps the table
-    of the N roots of unity for the last modulus asked.
+    are all zero between blocks: whoever adds into them zeroes what it
+    touched once the block is transformed ("counts") or read ("folded",
+    which its FFT overwrites).  roots(N, reads) keeps the table of the
+    N roots of unity for the last modulus asked.
     """
 
     def __init__(self) -> None:
@@ -330,9 +332,10 @@ def _class_spectra(keys: np.ndarray, modulus: int, step: int, buffers: _ScanBuff
     e^{2 pi i (k mod Q) t/Q}: one length-Q transform of the phasors
     e^{-2 pi i k r/N} folded into the bins k mod Q gives the conjugate
     of a whole class.  Class 0 folds real multiplicities and takes an
-    rfft (t = 1 .. Q/2; t = 0 is shift 0); classes 1 .. P/2 follow in
-    blocks of at most CLASS_CELLS cells, or one class.  Each S is a
-    view of the "spectrum" buffer, valid until the next block.
+    rfft (t = 1 .. Q/2; t = 0 is shift 0) into the "spectrum" buffer;
+    classes 1 .. P/2 follow in blocks of at most CLASS_CELLS cells, or
+    one class, each transformed in place in "folded".  Each S is valid
+    until the next block.
     """
     rows, d = keys.shape
     span = modulus // step
@@ -357,10 +360,10 @@ def _class_spectra(keys: np.ndarray, modulus: int, step: int, buffers: _ScanBuff
         slots = (2 * cells[..., None] + [0, 1]).ravel()
         folded = buffers.take("folded", (2 * rows * len(classes) * span,), np.float64)
         np.add.at(folded, slots, np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel())
-        spectrum = buffers.take("spectrum", (rows, len(classes), span), np.complex128)
-        np.fft.fft(folded.view(np.complex128).reshape(spectrum.shape), out=spectrum)
-        folded[slots] = 0.0
+        spectrum = folded.view(np.complex128).reshape(rows, len(classes), span)
+        np.fft.fft(spectrum, out=spectrum)
         yield classes, 0, spectrum
+        folded.fill(0.0)
 
 
 def _takes_cosine(modulus: int) -> bool:
@@ -379,7 +382,7 @@ def _takes_cosine(modulus: int) -> bool:
 
 
 def _cosine_spectra(keys: np.ndarray, modulus: int, buffers: _ScanBuffers):
-    """One block (classes, 0, V) with V[row, c, t] = Re f_K(classes[c] + 2t), from an rfft of length N/2.
+    """One block ([0], 1, V), V[row, 0, t] = Re f_K(t + 1) for t < N/2, from an rfft of length N/2.
 
     Re f_K(l) = sum_k cos(pi k l / M), M = N/2, is a cosine transform of
     the keys folded to j = min(k, N - k), and one real FFT of length M
@@ -387,11 +390,11 @@ def _cosine_spectra(keys: np.ndarray, modulus: int, buffers: _ScanBuffers):
     and 1/2 - sin(pi k/M) at -k mod M (both halves of a key at 0 or M
     land in bin 0).  The transform Y of those bins gives the even shifts
     as Re Y[t], t = 1 .. M/2, and the odd shifts 2t + 1 as
-    Re f_K(1) + sum_{1 <= s <= t} Im Y[s], t = 0 .. M/2 - 1: one cumsum
-    once Re f_K(1), an O(d) sum, replaces Im Y[0] = 0.  The even shifts
-    (class 2) and the odd ones (class 1) fill the two halves of the
-    "values" buffer, into which _locate then takes |V| in place; two
-    blocks, or the strided Re Y read as it stands, each cost more.
+    Re f_K(1) + sum_{1 <= s <= t} Im Y[s], t = 0 .. M/2 - 1: one cumsum,
+    written back over Im Y, once Re f_K(1), an O(d) sum, replaces
+    Im Y[0] = 0.  Y's float view then holds Re f_K(l) at index l, for
+    l = 1 .. M, and V is that view: a whole-row block, read with step 1,
+    into which _locate takes |V| in place.
     """
     rows, _ = keys.shape
     half = modulus // 2
@@ -407,10 +410,9 @@ def _cosine_spectra(keys: np.ndarray, modulus: int, buffers: _ScanBuffers):
     for at in cells:
         counts[at] = 0.0
     spectrum.imag[:, 0] = np.cos(angles).sum(axis=1)
-    values = buffers.take("values", (rows, 2, half // 2), np.float64)
-    values[:, 0] = spectrum.real[:, 1:]
-    np.cumsum(spectrum.imag[:, :-1], axis=1, out=values[:, 1])
-    yield np.array([2, 1]), 0, values
+    odd = spectrum.imag[:, :-1]
+    np.cumsum(odd, axis=1, out=odd)
+    yield np.zeros(1, dtype=np.int64), 1, spectrum.view(np.float64)[:, None, 1 : half + 1]
 
 
 def _locate(
@@ -433,20 +435,18 @@ def _locate(
     worst_character_sums' far narrower tie band, and the reported bits
     do not change.  At P = 1 there is one class, an rfft of the whole
     row giving shifts 1 .. N/2, and the running maximum is the row's
-    own.  |part| and the band mask are written into buffers, and a class
-    block with no shift in the band adds no pairs.
-    A real-only whole-row scan with _takes_cosine(N) reads the even
-    and the odd shifts from _cosine_spectra as classes 2 and 1 of
-    step 2.  Its odd values are prefix sums of N/4 transform
-    outputs, so their rounding grows to about (N/4) log2(N) d 2^-52:
+    own.  |part| of a complex block and the band mask are written into
+    buffers, and a class block with no shift in the band adds no pairs.
+    A real-only whole-row scan with _takes_cosine(N) reads shifts
+    1 .. N/2 from _cosine_spectra as one real block of class 0 at P = 1
+    and takes |V| in place.  Its odd values are prefix sums of N/4
+    transform outputs, so their rounding grows to about (N/4) log2(N) d 2^-52:
     5.8e-11 d at N = 2^16, 17 times inside the band, but 1.2e-9 d at
     2^20, outside it; hence its cap at 2^16.
     """
     rows, d = key_rows.shape
     step = _class_step(modulus, d)
     cosine = real_only and step == 1 and _takes_cosine(modulus)
-    if cosine:
-        step = 2
     band = 1e-9 * d
     block = max(1, LOCATE_CELLS // modulus)
     found = []
@@ -459,7 +459,8 @@ def _locate(
             # One line per row: a class block's spectra side by side.
             width = spectrum.shape[2]
             spectrum = spectrum.reshape(len(keys), -1)
-            values = buffers.take("values", spectrum.shape, np.float64)
+            # A real block is scratch: |V| is taken in place.
+            values = buffers.take("values", spectrum.shape, np.float64) if np.iscomplexobj(spectrum) else spectrum
             near = None
             for part, peak in zip((spectrum.real, spectrum), top):
                 np.abs(part, out=values)

@@ -16,8 +16,8 @@ Two ways to obtain a key set with small bias:
   files declare.  Pass objective="delta" to drive the unit-normalized
   bias instead.
 
-Both return a SearchOutcome whose achieved_delta is the true delta(K)
-of the returned set; SearchOutcome says how each obtains it.
+Both return a SearchOutcome by one report rule: achieved_delta is the
+returned set's real-only fitness value, bit for bit its delta(K).
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ class SearchConfig:
 class SearchOutcome:
     """Result of a key-set search.
 
-    achieved_delta is the true bias delta(K) of the returned set: a GA
-    recomputes it via bias_profile, and a random draw returns its
-    real-only fitness value, bit for bit bias_profile(...).delta.
-    achieved_objective is the value of the statistic the search drove
-    (equal to achieved_delta when objective="delta");  target_met
+    achieved_delta is the true bias delta(K) of the returned set, its
+    real-only fitness value (a GA scans its best row once more), bit
+    for bit bias_profile(...).delta.  achieved_objective is the
+    statistic the search drove, from achieved_delta as BiasProfile's
+    padded_delta_squared computes it (or achieved_delta);  target_met
     compares it against the requested bound.  generations_used counts
     GA generations, or draw attempts for random sampling.
     """
@@ -260,12 +260,11 @@ def ga_search(
             ]
         )
 
-    best = KeySet(modulus, population[0])
-    profile = bias_profile(best)
-    achieved_objective = profile.delta if objective == "delta" else profile.padded_delta_squared
+    delta = float(_objective_values(population[:1], modulus, "delta", buffers)[0])
+    achieved_objective = delta if objective == "delta" else (delta * d / padded_branch_count(d)) ** 2
     return SearchOutcome(
-        keyset=best,
-        achieved_delta=profile.delta,
+        keyset=KeySet(modulus, population[0]),
+        achieved_delta=delta,
         generations_used=generation,
         target_met=achieved_objective < target_epsilon,
         objective=objective,

@@ -174,6 +174,24 @@ class TestGaSearch:
         assert out.achieved_delta == bias_profile(out.keyset).delta
         assert out.achieved_objective == padded_delta_squared(out.keyset)
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("path, modulus, d, population", [
+        ("row", 32, 15, 64), ("row", 1000, 33, 64), ("row", 1024, 65, 64),
+        ("cosine", 4096, 65, 64), ("cosine", 12288, 17, 64), ("cosine", 16384, 129, 64),
+        ("classes", 1 << 16, 257, 16), ("classes", 1 << 17, 257, 16),
+    ])
+    def test_report_matches_bias_profile_on_every_locate_path(self, path, modulus, d, population, seed, objective):
+        # The best row's real-only scan through the search's buffers
+        # gives bias_profile's bits on each locate of its row.
+        step = bias_mod._class_step(modulus, d)
+        assert path == ("classes" if step > 1 else "cosine" if bias_mod._takes_cosine(modulus) else "row")
+        config = SearchConfig(population_size=population, generations=3)
+        out = ga_search(modulus, d, 1e-9, config, rng=make_rng(seed), objective=objective)
+        assert out.achieved_delta == bias_profile(out.keyset).delta
+        want = out.achieved_delta if objective == "delta" else padded_delta_squared(out.keyset)
+        assert out.achieved_objective == want
+
     def test_deterministic_under_seed(self):
         config = SearchConfig(generations=30)
         assert ga_search(32, 15, 0.01, config, rng=make_rng(12)).keyset == ga_search(
