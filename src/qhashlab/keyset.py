@@ -42,7 +42,7 @@ from .bias import (
     padded_branch_count,
     worst_character_sums,
 )
-from .qsim import _resume, check_count, make_rng
+from .qsim import _decoder_matches, _halves, _lemire, _resume, _uniform, check_count, make_rng
 
 __all__ = [
     "SearchConfig",
@@ -101,9 +101,10 @@ class SearchOutcome:
     """Result of a key-set search.
 
     achieved_delta is the true bias delta(K) of the returned set, its
-    real-only fitness value (a GA scans its best row once more), bit
-    for bit bias_profile(...).delta.  achieved_objective is the
-    statistic the search drove, from achieved_delta as BiasProfile's
+    real-only fitness value (a GA keeps it from the scan of the
+    generation that bred the row), bit for bit
+    bias_profile(...).delta.  achieved_objective is the statistic the
+    search drove, from achieved_delta as BiasProfile's
     padded_delta_squared computes it (or achieved_delta);  target_met
     compares it against the requested bound.  generations_used counts
     GA generations, or draw attempts for random sampling.
@@ -170,11 +171,13 @@ def _objective_values(
     A search passes the same buffers to every call, so its scans refill
     one set of arrays.
     """
-    d = population.shape[1]
     worst_re = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
-    if objective == "delta":
-        return worst_re / d
-    return (worst_re / padded_branch_count(d)) ** 2
+    return _objective(worst_re, population.shape[1], objective)
+
+
+def _objective(worst_re: np.ndarray, d: int, objective: str) -> np.ndarray:
+    """The objective values of rows of d keys whose max |Re f| over l != 0 are worst_re."""
+    return worst_re / d if objective == "delta" else (worst_re / padded_branch_count(d)) ** 2
 
 
 def ga_search(
@@ -189,9 +192,11 @@ def ga_search(
     """Generational GA over multisets of d residues mod N.
 
     Tournament selection of size 3, one-point crossover on sort-aligned
-    key lists, per-key uniform resampling mutation, elitism, early stop
-    as soon as the best objective value drops below target_epsilon.
-    With rng omitted, the stream is make_rng(0), as in
+    key lists, per-key uniform resampling mutation, elitism.  Each row's
+    max |Re f| is kept beside its objective value, sorted with it, and
+    the search stops as soon as the best row's reported objective (from
+    that maximum, by the expression the outcome reports) drops below
+    target_epsilon.  With rng omitted, the stream is make_rng(0), as in
     sample_random_keyset.  Each generation can report a line
     ``gen <g> best_delta <value>`` through the progress callback.
 
@@ -199,17 +204,17 @@ def ga_search(
     size=6) (two trios of rows), then if d > 1 rng.random(), and if that
     is below crossover_rate and d > 2 the point rng.integers(1, d).  A
     generation reads all of it with one random_raw of PAIR_WORDS words a
-    pair and decodes the words as numpy does (_decode_tournaments): a
-    bounded draw below 2^32 is Lemire's on one 32-bit half, the halves
-    taken low first behind any half the generator holds buffered, and
-    the uniform is a whole word w, (w >> 11) * 2^-53.  qsim._resume then
-    leaves the generator where those calls leave it.  The calls
-    themselves run instead on a rejected draw (possible only when
+    pair: words 0-2 hold the six tournament halves, word 3 the uniform,
+    and the point takes the buffered half, or else word 4's low half.
+    _decode_tournaments decodes the words with qsim's rules (the halves
+    stream, Lemire's draw and its rejection, the uniform), and
+    qsim._resume leaves the generator where those calls leave it.  The
+    calls themselves run instead on a rejected draw (possible only when
     2^32 mod R != 0 for the bound R), for a bit generator whose state
     has no buffered half (MT19937), for a population of one, and on a
-    numpy where a once-per-process check of the decode fails; the
-    children, progress lines and generator state never depend on the
-    path.
+    numpy where the decode fails qsim's once-per-process self-check;
+    the children, progress lines and generator state never depend on
+    the path.
     """
     bias_mod._check_modulus(modulus)
     padded_branch_count(d)  # refuses d < 1
@@ -233,16 +238,18 @@ def ga_search(
     bias_mod._check_cells(pop_size, modulus)  # before the first draw
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
     buffers = bias_mod._ScanBuffers()
-    values = _objective_values(population, modulus, objective, buffers)
+    maxima = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
 
     for generation in range(config.generations + 1):
-        # generation 0 is the initial population.
+        # generation 0 is the initial population; each row's max |Re f| is kept beside it.
+        values = _objective(maxima, d, objective)
         order = np.argsort(values, kind="stable")
-        population = population[order]
-        values = values[order]
+        population, values, maxima = population[order], values[order], maxima[order]
         if progress is not None:
             progress(f"gen {generation} best_delta {float(values[0])!r}")
-        if values[0] < target_epsilon or generation == config.generations:
+        delta = float(maxima[0]) / d
+        achieved_objective = delta if objective == "delta" else (delta * d / padded_branch_count(d)) ** 2
+        if achieved_objective < target_epsilon or generation == config.generations:
             break
 
         elite = population[: config.elitism_count]
@@ -253,15 +260,9 @@ def ga_search(
         offspring[mutate] = fresh[mutate]
 
         population = np.concatenate([elite, offspring])
-        values = np.concatenate(
-            [
-                values[: config.elitism_count],
-                _objective_values(offspring, modulus, objective, buffers),
-            ]
-        )
+        offspring_maxima = worst_character_sums(offspring, modulus, real_only=True, buffers=buffers)[0]
+        maxima = np.concatenate([maxima[: config.elitism_count], offspring_maxima])
 
-    delta = float(_objective_values(population[:1], modulus, "delta", buffers)[0])
-    achieved_objective = delta if objective == "delta" else (delta * d / padded_branch_count(d)) ** 2
     return SearchOutcome(
         keyset=KeySet(modulus, population[0]),
         achieved_delta=delta,
@@ -318,7 +319,7 @@ def _decoded_tournaments(
 ) -> tuple[list[int], list[int]] | None:
     """_scalar_tournaments' draws from one random_raw read, the generator left where they leave it; or
     None, the generator back at snapshot, where a draw is rejected."""
-    words = bitgen.random_raw(PAIR_WORDS * pairs).tolist()
+    words = bitgen.random_raw(PAIR_WORDS * pairs)
     decoded = _decode_tournaments(words, bool(snapshot["has_uint32"]), snapshot["uinteger"], pop_size, d,
                                   crossover_rate)
     if decoded is None:
@@ -342,67 +343,64 @@ def _scalar_tournaments(
 
 
 def _decode_tournaments(
-    words: list[int], buffered: bool, uinteger: int, pop_size: int, d: int, crossover_rate: float
+    words: np.ndarray | list[int], buffered: bool, uinteger: int, pop_size: int, d: int, crossover_rate: float
 ) -> tuple[list[int], list[int], int, bool, int] | None:
     """The draws of len(words) // PAIR_WORDS pairs, decoded from raw 64-bit words; None at a rejected draw.
 
     buffered and uinteger are the generator's 32-bit half before the
     draws.  Returns (trios, points, words read, buffered, uinteger), the
-    last two as the draws leave them.  A bounded draw from a half x is
-    Lemire's (x * R) >> 32, redrawn when the low half of x * R is below
-    2^32 mod R.
+    last two as the draws leave them.  The scan marks the words the
+    32-bit draws read: a pair's six tournament draws read three, and
+    its crossover point a fourth only when no half is buffered, so the
+    scan runs pair by pair.  The stream of those words' halves
+    (qsim._halves) is then decoded by one qsim._lemire call, with bound
+    pop_size for a tournament row and d - 1 for a point.
     """
-    low = 0xFFFFFFFF
-    halves: list[int] = []
+    words = np.asarray(words, dtype=np.uint64)
+    uniforms = _uniform(words).tolist()
+    lead = buffered  # the scan moves buffered on
+    read = bytearray(len(words))  # per word: 1 where the 32-bit draws read it
+    pointed = bytearray()  # per half drawn: 1 for a crossover point's, 0 for a tournament row's
+    drew: list[int] = []  # the pairs that draw their point
     points: list[int] = []
-    at, rejected = 0, False
+    at = 0
     for _ in range(len(words) // PAIR_WORDS):
-        # Six 32-bit draws read three words, behind the buffered half if
-        # any; the buffer's state is kept, and w2's high half is left.
-        w0, w1, w2 = words[at : at + 3]
-        pair = [w0 & low, w0 >> 32, w1 & low, w1 >> 32, w2 & low, w2 >> 32]
-        halves += [uinteger, *pair[:5]] if buffered else pair
-        uinteger, at, point = w2 >> 32, at + 3, d
-        if d > 1:
-            at += 1
-            if (words[at - 1] >> 11) * (1.0 / 9007199254740992.0) < crossover_rate:
-                point = 1
-                if d > 2:
-                    if buffered:
-                        x = uinteger
-                    else:
-                        x, uinteger = words[at] & low, words[at] >> 32
-                        at += 1
-                    buffered = not buffered
-                    scaled = x * (d - 1)
-                    rejected |= scaled & low < (1 << 32) % (d - 1)
-                    point += scaled >> 32
-        points.append(point)
-    scaled = np.array(halves, dtype=np.uint64) * np.uint64(pop_size)
-    if rejected or ((scaled & np.uint64(low)) < np.uint64((1 << 32) % pop_size)).any():
+        read[at : at + 3] = b"\1\1\1"  # six halves: the buffer's state is kept
+        pointed += bytes(6)
+        at += 3 + (d > 1)  # and the crossover uniform's word
+        crossed = d > 1 and uniforms[at - 1] < crossover_rate
+        if crossed and d > 2:
+            drew.append(len(points))
+            pointed.append(1)
+            if not buffered:
+                read[at] = 1
+                at += 1
+            buffered = not buffered
+        points.append(1 if crossed else d)
+    pointed = np.frombuffer(pointed, dtype=bool)
+    halves = _halves(words[np.frombuffer(read, dtype=bool)], lead, uinteger)
+    values, rejected = _lemire(halves[: pointed.size], np.where(pointed, d - 1, pop_size))
+    if rejected < pointed.size:
         return None
-    return (scaled >> np.uint64(32)).tolist(), points, at, buffered, uinteger
+    for pair, drawn in zip(drew, values[pointed].tolist()):
+        points[pair] += drawn
+    # uinteger is left holding the last read word's high half, buffered or stale
+    return values[~pointed].tolist(), points, at, buffered, int(halves[-1])
 
 
 @functools.cache
 def _bulk_breeding_matches(kind: type) -> bool:
-    """Whether the decoded tournaments reproduce the scalar calls for this bit generator type on this numpy.
+    """Whether the decoded tournaments reproduce the scalar calls for this bit generator type on this
+    numpy (qsim._decoder_matches).
 
     Checked once per process and type on fixed draws: 31 pairs at
     population 64, d = 65 and rate 0.7 from an empty 32-bit buffer, and
     behind a buffered half at population 37 (whose draws can reject),
     d = 3 and rate 0.5.
     """
-    for pop_size, d, rate, lead in ((64, 65, 0.7, 0), (37, 3, 0.5, 1)):
-        fast, slow = (np.random.Generator(kind(20130901)) for _ in range(2))
-        for rng in (fast, slow):
-            rng.integers(0, 5, size=lead)  # one 32-bit draw leaves a half buffered
-        drawn = _decoded_tournaments(fast.bit_generator, fast.bit_generator.state, pop_size, d, rate, 31)
-        if drawn != _scalar_tournaments(slow, pop_size, d, rate, 31):
-            return False
-        if repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
-            return False
-    return True
+    return _decoder_matches(lambda rng, *args: _decoded_tournaments(rng.bit_generator, rng.bit_generator.state, *args),
+                            _scalar_tournaments, kind, [(0, (64, 65, 0.7, 31)), (1, (37, 3, 0.5, 31))])
+
 
 def bundled_table_dir() -> Path:
     """Directory of the packaged key-set table fixtures."""

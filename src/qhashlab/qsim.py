@@ -7,10 +7,25 @@ matrices applied to one qubit, optionally conditioned on the value of
 other qubits.  Measurement is Born-rule sampling from an explicit,
 replayable generator.
 
-Bounded draws, uniform in [0, N) for any N, have one rule, _draw_below:
-circuit-check's keys and messages and signature's numbers in 1..L.
-Decoders that read a stream ahead in raw words (signature's trial
-draws, the GA's tournaments) rewind it with one rule, _resume.
+Random draws have one owner, this module.  Bounded draws, uniform in
+[0, N) for any N, have one rule, _draw_below: circuit-check's keys and
+messages and signature's numbers in 1..L.  Two decoders read a stream
+ahead in raw 64-bit words and decode the words as numpy's scalar calls
+would (signature's forgery trials, the GA's tournaments); each keeps
+only its word layout and its scalar fallback, and shares numpy's rules
+from here:
+
+* _halves: the stream 32-bit draws read, each word's low half, then
+  its high half, behind the half the generator holds buffered, if any;
+* _lemire: a draw below R < 2^32 from one half x, Lemire's
+  (x * R) >> 32, and the first half numpy rejects and draws again
+  (D. Lemire, "Fast random integer generation in an interval", ACM
+  TOMACS 29(1), 2019);
+* _uniform: random() from one word, its top 53 bits times 2^-53;
+* _resume: the rewind that leaves the generator where the scalar
+  calls leave it;
+* _decoder_matches: the self-check a decoder passes, on fixed draws,
+  before its first use in a process.
 
 apply_gate_inplace applies single-qubit gates: it views the amplitudes
 as amp.reshape(-1, 2, 2^q), whose [:, 0] and [:, 1] halves are the
@@ -42,7 +57,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,6 +114,33 @@ def _draw_below(rng: np.random.Generator, modulus: int, size: int | None = None)
     return values if size is not None else values[0]
 
 
+def _halves(words: np.ndarray, buffered: int, uinteger: int) -> np.ndarray:
+    """The stream 32-bit draws read from raw words: each word's low half, then its high half (the
+    words' little-endian uint32 view), behind uinteger when the generator holds it buffered (has_uint32)."""
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4").ravel()
+    return np.concatenate((np.array([uinteger], dtype="<u4"), halves)) if buffered else halves
+
+
+def _lemire(halves: np.ndarray, bound: int | np.ndarray) -> tuple[np.ndarray, int]:
+    """numpy's draws below a bound R, 2 <= R < 2^32, one from each 32-bit half x: (x * R) >> 32.
+
+    bound is one R or an array of them, one per half.  Also returns the
+    flat index of the first half numpy rejects and replaces with the
+    next one, where the low 32 bits of x * R fall below 2^32 mod R
+    (never for a power of two), or halves.size if none does; the values
+    from that index on are not numpy's.
+    """
+    bound = np.asarray(bound, dtype=np.uint64)
+    products = np.asarray(halves, dtype=np.uint64) * bound
+    rejected = np.flatnonzero((products & 0xFFFFFFFF) < np.uint64(1 << 32) % bound)
+    return products >> 32, int(rejected[0]) if rejected.size else products.size
+
+
+def _uniform(words: int | np.ndarray):
+    """numpy's random() from raw 64-bit words (an int or a uint64 array): the top 53 bits times 2^-53."""
+    return (words >> 11) * (1.0 / 9007199254740992.0)
+
+
 def _resume(bitgen: np.random.BitGenerator, snapshot: dict, words: int, buffered: bool, uinteger: int) -> None:
     """Leave bitgen where scalar draws that read words raw 64-bit words from snapshot leave it.
 
@@ -112,6 +154,22 @@ def _resume(bitgen: np.random.BitGenerator, snapshot: dict, words: int, buffered
     state = bitgen.state
     state["has_uint32"], state["uinteger"] = int(buffered), uinteger
     bitgen.state = state
+
+
+def _decoder_matches(bulk: Callable, scalar: Callable, kind: type, cases: list[tuple[int, tuple]]) -> bool:
+    """Whether bulk(rng, *args) returns what scalar(rng, *args) returns, and leaves the whole generator
+    state (its repr) as the scalar calls leave it, on every case.
+
+    A case is (lead, args): two generators of kind, seeded alike, each
+    make lead 32-bit draws first, so an odd lead leaves a half buffered.
+    """
+    for lead, args in cases:
+        fast, slow = (np.random.Generator(kind(20130901)) for _ in range(2))
+        for rng in (fast, slow):
+            rng.integers(0, 5, size=lead)
+        if bulk(fast, *args) != scalar(slow, *args) or repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

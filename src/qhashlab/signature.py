@@ -40,31 +40,31 @@ read 3 Philox 64-bit words, and the helper reads them with random_raw:
 
     word 0: low 32-bit half x_0, high half x_1
     word 1: low half the bit b, high half the guess
-    word 2: the uniform draw, (w >> 11) * 2^-53
+    word 2: the uniform draw
 
-Each bounded value is Lemire's (x * L) >> 32 (1 more for a number
-in 1..L; b is x >> 31), and a draw is rejected and redrawn when the
-low 32 bits of x * L fall below (2^32 - L) mod L, which never happens
-for a power-of-two L and otherwise with chance below L / 2^32.  Chunks of
-at most DRAW_CHUNK trials are decoded at once, so memory stays bounded
-for any trial count.  At the first trial with a rejected draw the
-helper restores the chunk's starting state, advances 3t words, runs
-that one trial through the scalar calls and resumes decoding.  Each
-rejected draw takes one more 32-bit half, so after an odd count of
-them the generator keeps a half buffered (has_uint32), which the next
-32-bit draw takes first.  So the decoder reads one stream of halves:
-those of words 0 and 1 of each trial, low half first, behind the
-buffered half if there is one, four to a trial (x_0, x_1, b, guess).
-After each chunk qsim._resume rewinds the generator to the words the
-decoded trials read and sets its uinteger field to the last word 1's
+The halves of words 0 and 1 form the stream the 32-bit draws read
+(qsim._halves), four to a trial (x_0, x_1, b, guess), behind the half
+the generator holds buffered, if any.  Each number is 1 more than
+qsim._lemire's draw below L from its half (b is the draw below 2, the
+half's top bit, x >> 31), and the uniform is qsim._uniform of word 2.
+Chunks of at most DRAW_CHUNK trials are decoded at once, so memory
+stays bounded for any trial count.  At the first trial with a half
+that numpy rejects (never for a power-of-two L, otherwise with chance
+below L / 2^32 a draw), the helper rewinds the generator to that
+trial, runs it through the scalar calls and resumes decoding.  A
+rejected draw takes one more half, so after an odd count of them the
+generator keeps a half buffered (has_uint32), which the next 32-bit
+draw takes first.  After each chunk qsim._resume leaves the generator
+at the words the decoded trials read, with uinteger the last word 1's
 high half, buffered or stale, as the scalar calls leave it, so the
 whole state dict, not only the next draw, equals the loop's.
 
 The bulk path runs only for a Philox generator and 2 <= L < 2^32 (L = 1
 draws nothing for the bounded calls; L = 2^32 takes raw halves), and
-only once a probe, run on first use, finds it equal to the scalar
-calls on fixed draws: so a numpy whose generator changes cannot alter
-a report, only slow it down.  Everything else runs the scalar calls.
+only once qsim._decoder_matches, run on first use, finds it equal to
+the scalar calls on fixed draws: so a numpy whose generator changes
+cannot alter a report, only slow it down.  Everything else runs the
+scalar calls.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import numpy as np
 
 from .bias import KeySet, _check_cells, fourier_components
 from .qhash import HashParams, hash_state, reverse_test
-from .qsim import StateVector, _draw_below, _resume, check_count
+from .qsim import StateVector, _decoder_matches, _draw_below, _halves, _lemire, _resume, _uniform, check_count
 
 __all__ = [
     "ProtocolParams",
@@ -254,8 +254,6 @@ def _trial_verdicts(rng: np.random.Generator, level: int, trials: int, overlap_s
 # raised peak RSS 1.2 MiB above a trial-by-trial loop's, 1024 only 0.7.
 DRAW_CHUNK = 1024
 
-_LOW_HALF = np.uint64(0xFFFFFFFF)
-
 
 def _trial_draws(rng: np.random.Generator, level: int, trials: int):
     """Yield (bit, guess, target, uniform) arrays for consecutive trials.
@@ -290,30 +288,23 @@ def _scalar_draws(rng: np.random.Generator, level: int, trials: int):
 def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
     """The scalar calls' values, decoded from 3 raw Philox words per trial."""
     bitgen = rng.bit_generator
-    scale = np.uint64(level)
-    threshold = np.uint64((2**32 - level) % level)
     done, size = 0, DRAW_CHUNK
     while done < trials:
         n = min(size, trials - done)
         snapshot = bitgen.state
         words = bitgen.random_raw(3 * n).reshape(n, 3)
-        # The halves of words 0 and 1, low first, after any buffered one.
-        halves = np.stack([words[:, :2] & _LOW_HALF, words[:, :2] >> np.uint64(32)], axis=2).ravel()
-        if snapshot["has_uint32"]:
-            halves = np.concatenate(([np.uint64(snapshot["uinteger"])], halves))
-        x0, x1, coin, guess = halves[: 4 * n].reshape(n, 4).T
-        products = np.stack([x0, x1, guess]) * scale
-        rejecting = np.flatnonzero(((products & _LOW_HALF) < threshold).any(axis=0))
-        t = int(rejecting[0]) if rejecting.size else n
+        quads = _halves(words[:, :2], snapshot["has_uint32"], snapshot["uinteger"])[: 4 * n].reshape(n, 4)
+        # per trial x_0, x_1, guess: the first rejected half ends the decoded run
+        values, rejected = _lemire(quads[:, [0, 1, 3]], level)
+        t = rejected // 3
         # The scalar calls leave the last word 1's high half in uinteger,
         # buffered or stale, and a trial's four halves keep has_uint32.
-        uinteger = int(words[t - 1, 1] >> np.uint64(32)) if t else snapshot["uinteger"]
+        uinteger = int(words[t - 1, 1] >> 32) if t else snapshot["uinteger"]
         _resume(bitgen, snapshot, 3 * t, snapshot["has_uint32"], uinteger)
         if t:
-            values = (products[:, :t] >> np.uint64(32)).astype(np.int64) + 1
-            bits = (coin[:t] >> np.uint64(31)).astype(np.int8)
-            uniforms = (words[:t, 2] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-            yield bits, values[2], np.where(bits == 1, values[1], values[0]), uniforms
+            values = values[:t].astype(np.int64) + 1
+            bits = (quads[:t, 2] >> 31).astype(np.int8)
+            yield bits, values[:, 2], np.where(bits == 1, values[:, 1], values[:, 0]), _uniform(words[:t, 2])
         if t < n:
             yield _columns([_scalar_trial(rng, level)])
         # The words past a rejecting trial are drawn again, so a chunk
@@ -322,20 +313,18 @@ def _bulk_draws(rng: np.random.Generator, level: int, trials: int):
         done += min(t + 1, n)
 
 
+def _drawn(chunks) -> list[list]:
+    return [np.concatenate(column).tolist() for column in zip(*chunks)]
+
+
 @functools.cache
 def _bulk_decoder_matches() -> bool:
-    """Whether _bulk_draws reproduces the scalar calls on this numpy.
+    """Whether _bulk_draws reproduces the scalar calls on this numpy (qsim._decoder_matches).
 
     Checked once per process on 32 fixed trials at L = 1000 and at
     L = 3 * 2^30, which rejects a quarter of its bounded draws and so
     runs the rejection path with both word alignments.
     """
-    for level in (1000, 3 << 30):
-        fast, slow = (np.random.Generator(np.random.Philox(20130901)) for _ in range(2))
-        got = [np.concatenate(c) for c in zip(*_bulk_draws(fast, level, 32))]
-        want = [np.concatenate(c) for c in zip(*_scalar_draws(slow, level, 32))]
-        if not all(np.array_equal(a, b) for a, b in zip(got, want)):
-            return False
-        if repr(fast.bit_generator.state) != repr(slow.bit_generator.state):
-            return False
-    return True
+    return _decoder_matches(lambda rng, level: _drawn(_bulk_draws(rng, level, 32)),
+                            lambda rng, level: _drawn(_scalar_draws(rng, level, 32)),
+                            np.random.Philox, [(0, (1000,)), (0, (3 << 30,))])

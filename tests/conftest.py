@@ -224,7 +224,9 @@ def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padd
         values = values[order]
         if progress is not None:
             progress(f"gen {generation} best_delta {float(values[0])!r}")
-        if values[0] < target_epsilon or generation == config.generations:
+        profile = bias_profile(KeySet(modulus, population[0]))
+        achieved = profile.delta if objective == "delta" else profile.padded_delta_squared
+        if achieved < target_epsilon or generation == config.generations:
             break
         elite = population[: config.elitism_count]
         children = []
@@ -250,6 +252,4 @@ def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padd
         offspring[mutate] = fresh[mutate]
         population = np.concatenate([elite, offspring])
         values = np.concatenate([values[: config.elitism_count], _objective_values(offspring, modulus, objective)])
-    profile = bias_profile(KeySet(modulus, population[0]))
-    achieved = profile.delta if objective == "delta" else profile.padded_delta_squared
     return tuple(population[0].tolist()), profile.delta, achieved, generation, achieved < target_epsilon

@@ -192,6 +192,16 @@ class TestGaSearch:
         want = out.achieved_delta if objective == "delta" else padded_delta_squared(out.keyset)
         assert out.achieved_objective == want
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stops_only_on_the_number_it_reports(self, seed):
+        # Targets at a full run's own achieved_objective and one ulp to
+        # either side: a run that stops early has met its target.
+        config = SearchConfig(generations=30)
+        own = ga_search(32, 15, 1e-12, config, make_rng(seed)).achieved_objective
+        for target in (np.nextafter(own, 0.0), own, np.nextafter(own, 1.0)):
+            out = ga_search(32, 15, float(target), config, make_rng(seed))
+            assert out.target_met or out.generations_used == config.generations, (target, out)
+
     def test_deterministic_under_seed(self):
         config = SearchConfig(generations=30)
         assert ga_search(32, 15, 0.01, config, rng=make_rng(12)).keyset == ga_search(

@@ -373,6 +373,110 @@ class TestTallyChunks:
         assert peak <= 1 << 20, peak
 
 
+def lemire_draws(halves, bound, count):
+    """count draws below bound from a stream of halves, each half _lemire rejects skipped, as numpy redraws."""
+    drawn = []
+    while len(drawn) < count:
+        assert halves.size, "the stream ran out"
+        values, rejected = qsim._lemire(halves, bound)
+        drawn += values[:rejected].tolist()
+        halves = halves[rejected + 1 :]
+    return drawn[:count]
+
+
+def buffered_at(seed, uinteger):
+    """make_rng(seed) holding uinteger as its buffered 32-bit half."""
+    rng = make_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestRawDrawDecoding:
+    """qsim's decoding of raw 64-bit words against the numpy calls it stands for."""
+
+    @pytest.mark.parametrize("bound", [2, 3, 37, 64, 1000, 2**31 + 12345, 3 << 30, 2**32 - 1])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_lemire_is_integers(self, bound, seed):
+        halves = qsim._halves(make_rng(seed).bit_generator.random_raw(300), 0, 0)
+        want = make_rng(seed).integers(0, bound, size=300).tolist()
+        values, rejected = qsim._lemire(halves, bound)
+        run = min(rejected, 300)  # the draws before the first rejection
+        assert values[:run].tolist() == want[:run]
+        assert lemire_draws(halves, bound, 300) == want
+
+    def test_lemire_flags_the_first_rejected_half(self):
+        # 2^32 mod 37 = 7: a zero half scales to 0 and numpy draws again
+        rng = buffered_at(4, 0)
+        halves = qsim._halves(make_rng(4).bit_generator.random_raw(20), 1, 0)
+        values, rejected = qsim._lemire(halves, 37)
+        assert rejected == 0
+        assert rng.integers(0, 37, size=30).tolist() == values[1:31].tolist()
+        # 2^32 mod 64 = 0: a power of two never rejects
+        assert qsim._lemire(halves, 64)[1] == halves.size
+        assert qsim._lemire(np.array([5, 0, 0], dtype=np.uint64), 37)[1] == 1
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_uniform_is_random(self, seed):
+        words = make_rng(seed).bit_generator.random_raw(500)
+        want = make_rng(seed).random(500).tolist()
+        assert qsim._uniform(words).tolist() == want
+        assert [qsim._uniform(w) for w in words.tolist()] == want
+
+    @pytest.mark.parametrize("uinteger", [None, 0, 123456789, 2**32 - 1])
+    def test_halves_are_the_32_bit_draws(self, uinteger):
+        # integers below 2^32 as uint32 are the raw 32-bit draws, buffered half first
+        rng = make_rng(6) if uinteger is None else buffered_at(6, uinteger)
+        state = rng.bit_generator.state
+        halves = qsim._halves(make_rng(6).bit_generator.random_raw(50), state["has_uint32"], state["uinteger"])
+        assert halves.tolist()[:99] == rng.integers(0, 2**32, size=99, dtype=np.uint32).tolist()
+
+    def test_halves_behind_a_drawn_half(self):
+        rng = make_rng(2)
+        rng.integers(0, 7)  # reads word 0 and keeps its high half
+        state = rng.bit_generator.state
+        words = make_rng(2).bit_generator.random_raw(40)
+        assert state["has_uint32"] == 1
+        halves = qsim._halves(words[1:], state["has_uint32"], state["uinteger"])
+        assert halves[0] == words[0] >> np.uint64(32)
+        assert halves.tolist()[:77] == rng.integers(0, 2**32, size=77, dtype=np.uint32).tolist()
+
+    CASES = [(0, (5,)), (1, (64,))]
+
+    @staticmethod
+    def draws(rng, count):
+        return rng.integers(0, 1000, size=count).tolist()
+
+    def test_harness_passes_a_match(self):
+        assert qsim._decoder_matches(self.draws, self.draws, np.random.Philox, self.CASES)
+        assert qsim._decoder_matches(self.draws, self.draws, np.random.PCG64, self.CASES)
+
+    def test_harness_refuses_other_values(self):
+        def shifted(rng, count):
+            return [value + 1 for value in self.draws(rng, count)]
+
+        assert not qsim._decoder_matches(shifted, self.draws, np.random.Philox, self.CASES)
+
+    def test_harness_refuses_another_state(self):
+        def one_word_too_many(rng, count):
+            values = self.draws(rng, count)
+            rng.bit_generator.random_raw(1)
+            return values
+
+        assert not qsim._decoder_matches(one_word_too_many, self.draws, np.random.Philox, self.CASES)
+
+    def test_harness_refuses_a_lost_buffered_half(self):
+        def unbuffered(rng, count):
+            values = self.draws(rng, count)
+            state = rng.bit_generator.state
+            state["has_uint32"] = 0
+            rng.bit_generator.state = state
+            return values
+
+        assert not qsim._decoder_matches(unbuffered, self.draws, np.random.Philox, [(1, (4,))])
+
+
 class TestUniformReflection:
     """The Householder map shared by hash preparation and fingerprint uncompute."""
 
