@@ -175,7 +175,7 @@ class BiasProfile:
     @property
     def padded_delta_squared(self) -> float:
         """(delta * d / 2^ceil(log2 d))^2; see the module function of this name."""
-        return (self.delta * self.d / padded_branch_count(self.d)) ** 2
+        return _reported_objective(self.delta, self.d, "padded_sq")
 
 
 def _angle_index(keys: np.ndarray, shift: int | np.ndarray, modulus: int) -> np.ndarray:
@@ -227,6 +227,20 @@ def _check_cells(rows: int, modulus: int) -> None:
             f"{cells * 16 / 2**30:.1f} GiB as complex128) exceeds "
             f"MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}"
         )
+
+
+def _check_search(rows: int, d: int, modulus: int) -> None:
+    """Refuse a search of rows sets of d keys mod N that no scan may take; a search calls it before its first draw.
+
+    Its rows * d keys, as int64, and its rows * N spectrum cells must
+    each stay within MAX_SPECTRUM_CELLS.  The caller checks N itself
+    first (_check_modulus).
+    """
+    keys = rows * d
+    if keys > MAX_SPECTRUM_CELLS:
+        raise ValueError(f"{rows} x {d} = {keys} keys (about {keys * 8 / 2**30:.1f} GiB as int64) exceeds "
+                         f"MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}")
+    _check_cells(rows, modulus)
 
 
 class _ScanBuffers:
@@ -568,6 +582,12 @@ def padded_branch_count(d: int) -> int:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     return 1 << (d - 1).bit_length()
+
+
+def _reported_objective(delta: float, d: int, objective: str) -> float:
+    """The objective reported for a set of d keys of bias delta (max |Re f| / d): "delta" reports delta
+    itself, "padded_sq" (delta * d / 2^ceil(log2 d))^2."""
+    return delta if objective == "delta" else (delta * d / padded_branch_count(d)) ** 2
 
 
 def padded_delta_squared(keyset: KeySet, method: str = "fft") -> float:

@@ -74,6 +74,17 @@ def _tally(probability: float, counts: qsim.TestCounts) -> list[tuple[str, objec
             ("rejected", counts.rejected), ("accept_rate", counts.accept_rate)]
 
 
+def _one_of(first: str, value, second: str, *parts) -> bool:
+    """Whether a command took its first input (value) rather than its second (all of parts).
+
+    With the first given, any part of the second is one too many;
+    without it, every part must be given.  Both cases raise one message.
+    """
+    if any(part is not None for part in parts) if value is not None else None in parts:
+        raise ValueError(f"need exactly one of {first} or {second}")
+    return value is not None
+
+
 class _ErrorMappingGroup(click.Group):
     """Report bad input and file errors as ``error: <message>``, exit 2."""
 
@@ -298,10 +309,9 @@ def cmd_swap_test(keyset_path: str, m1: int, m2: int, shots: int, seed: int, fmt
 def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_path: str | None,
                      shots: int, seed: int, fmt: str) -> None:
     """Uncompute a claimed message against a held hash state."""
-    if (message is None) == (state_path is None):
-        raise ValueError("need exactly one of --message or --state")
+    hashed = _one_of("--message", message, "--state", state_path)
     params = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
-    if message is not None:
+    if hashed:
         psi, source = qhash.hash_state(params, message), ("message", message)
     else:
         psi, source = qsim.load_state(state_path), ("state", state_path)
@@ -330,12 +340,8 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
     qsim.check_count("count", count)
     rng = qsim.make_rng(seed)
     fixed = None
-    if keyset_path is not None:
-        if modulus is not None or d is not None:
-            raise ValueError("need exactly one of --keyset or --n/--d")
+    if _one_of("--keyset", keyset_path, "--n/--d", modulus, d):
         fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
-    elif modulus is None or d is None:
-        raise ValueError("need --keyset, or --n and --d for random sets")
     else:  # refuse a bad N, d < 1 or an oversized register before drawing keys
         bias_mod._check_modulus(modulus)
         qhash.hash_qubits(d)
@@ -373,12 +379,8 @@ def cmd_fingerprint(code_path: str | None, n_bits: int | None, m_bits: int | Non
                     u: str, v: str, shots: int, out_path: str | None, seed: int, fmt: str) -> None:
     """SWAP-test the fingerprints of two messages under a linear code."""
     rng = qsim.make_rng(seed)
-    if code_path is not None:
-        if n_bits is not None or m_bits is not None:
-            raise ValueError("need exactly one of --code or --n/--m")
+    if _one_of("--code", code_path, "--n/--m", n_bits, m_bits):
         code = fp_mod.load_code(code_path)
-    elif n_bits is None or m_bits is None:
-        raise ValueError("need --code, or --n and --m for a random code")
     else:
         code = fp_mod.random_linear_code(n_bits, m_bits, rng)
     if out_path is not None:

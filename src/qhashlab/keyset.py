@@ -17,7 +17,11 @@ Two ways to obtain a key set with small bias:
   bias instead.
 
 Both return a SearchOutcome by one report rule: achieved_delta is the
-returned set's real-only fitness value, bit for bit its delta(K).
+returned set's real-only fitness value, bit for bit its delta(K).  bias
+owns the rest: what a search may scan (bias._check_search, called once
+before the first draw) and the reported objective
+(bias._reported_objective, also BiasProfile.padded_delta_squared), the
+one number the GA stops on, prints on its progress line and reports.
 """
 
 from __future__ import annotations
@@ -104,10 +108,11 @@ class SearchOutcome:
     real-only fitness value (a GA keeps it from the scan of the
     generation that bred the row), bit for bit
     bias_profile(...).delta.  achieved_objective is the statistic the
-    search drove, from achieved_delta as BiasProfile's
-    padded_delta_squared computes it (or achieved_delta);  target_met
-    compares it against the requested bound.  generations_used counts
-    GA generations, or draw attempts for random sampling.
+    search drove, from achieved_delta by the expression of BiasProfile's
+    padded_delta_squared (or achieved_delta itself), and a GA's last
+    progress line prints it;  target_met compares it against the
+    requested bound.  generations_used counts GA generations, or draw
+    attempts for random sampling.
     """
 
     keyset: KeySet
@@ -119,12 +124,20 @@ class SearchOutcome:
 
 
 def lemma_size(modulus: int, epsilon: float) -> int:
-    """ceil((2/eps^2) ln(2N)): the set size at which random draws succeed."""
+    """ceil((2/eps^2) ln(2N)): the set size at which random draws succeed.
+
+    An eps so small that this size is not a finite float (below about
+    1e-154) is refused with ValueError.
+    """
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    return math.ceil((2.0 / (epsilon * epsilon)) * math.log(2 * modulus))
+    # An eps^2 that rounds to 0 divides as the least positive float, to inf.
+    size = (2.0 / max(epsilon * epsilon, math.ulp(0.0))) * math.log(2 * modulus)
+    if not math.isfinite(size):
+        raise ValueError(f"lemma size for epsilon {epsilon!r} is too large: (2/eps^2) ln(2N) is not a finite float")
+    return math.ceil(size)
 
 
 def sample_random_keyset(
@@ -142,19 +155,14 @@ def sample_random_keyset(
     bias_mod._check_modulus(modulus)
     check_count("max_attempts", max_attempts)
     size = lemma_size(modulus, epsilon)
-    if size > bias_mod.MAX_SPECTRUM_CELLS:
-        raise ValueError(
-            f"lemma size {size} keys (about {size * 8 / 2**30:.1f} GiB per draw) "
-            f"exceeds MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
-        )
-    bias_mod._check_cells(1, modulus)  # before the first draw
+    bias_mod._check_search(1, size, modulus)
     if rng is None:
         rng = make_rng(0)
     best, best_delta = None, math.inf
     buffers = bias_mod._ScanBuffers()
     for attempt in range(1, max_attempts + 1):
         candidate = rng.integers(0, modulus, size=size, dtype=np.int64)
-        delta = float(_objective_values(candidate[None, :], modulus, "delta", buffers)[0])
+        delta = float(worst_character_sums(candidate[None, :], modulus, real_only=True, buffers=buffers)[0][0]) / size
         if delta < best_delta:
             best, best_delta = candidate, delta
         if delta < epsilon:
@@ -163,20 +171,12 @@ def sample_random_keyset(
                          target_met=best_delta < epsilon, objective="delta", achieved_objective=best_delta)
 
 
-def _objective_values(
-    population: np.ndarray, modulus: int, objective: str, buffers: bias_mod._ScanBuffers | None = None
-) -> np.ndarray:
-    """Objective values for a (pop, d) array of key rows in one kernel call; ga_search checks the objective.
-
-    A search passes the same buffers to every call, so its scans refill
-    one set of arrays.
-    """
-    worst_re = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
-    return _objective(worst_re, population.shape[1], objective)
-
-
 def _objective(worst_re: np.ndarray, d: int, objective: str) -> np.ndarray:
-    """The objective values of rows of d keys whose max |Re f| over l != 0 are worst_re."""
+    """The ranking keys of rows of d keys whose max |Re f| over l != 0 are worst_re (the GA's values).
+
+    A padded_sq key, (max/D)^2, can differ in its last bit from the
+    reported ((max/d) d/D)^2; only ranking and tournaments read it.
+    """
     return worst_re / d if objective == "delta" else (worst_re / padded_branch_count(d)) ** 2
 
 
@@ -192,13 +192,15 @@ def ga_search(
     """Generational GA over multisets of d residues mod N.
 
     Tournament selection of size 3, one-point crossover on sort-aligned
-    key lists, per-key uniform resampling mutation, elitism.  Each row's
-    max |Re f| is kept beside its objective value, sorted with it, and
-    the search stops as soon as the best row's reported objective (from
-    that maximum, by the expression the outcome reports) drops below
-    target_epsilon.  With rng omitted, the stream is make_rng(0), as in
-    sample_random_keyset.  Each generation can report a line
-    ``gen <g> best_delta <value>`` through the progress callback.
+    key lists, per-key uniform resampling mutation, elitism.  Rows are
+    ranked by _objective; each row's max |Re f| is kept beside its
+    value, sorted with it, and the search stops as soon as the best
+    row's reported objective (bias._reported_objective of that maximum
+    over d) drops below target_epsilon.  With rng omitted, the stream
+    is make_rng(0), as in sample_random_keyset.  Each generation can
+    report a line ``gen <g> best_delta <value>`` through the progress
+    callback, value being that same reported objective: the last line
+    prints the outcome's achieved_objective.
 
     Each pair of children draws, in order, rng.integers(0, pop_size,
     size=6) (two trios of rows), then if d > 1 rng.random(), and if that
@@ -228,14 +230,7 @@ def ga_search(
         rng = make_rng(0)
 
     pop_size = config.population_size
-    cells = pop_size * d
-    if cells > bias_mod.MAX_SPECTRUM_CELLS:
-        raise ValueError(
-            f"GA population of {pop_size} x {d} = {cells} keys (about "
-            f"{cells * 8 / 2**30:.1f} GiB as int64) exceeds "
-            f"MAX_SPECTRUM_CELLS = {bias_mod.MAX_SPECTRUM_CELLS}"
-        )
-    bias_mod._check_cells(pop_size, modulus)  # before the first draw
+    bias_mod._check_search(pop_size, d, modulus)
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
     buffers = bias_mod._ScanBuffers()
     maxima = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
@@ -245,10 +240,10 @@ def ga_search(
         values = _objective(maxima, d, objective)
         order = np.argsort(values, kind="stable")
         population, values, maxima = population[order], values[order], maxima[order]
-        if progress is not None:
-            progress(f"gen {generation} best_delta {float(values[0])!r}")
         delta = float(maxima[0]) / d
-        achieved_objective = delta if objective == "delta" else (delta * d / padded_branch_count(d)) ** 2
+        achieved_objective = bias_mod._reported_objective(delta, d, objective)
+        if progress is not None:
+            progress(f"gen {generation} best_delta {achieved_objective!r}")
         if achieved_objective < target_epsilon or generation == config.generations:
             break
 

@@ -15,7 +15,8 @@ import pytest
 from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
 from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
 from qhashlab import bias_profile, simulate_circuit, verify
-from qhashlab.keyset import _objective_values
+from qhashlab.bias import worst_character_sums
+from qhashlab.keyset import _objective
 from qhashlab.qsim import _draw_below
 from qhashlab.textfile import TextFile
 
@@ -209,23 +210,31 @@ def full_table_weights(code, piece_rows=4096):
     return weights
 
 
+def objective_values(population, modulus, objective):
+    """The GA's ranking values of a (rows, d) key array: one real-only scan, then _objective."""
+    worst_re = worst_character_sums(population, modulus, real_only=True)[0]
+    return _objective(worst_re, population.shape[1], objective)
+
+
 def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padded_sq", progress=None):
     """ga_search with the breeding loop it replaced: per pair of children, argmin
     tournaments, two np.sorts and two np.concatenates, stacked at the end.
+    It stops on, and prints on each progress line, its bias_profile report
+    of the best row.
 
     Returns (keys, achieved_delta, achieved_objective, generations_used, target_met).
     """
     pop_size = config.population_size
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
-    values = _objective_values(population, modulus, objective)
+    values = objective_values(population, modulus, objective)
     for generation in range(config.generations + 1):
         order = np.argsort(values, kind="stable")
         population = population[order]
         values = values[order]
-        if progress is not None:
-            progress(f"gen {generation} best_delta {float(values[0])!r}")
         profile = bias_profile(KeySet(modulus, population[0]))
         achieved = profile.delta if objective == "delta" else profile.padded_delta_squared
+        if progress is not None:
+            progress(f"gen {generation} best_delta {achieved!r}")
         if achieved < target_epsilon or generation == config.generations:
             break
         elite = population[: config.elitism_count]
@@ -251,5 +260,5 @@ def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padd
         fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
         offspring[mutate] = fresh[mutate]
         population = np.concatenate([elite, offspring])
-        values = np.concatenate([values[: config.elitism_count], _objective_values(offspring, modulus, objective)])
+        values = np.concatenate([values[: config.elitism_count], objective_values(offspring, modulus, objective)])
     return tuple(population[0].tolist()), profile.delta, achieved, generation, achieved < target_epsilon

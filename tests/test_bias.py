@@ -21,7 +21,8 @@ from qhashlab import (
     padded_delta_squared,
     save_keyset,
 )
-from qhashlab.keyset import _objective_values
+
+from conftest import objective_values
 
 
 def oracle_component(keyset, shift):
@@ -292,7 +293,7 @@ class TestWorstCharacterSums:
         population = np.random.default_rng(4).integers(0, 16384, size=(64, 129))
         tracemalloc.start()
         try:
-            _objective_values(population, 16384, "padded_sq")
+            objective_values(population, 16384, "padded_sq")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

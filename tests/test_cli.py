@@ -134,7 +134,7 @@ def test_search_past_int64_is_refused_before_drawing(runner, tmp_path, mode, mes
 @pytest.mark.parametrize("args,message", [
     (["--mode", "ga", "--n", "128", "--d", "3"], "spectrum of 64 x 128 = 8192 cells"),
     (["--mode", "random", "--n", "8192", "--epsilon", "0.5"], "spectrum of 1 x 8192 = 8192 cells"),
-    (["--mode", "random", "--n", "64", "--epsilon", "0.01"], "lemma size 97041 keys"),
+    (["--mode", "random", "--n", "64", "--epsilon", "0.01"], "1 x 97041 = 97041 keys (about 0.0 GiB as int64)"),
 ], ids=["ga", "random", "lemma-size"])
 def test_search_beyond_the_spectrum_limit_exits_two(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 1 << 12)
@@ -150,10 +150,17 @@ def test_ga_population_beyond_the_limit_exits_two(runner, tmp_path, monkeypatch)
     result = invoke(runner, ["search", "--mode", "ga", "--n", "32", "--d", "65",
                              "--epsilon", "0.01", "--out", str(out)])
     assert result.exit_code == 2
-    assert result.stderr == (
-        "error: GA population of 64 x 65 = 4160 keys (about 0.0 GiB as int64) "
-        "exceeds MAX_SPECTRUM_CELLS = 4096\n"
-    )
+    assert result.stderr == "error: 64 x 65 = 4160 keys (about 0.0 GiB as int64) exceeds MAX_SPECTRUM_CELLS = 4096\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-160", "1e-170", "5e-324"])
+def test_random_search_refuses_a_lemma_size_past_float64(runner, tmp_path, epsilon):
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", "random", "--n", "8", "--epsilon", epsilon, "--out", str(out)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (f"error: lemma size for epsilon {epsilon} is too large: "
+                             "(2/eps^2) ln(2N) is not a finite float\n")
     assert not out.exists()
 
 
@@ -520,12 +527,13 @@ class TestEqualityTests:
 
     def test_reverse_test_needs_exactly_one_source(self, runner, tmp_path):
         base = ["reverse-test", "--keyset", str(N32), "--claim", "5"]
-        assert invoke(runner, base).exit_code == 2
         state = tmp_path / "h.state"
         invoke(runner, ["hash", "--keyset", str(N32), "--message", "9",
                         "--out", str(state)])
-        assert invoke(runner, base + ["--message", "9", "--state",
-                                      str(state)]).exit_code == 2
+        for extra in ([], ["--message", "9", "--state", str(state)]):
+            result = invoke(runner, base + extra)
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == "error: need exactly one of --message or --state\n"
 
     def test_circuit_check_fixed_keyset(self, runner):
         result = invoke(runner, [
@@ -716,6 +724,12 @@ class TestCircuitCheckBlocks:
         assert result.stdout == ""
         assert result.stderr == "error: need exactly one of --keyset or --n/--d\n"
 
+    @pytest.mark.parametrize("args", [["--n", "8"], ["--d", "3"], []], ids=["n", "d", "neither"])
+    def test_random_set_without_both_options_exits_two(self, runner, args):
+        result = invoke(runner, ["circuit-check", *args])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: need exactly one of --keyset or --n/--d\n"
+
 
 class TestFingerprintCommand:
     @pytest.mark.parametrize("extra", [["--n", "5", "--m", "7"], ["--n", "3"], ["--m", "8"]])
@@ -725,6 +739,12 @@ class TestFingerprintCommand:
         result = invoke(runner, ["fingerprint", "--code", str(out), *extra, "--u", "101", "--v", "100"])
         assert result.exit_code == 2
         assert result.stdout == ""
+        assert result.stderr == "error: need exactly one of --code or --n/--m\n"
+
+    @pytest.mark.parametrize("args", [["--n", "3"], ["--m", "8"], []], ids=["n", "m", "neither"])
+    def test_random_code_without_both_options_exits_two(self, runner, args):
+        result = invoke(runner, ["fingerprint", *args, "--u", "101", "--v", "100"])
+        assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr == "error: need exactly one of --code or --n/--m\n"
 
     def test_generated_code_round_trips(self, runner, tmp_path):

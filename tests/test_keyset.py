@@ -28,18 +28,19 @@ from qhashlab import keyset as keyset_mod
 from qhashlab.keyset import (
     ROUNDING_TOL,
     TABLE_BOUND,
-    _objective_values,
     check_table_rows,
     table_row_passes,
 )
 
-from conftest import load_table_fixtures, per_child_ga_search, same_generator_state
+from conftest import load_table_fixtures, objective_values, per_child_ga_search, same_generator_state
 
 
 class TestLemmaSize:
     def test_reference_points(self):
         assert lemma_size(1024, 0.5) == 61
         assert lemma_size(4, 0.9) == math.ceil((2 / 0.81) * math.log(8))
+        # a finite size keeps its expression, to the float64 range
+        assert lemma_size(8, 1e-150) == math.ceil((2.0 / (1e-150 * 1e-150)) * math.log(16))
 
     def test_grows_with_shrinking_epsilon(self):
         assert lemma_size(1024, 0.1) > lemma_size(1024, 0.5)
@@ -49,6 +50,14 @@ class TestLemmaSize:
             lemma_size(1024, 0.0)
         with pytest.raises(ValueError, match="modulus"):
             lemma_size(0, 0.5)
+
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-170, 5e-324])
+    def test_refuses_a_size_that_is_not_a_finite_float(self, epsilon):
+        # 2/eps^2 overflows at 1e-160; eps^2 rounds to 0 at 1e-170 and 5e-324
+        with pytest.raises(ValueError, match="^" + re.escape(
+            f"lemma size for epsilon {epsilon!r} is too large: (2/eps^2) ln(2N) is not a finite float"
+        ) + "$"):
+            lemma_size(8, epsilon)
 
 
 class TestRandomSampling:
@@ -115,8 +124,8 @@ class TestObjectiveValues:
     def test_matches_per_row_profiles(self):
         rng = make_rng(3)
         population = rng.integers(0, 32, size=(8, 15), dtype=np.int64)
-        deltas = _objective_values(population, 32, "delta")
-        padded = _objective_values(population, 32, "padded_sq")
+        deltas = objective_values(population, 32, "delta")
+        padded = objective_values(population, 32, "padded_sq")
         from qhashlab import KeySet
 
         for row, delta, pad in zip(population, deltas, padded):
@@ -202,6 +211,14 @@ class TestGaSearch:
             out = ga_search(32, 15, float(target), config, make_rng(seed))
             assert out.target_met or out.generations_used == config.generations, (target, out)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_progress_prints_the_number_it_reports(self, seed):
+        # The last line prints the report, ((max/d) d/D)^2, not the
+        # ranking key (max/D)^2, whose last digit differs at seed 1.
+        lines = []
+        out = ga_search(32, 15, 1e-12, SearchConfig(generations=30), make_rng(seed), progress=lines.append)
+        assert lines[-1] == f"gen {out.generations_used} best_delta {out.achieved_objective!r}"
+
     def test_deterministic_under_seed(self):
         config = SearchConfig(generations=30)
         assert ga_search(32, 15, 0.01, config, rng=make_rng(12)).keyset == ga_search(
@@ -250,10 +267,9 @@ class TestGaSearch:
     def test_population_size_checked_before_drawing(self, monkeypatch):
         monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 1000)
         rng = make_rng(4)
-        with pytest.raises(ValueError, match=re.escape(
-            "GA population of 64 x 16 = 1024 keys (about 0.0 GiB as int64) "
-            "exceeds MAX_SPECTRUM_CELLS = 1000"
-        )):
+        with pytest.raises(ValueError, match="^" + re.escape(
+            "64 x 16 = 1024 keys (about 0.0 GiB as int64) exceeds MAX_SPECTRUM_CELLS = 1000"
+        ) + "$"):
             ga_search(32, 16, 0.01, rng=rng)
         # nothing was drawn, so nothing was allocated for the population
         assert rng.random() == make_rng(4).random()
