@@ -61,6 +61,7 @@ instead of d.  See that function's docstring.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -630,10 +631,8 @@ def load_keyset(path: str | Path) -> KeySetFile:
     """Parse the key-set text format.
 
     Layout: ``N <modulus>``, ``d <count>``, ``epsilon <bound-or-dash>``,
-    then one key per line, read through textfile's block columns; a
-    refused block re-runs the per-line rules for its first bad line's
-    diagnostic.  A d above MAX_SPECTRUM_CELLS, and the first key line
-    past d, are refused.
+    then one key per line, filled into int64 while N - 1 fits one.  A d
+    above MAX_SPECTRUM_CELLS, and the first key line past d, are refused.
     """
     lines = TextFile(path, KeySetFormatError)
     (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
@@ -643,22 +642,18 @@ def load_keyset(path: str | Path) -> KeySetFile:
         raise lines.fail(f"d = {count} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}", d_at)
     epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
 
-    keys: list[int] = []
-    for block in lines.blocks():
-        found = block.columns((int,), count - len(keys), modulus)
-        if found:
-            keys += found[0]
-            continue
-        for lineno, fields, raw in block.lines():
-            if len(keys) >= count:
-                raise lines.fail(f"more keys than the header's d={count}", lineno)
-            if len(fields) != 1:
-                raise lines.fail("expected one key per line", lineno, raw)
-            k = lines.number("key", fields[0], lineno)
-            if not 0 <= k < modulus:
-                raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
-            keys.append(k)
-        raise AssertionError(f"{path}: a block the per-line rules pass failed its batch check")
+    def key_line(stored: int, lineno: int, fields: list[str], raw: str) -> None:
+        if stored >= count:
+            raise lines.fail(f"more keys than the header's d={count}", lineno)
+        if len(fields) != 1:
+            raise lines.fail("expected one key per line", lineno, raw)
+        k = lines.number("key", fields[0], lineno)
+        if not 0 <= k < modulus:
+            raise lines.fail(f"key {k} out of range [0, {modulus - 1}]", lineno)
+
+    # An int64 array is no container the cyclic collector walks, as a growing list of keys is.
+    keys = array("q") if modulus <= 1 << 63 else []
+    lines.fill((int,), count, modulus, (keys.fromlist if isinstance(keys, array) else keys.extend,), key_line)
     if len(keys) != count:
         raise lines.fail(f"header declares d={count} but file lists {len(keys)} keys")
     try:

@@ -11,8 +11,9 @@ lines; floats are printed with repr so text and json carry identical
 numeric content.  Exit codes: 0 success or target met, 1 target not
 met (search budget exhausted, verification rejected, table row failed),
 2 usage or parse errors, numbers too large, unreadable or unwritable
-files: any ValueError, OverflowError or OSError a command raises is
-reported as ``error: <message>`` on stderr, the one error path.
+files, memory exhausted: any ValueError, OverflowError, OSError or
+MemoryError a command raises is reported as ``error: <message>`` on
+stderr, the one error path.
 """
 
 from __future__ import annotations
@@ -91,15 +92,18 @@ class _ErrorMappingGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, OverflowError, OSError) as exc:
+        except (ValueError, OverflowError, OSError, MemoryError) as exc:
             # KeySetFormatError and CodeFormatError are ValueErrors too.
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc or 'out of memory'}", err=True)
             sys.exit(2)
 
 
 seed_option = click.option("--seed", type=int, default=0, show_default=True, help="RNG seed; echoed in the report.")
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 keyset_option = click.option("--keyset", "keyset_path", required=True, type=click.Path(dir_okay=False), help="Key-set file.")
+# The search options each mode ignores, so they are refused when given on its command line.
+FOREIGN_OPTIONS = {"random": ("d", "objective", "population_size", "generations", "mutation_rate", "crossover_rate",
+                              "elitism_count", "progress"), "ga": ("max_attempts",)}
 CIRCUIT_BLOCK = 64  # messages of one key set circuit-check simulates together, within 2^16 amplitudes
 
 
@@ -196,6 +200,11 @@ def cmd_search(mode: str, modulus: int, d: int | None, epsilon: float | None, ob
                max_attempts: int, progress: bool, out_path: str, seed: int, fmt: str,
                **knobs: float) -> None:
     """Search for a key set and write it to a file."""
+    ctx = click.get_current_context()
+    foreign = [param.opts[0] for param in ctx.command.params if param.name in FOREIGN_OPTIONS[mode]
+               and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE]
+    if foreign:
+        raise ValueError(f"{mode} mode does not take {', '.join(foreign)}")
     rng = qsim.make_rng(seed)
     progress_lines: list[str] = []
     if mode == "random":

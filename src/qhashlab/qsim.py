@@ -403,32 +403,26 @@ def dump_state(psi: StateVector, path: str | Path) -> None:
 def load_state(path: str | Path) -> StateVector:
     """Parse a state dump: one ``<index> <re> <im>`` line per basis index.
 
-    Read through textfile's block columns, 24 bytes kept per line; a
-    refused block re-runs the per-line rules for its first bad line's
-    diagnostic.  The first line past 2^MAX_QUBITS lines is refused.
+    24 bytes are kept per line.  The first line past 2^MAX_QUBITS lines
+    is refused.
     """
     lines = TextFile(path)
     limit = 1 << MAX_QUBITS
+
+    def amplitude_line(stored: int, lineno: int, fields: list[str], raw: str) -> None:
+        if stored == limit:
+            raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
+        if len(fields) != 3:
+            raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
+        try:
+            index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            raise lines.fail("malformed amplitude line", lineno, raw) from None
+        if not 0 <= index < limit:
+            raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
+
     indices, reals, imags = array("q"), array("d"), array("d")
-    for block in lines.blocks():
-        columns = block.columns((int, float, float), limit - len(indices), limit)
-        if columns:
-            for values, column in zip((indices, reals, imags), columns):
-                values.fromlist(column)
-            continue
-        for lineno, fields, raw in block.lines():
-            if len(indices) == limit:
-                raise lines.fail(f"more than 2^MAX_QUBITS = {limit} amplitude lines", lineno)
-            if len(fields) != 3:
-                raise lines.fail("expected '<index> <re> <im>'", lineno, raw)
-            try:
-                index, real, imag = int(fields[0]), float(fields[1]), float(fields[2])
-            except ValueError:
-                raise lines.fail("malformed amplitude line", lineno, raw) from None
-            if not 0 <= index < limit:
-                raise lines.fail(f"basis index {index} out of range [0, {limit - 1}]", lineno)
-            indices.append(index)
-        raise AssertionError(f"{path}: a block the per-line rules pass failed its batch check")
+    lines.fill((int, float, float), limit, limit, (indices.fromlist, reals.fromlist, imags.fromlist), amplitude_line)
     dim = len(indices)
     if dim < 2 or dim & (dim - 1):
         raise lines.fail(f"{dim} amplitude lines is not a power of two >= 2")

@@ -4,8 +4,10 @@ Blank lines and lines whose first non-blank character is ``#`` are
 skipped; named ``<name> <value>`` header lines come first, in order.
 Lines are read in readlines blocks of about BLOCK_CHARS characters; a
 loader checks the sizes its header declares before it converts or
-stores any data line.  Files must be UTF-8 text; number() refuses a
-float that is not finite.
+stores any data line.  TextFile.fill() converts a block of data
+lines at once, and otherwise runs the loader's per-line rule over the
+block for its first bad line's diagnostic.  Files must be UTF-8 text;
+number() refuses a float that is not finite.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 # Characters per block: a block's lines and fields stay near 0.1 MiB.
 BLOCK_CHARS = 1 << 13
@@ -43,10 +45,12 @@ class Block:
 
 
 class TextFile:
-    """Iterating yields ``(lineno, fields, raw)`` per data line; blocks() yields the Blocks that hold any.
+    """Iterating yields ``(lineno, fields, raw)`` per data line; fill() stores them a block at a time.
 
-    A block loader takes a block's columns at once and re-runs its
-    per-line rules on block.lines() when they are refused.
+    A loader reads its header(), then either iterates line by line or
+    hands fill() its per-line rule: a block whose columns convert is
+    stored whole, and a refused one is walked line by line until the
+    rule raises that block's first bad line's diagnostic.
     """
 
     def __init__(self, path: str | Path, error: type[ValueError] = ValueError) -> None:
@@ -71,9 +75,25 @@ class TextFile:
         # line, or blank lines and then one), so the lines decoded before the bad chunk come first.
         yield from (block for block in self._read_blocks(1) if block.start + len(block.raws) > start)
 
-    def blocks(self) -> Iterator[Block]:
-        """The data lines after the header, in blocks of about BLOCK_CHARS characters."""
-        return self._blocks
+    def fill(self, kinds: tuple[type, ...], limit: int, high: int, stores: tuple[Callable, ...], rule: Callable):
+        """Hand each data block's columns after the header to stores, one list per kind.
+
+        A block goes whole when Block.columns accepts it: every line has
+        one field per kind and converts, at most limit lines in all, and
+        column 0 in [0, high).  Otherwise rule(stored, lineno, fields, raw)
+        runs over that block's lines, stored counting the lines before
+        each; the rule must raise the first bad line's diagnostic.
+        """
+        stored = 0
+        for block in self._blocks:
+            columns = block.columns(kinds, limit - stored, high)
+            if columns is None:
+                for stored, line in enumerate(block.lines(), stored):
+                    rule(stored, *line)
+                raise AssertionError(f"{self.path}: a block the per-line rules pass failed its batch check")
+            for store, column in zip(stores, columns):
+                store(column)
+            stored += len(columns[0])
 
     def __iter__(self) -> Iterator[tuple[int, list[str], str]]:
         return chain.from_iterable(block.lines() for block in self._blocks)

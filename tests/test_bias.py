@@ -22,7 +22,7 @@ from qhashlab import (
     save_keyset,
 )
 
-from conftest import objective_values
+from conftest import objective_values, per_line_load_keyset
 
 
 def oracle_component(keyset, shift):
@@ -801,6 +801,15 @@ class TestKeySetFiles:
         with pytest.raises(KeySetFormatError,
                            match=r"big\.txt:2: d = 1099511627776 keys exceeds MAX_SPECTRUM_CELLS"):
             load_keyset(path)
+
+    @pytest.mark.parametrize("modulus", [2**63, 2**63 + 1], ids=["int64-keys", "int-keys"])
+    def test_keys_up_to_n_minus_one_in_either_store(self, tmp_path, modulus):
+        # N - 1 fits int64 at N = 2^63, and no longer at 2^63 + 1
+        path = tmp_path / "k.txt"
+        path.write_text(f"N {modulus}\nd 3\nepsilon -\n{modulus - 1}\n0\n{modulus // 2}\n")
+        loaded = load_keyset(path)
+        assert loaded == per_line_load_keyset(path)
+        assert loaded.keyset.keys == (modulus - 1, 0, modulus // 2)
 
     def test_key_past_d_refused_at_its_line(self, tmp_path):
         path = tmp_path / "long.txt"

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +99,15 @@ def test_unwritable_out_exits_two(runner, tmp_path, args):
     assert result.stderr.startswith("error: ")
 
 
+# --d for ga mode; random mode refuses it
+GA_KEY_COUNT = {"ga": ["--d", "3"], "random": []}
+
+
 @pytest.mark.parametrize("mode,modulus", [
     ("ga", "1"), ("ga", "0"), ("ga", "-4"), ("random", "0"), ("random", "-4"),
 ])
 def test_search_modulus_below_two_exits_two(runner, tmp_path, mode, modulus):
-    result = invoke(runner, ["search", "--mode", mode, "--n", modulus, "--d", "3",
+    result = invoke(runner, ["search", "--mode", mode, "--n", modulus, *GA_KEY_COUNT[mode],
                              "--epsilon", "0.5", "--out", str(tmp_path / "k.txt")])
     assert result.exit_code == 2
     assert result.stderr == f"error: modulus must be >= 2, got {modulus}\n"
@@ -109,7 +116,7 @@ def test_search_modulus_below_two_exits_two(runner, tmp_path, mode, modulus):
 @pytest.mark.parametrize("mode", ["ga", "random"])
 def test_search_modulus_from_two_to_the_1021_exits_two(runner, tmp_path, mode):
     out = tmp_path / "k.txt"
-    result = invoke(runner, ["search", "--mode", mode, "--n", str(1 << 1021), "--d", "3",
+    result = invoke(runner, ["search", "--mode", mode, "--n", str(1 << 1021), *GA_KEY_COUNT[mode],
                              "--epsilon", "0.5", "--out", str(out)])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: modulus must be below 2^1021, got a 1022-bit one\n"
@@ -124,7 +131,7 @@ def test_search_modulus_from_two_to_the_1021_exits_two(runner, tmp_path, mode):
 ], ids=["ga", "random"])
 def test_search_past_int64_is_refused_before_drawing(runner, tmp_path, mode, message):
     out = tmp_path / "k.txt"
-    result = invoke(runner, ["search", "--mode", mode, "--n", str(2**70), "--d", "3",
+    result = invoke(runner, ["search", "--mode", mode, "--n", str(2**70), *GA_KEY_COUNT[mode],
                              "--epsilon", "0.5", "--out", str(out)])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"error: {message} exceeds MAX_SPECTRUM_CELLS = 67108864\n"
@@ -162,6 +169,53 @@ def test_random_search_refuses_a_lemma_size_past_float64(runner, tmp_path, epsil
     assert result.stderr == (f"error: lemma size for epsilon {epsilon} is too large: "
                              "(2/eps^2) ln(2N) is not a finite float\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,args,message", [
+    ("random", ["--d", "3", "--objective", "delta", "--progress", "--generations", "5"],
+     "random mode does not take --d, --objective, --generations, --progress"),
+    ("random", ["--elitism-count", "2", "--crossover-rate", "0.5", "--mutation-rate", "0.1", "--population-size", "8"],
+     "random mode does not take --population-size, --mutation-rate, --crossover-rate, --elitism-count"),
+    # the default value, given on the command line, is still given
+    ("random", ["--objective", "padded_sq"], "random mode does not take --objective"),
+    ("ga", ["--d", "3", "--max-attempts", "5", "--generations", "2"], "ga mode does not take --max-attempts"),
+    ("ga", ["--d", "3", "--max-attempts", "100"], "ga mode does not take --max-attempts"),
+], ids=["random-four", "random-knobs", "random-default", "ga", "ga-default"])
+def test_search_refuses_the_other_modes_options(runner, tmp_path, mode, args, message):
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", mode, "--n", "64", *args, "--epsilon", "0.5", "--out", str(out)])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,args", [
+    ("random", ["--max-attempts", "5"]),
+    ("ga", ["--d", "3", "--generations", "2", "--progress"]),
+])
+def test_search_takes_its_own_modes_options(runner, tmp_path, mode, args):
+    out = tmp_path / "k.txt"
+    result = invoke(runner, ["search", "--mode", mode, "--n", "64", *args, "--epsilon", "0.5", "--out", str(out)])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert load_keyset(out).keyset.d == (39 if mode == "random" else 3)  # 39: the lemma size at (64, 0.5)
+
+
+def test_out_of_memory_exits_two_without_a_traceback():
+    # A 2^23-key circuit check in a child whose address space ends 512 MiB
+    # above its size after the imports: a 128 MiB gate buffer cannot be had.
+    code = (
+        "import resource\n"
+        "from qhashlab.cli import main\n"
+        "with open('/proc/self/status') as status:\n"
+        "    size = next(int(line.split()[1]) << 10 for line in status if line.startswith('VmSize:'))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "main(['circuit-check', '--n', '2', '--d', '8388608', '--count', '1'])\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("args,name", [
