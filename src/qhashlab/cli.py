@@ -94,7 +94,7 @@ class _ErrorMappingGroup(click.Group):
             return super().invoke(ctx)
         except (ValueError, OverflowError, OSError, MemoryError) as exc:
             # KeySetFormatError and CodeFormatError are ValueErrors too.
-            click.echo(f"error: {exc or 'out of memory'}", err=True)
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             sys.exit(2)
 
 
@@ -347,13 +347,13 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
                       count: int, seed: int, fmt: str) -> None:
     """Compare the rotation circuit against the analytic state."""
     qsim.check_count("count", count)
-    rng = qsim.make_rng(seed)
     fixed = None
     if _one_of("--keyset", keyset_path, "--n/--d", modulus, d):
         fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
     else:  # refuse a bad N, d < 1 or an oversized register before drawing keys
         bias_mod._check_modulus(modulus)
         qhash.hash_qubits(d)
+    rng = qsim.make_rng(seed)
     worst, done = 0.0, 0
     while done < count:  # the draws, in order, of one message (and drawn set) at a time
         params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, qsim._draw_below(rng, modulus, d)))
@@ -458,8 +458,8 @@ def cmd_verify(keyset_path: str, security_level: int, bit: int, signature: int,
                public_path: str, seed: int, fmt: str) -> None:
     """Check a revealed signature against a held public state."""
     loaded = bias_mod.load_keyset(keyset_path)
-    state = qsim.load_state(public_path)
     params = sig_mod.ProtocolParams(qhash.HashParams(loaded.keyset), security_level)
+    state = qsim.load_state(public_path)
     accepted = sig_mod.verify(params, state, bit, signature, qsim.make_rng(seed))
     _emit(fmt, [
         ("security_level", security_level),

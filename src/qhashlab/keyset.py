@@ -8,13 +8,15 @@ Two ways to obtain a key set with small bias:
   requested bound.  This drives the true unit-normalized bias delta(K).
 
 * ``ga_search`` runs a small generational GA for a *fixed* cardinality
-  d, which is how the bundled tables were produced.  Its default
-  objective is ``padded_delta_squared``: for odd d the statistic
-  delta(K) is floored at 1/d (the character at shift N/2 is a sum of d
-  values +-1, hence a nonzero integer), so sub-1/d targets are only
-  meaningful for the padded statistic, and that is the bound the table
-  files declare.  Pass objective="delta" to drive the unit-normalized
-  bias instead.
+  d, which is how the bundled tables were produced.  It always
+  minimizes max_{l != 0} |Re f_K(l)|; both objectives increase with
+  that one maximum, so the objective chooses only the stop rule and
+  the reported statistic.  The default, ``padded_delta_squared``, is
+  the bound the table files declare: for odd d the statistic delta(K)
+  is floored at 1/d (the character at shift N/2 is a sum of d values
+  +-1, hence a nonzero integer), so sub-1/d targets are only
+  meaningful for the padded statistic.  objective="delta" stops on and
+  reports the unit-normalized bias instead.
 
 Both return a SearchOutcome by one report rule: achieved_delta is the
 returned set's real-only fitness value, bit for bit its delta(K).  bias
@@ -108,11 +110,11 @@ class SearchOutcome:
     real-only fitness value (a GA keeps it from the scan of the
     generation that bred the row), bit for bit
     bias_profile(...).delta.  achieved_objective is the statistic the
-    search drove, from achieved_delta by the expression of BiasProfile's
-    padded_delta_squared (or achieved_delta itself), and a GA's last
-    progress line prints it;  target_met compares it against the
-    requested bound.  generations_used counts GA generations, or draw
-    attempts for random sampling.
+    search stops on and reports, from achieved_delta by the expression
+    of BiasProfile's padded_delta_squared (or achieved_delta itself),
+    and a GA's last progress line prints it;  target_met compares it
+    against the requested bound.  generations_used counts GA
+    generations, or draw attempts for random sampling.
     """
 
     keyset: KeySet
@@ -171,15 +173,6 @@ def sample_random_keyset(
                          target_met=best_delta < epsilon, objective="delta", achieved_objective=best_delta)
 
 
-def _objective(worst_re: np.ndarray, d: int, objective: str) -> np.ndarray:
-    """The ranking keys of rows of d keys whose max |Re f| over l != 0 are worst_re (the GA's values).
-
-    A padded_sq key, (max/D)^2, can differ in its last bit from the
-    reported ((max/d) d/D)^2; only ranking and tournaments read it.
-    """
-    return worst_re / d if objective == "delta" else (worst_re / padded_branch_count(d)) ** 2
-
-
 def ga_search(
     modulus: int,
     d: int,
@@ -193,11 +186,12 @@ def ga_search(
 
     Tournament selection of size 3, one-point crossover on sort-aligned
     key lists, per-key uniform resampling mutation, elitism.  Rows are
-    ranked by _objective; each row's max |Re f| is kept beside its
-    value, sorted with it, and the search stops as soon as the best
-    row's reported objective (bias._reported_objective of that maximum
-    over d) drops below target_epsilon.  With rng omitted, the stream
-    is make_rng(0), as in sample_random_keyset.  Each generation can
+    ranked, and tournaments won, by the max |Re f| over l != 0 that
+    their real-only scan returns, whatever the objective; the objective
+    enters only through the best row's reported objective
+    (bias._reported_objective of that maximum over d), and the search
+    stops as soon as it drops below target_epsilon.  With rng omitted,
+    the stream is make_rng(0), as in sample_random_keyset.  Each generation can
     report a line ``gen <g> best_delta <value>`` through the progress
     callback, value being that same reported objective: the last line
     prints the outcome's achieved_objective.
@@ -236,10 +230,9 @@ def ga_search(
     maxima = worst_character_sums(population, modulus, real_only=True, buffers=buffers)[0]
 
     for generation in range(config.generations + 1):
-        # generation 0 is the initial population; each row's max |Re f| is kept beside it.
-        values = _objective(maxima, d, objective)
-        order = np.argsort(values, kind="stable")
-        population, values, maxima = population[order], values[order], maxima[order]
+        # generation 0 is the initial population; rows rank by their max |Re f|
+        order = np.argsort(maxima, kind="stable")
+        population, maxima = population[order], maxima[order]
         delta = float(maxima[0]) / d
         achieved_objective = bias_mod._reported_objective(delta, d, objective)
         if progress is not None:
@@ -249,7 +242,7 @@ def ga_search(
 
         elite = population[: config.elitism_count]
         needed = pop_size - config.elitism_count
-        offspring = _breed(rng, population, values, needed, config.crossover_rate)
+        offspring = _breed(rng, population, maxima, needed, config.crossover_rate)
         mutate = rng.random(offspring.shape) < config.mutation_rate
         fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
         offspring[mutate] = fresh[mutate]
@@ -269,12 +262,12 @@ def ga_search(
 
 
 def _breed(
-    rng: np.random.Generator, population: np.ndarray, values: np.ndarray, needed: int, crossover_rate: float
+    rng: np.random.Generator, population: np.ndarray, maxima: np.ndarray, needed: int, crossover_rate: float
 ) -> np.ndarray:
-    """The needed children of one generation, bred from the value-sorted population.
+    """The needed children of one generation, bred from the population sorted by its rows' maxima.
 
-    Each pair's two winners are the first rows of least value in its
-    two trios.  A pair with a crossover point below d swaps the
+    Each pair's two winners are the first rows of least max |Re f| in
+    its two trios.  A pair with a crossover point below d swaps the
     winners' sorted key lists from that point on; one whose point is d
     copies the two rows as stored.  Children come in pairs, the spare
     dropped for an odd needed.
@@ -283,7 +276,7 @@ def _breed(
     pairs = (needed + 1) // 2
     trios, points = _tournaments(rng, pop_size, d, crossover_rate, pairs)
     trios = np.array(trios, dtype=np.intp).reshape(2 * pairs, 3)
-    winners = trios[np.arange(2 * pairs), values[trios].argmin(axis=1)].reshape(pairs, 2)
+    winners = trios[np.arange(2 * pairs), maxima[trios].argmin(axis=1)].reshape(pairs, 2)
     points = np.array(points, dtype=np.intp)[:, None, None]
     rows = population[winners]
     parents = np.where(points < d, np.sort(rows, axis=2), rows)

@@ -50,7 +50,6 @@ import numpy as np
 
 from .bias import KeySet, _check_message, padded_branch_count, phase_angles
 from .qsim import (
-    MAX_QUBITS,
     StateVector,
     TestCounts,
     apply_gate_inplace,
@@ -76,6 +75,13 @@ __all__ = [
     "reverse_test",
     "reverse_test_shots",
 ]
+
+
+# The largest register every state command holds in a 2 GB address
+# space (numpy 2.4.6, Python 3.11): at 2^21 keys `sign` peaks at 925 MiB
+# RSS; at 2^22 keys formatting a dump takes it from 0.6 to 1.7 GiB, and
+# it runs out.
+MAX_HASH_QUBITS = 22
 
 
 @dataclass(frozen=True)
@@ -159,11 +165,15 @@ class CircuitDescription:
 
 
 def hash_qubits(d: int) -> int:
-    """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most MAX_QUBITS."""
+    """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most MAX_HASH_QUBITS.
+
+    The one register rule of the state commands: HashParams applies it,
+    so each refuses an oversized set before it draws or reads a state.
+    """
     s = padded_branch_count(d).bit_length()
-    if s > MAX_QUBITS:
+    if s > MAX_HASH_QUBITS:
         raise ValueError(
-            f"{d} keys need {s} qubits; states hold at most MAX_QUBITS = {MAX_QUBITS}"
+            f"{d} keys need {s} qubits; hash states hold at most MAX_HASH_QUBITS = {MAX_HASH_QUBITS}"
         )
     return s
 

@@ -16,7 +16,6 @@ from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPEC
 from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
 from qhashlab import bias_profile, simulate_circuit, verify
 from qhashlab.bias import worst_character_sums
-from qhashlab.keyset import _objective
 from qhashlab.qsim import _draw_below
 from qhashlab.textfile import TextFile
 
@@ -210,27 +209,26 @@ def full_table_weights(code, piece_rows=4096):
     return weights
 
 
-def objective_values(population, modulus, objective):
-    """The GA's ranking values of a (rows, d) key array: one real-only scan, then _objective."""
-    worst_re = worst_character_sums(population, modulus, real_only=True)[0]
-    return _objective(worst_re, population.shape[1], objective)
+def scan_maxima(population, modulus):
+    """What the GA ranks the rows of a (rows, d) key array by: their max |Re f| over l != 0, from one real-only scan."""
+    return worst_character_sums(population, modulus, real_only=True)[0]
 
 
 def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padded_sq", progress=None):
     """ga_search with the breeding loop it replaced: per pair of children, argmin
     tournaments, two np.sorts and two np.concatenates, stacked at the end.
-    It stops on, and prints on each progress line, its bias_profile report
-    of the best row.
+    Rows rank by their max |Re f| whatever the objective; it stops on, and
+    prints on each progress line, its bias_profile report of the best row.
 
     Returns (keys, achieved_delta, achieved_objective, generations_used, target_met).
     """
     pop_size = config.population_size
     population = rng.integers(0, modulus, size=(pop_size, d), dtype=np.int64)
-    values = objective_values(population, modulus, objective)
+    maxima = scan_maxima(population, modulus)
     for generation in range(config.generations + 1):
-        order = np.argsort(values, kind="stable")
+        order = np.argsort(maxima, kind="stable")
         population = population[order]
-        values = values[order]
+        maxima = maxima[order]
         profile = bias_profile(KeySet(modulus, population[0]))
         achieved = profile.delta if objective == "delta" else profile.padded_delta_squared
         if progress is not None:
@@ -242,8 +240,8 @@ def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padd
         needed = pop_size - config.elitism_count
         while len(children) < needed:
             contenders = rng.integers(0, pop_size, size=(2, 3))
-            pa = population[contenders[0][np.argmin(values[contenders[0]])]]
-            pb = population[contenders[1][np.argmin(values[contenders[1]])]]
+            pa = population[contenders[0][np.argmin(maxima[contenders[0]])]]
+            pb = population[contenders[1][np.argmin(maxima[contenders[1]])]]
             if d > 1 and rng.random() < config.crossover_rate:
                 point = int(rng.integers(1, d))
                 a_sorted = np.sort(pa)
@@ -260,5 +258,5 @@ def per_child_ga_search(modulus, d, target_epsilon, config, rng, objective="padd
         fresh = rng.integers(0, modulus, size=offspring.shape, dtype=np.int64)
         offspring[mutate] = fresh[mutate]
         population = np.concatenate([elite, offspring])
-        values = np.concatenate([values[: config.elitism_count], objective_values(offspring, modulus, objective)])
+        maxima = np.concatenate([maxima[: config.elitism_count], scan_maxima(offspring, modulus)])
     return tuple(population[0].tolist()), profile.delta, achieved, generation, achieved < target_epsilon

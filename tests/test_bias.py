@@ -22,7 +22,7 @@ from qhashlab import (
     save_keyset,
 )
 
-from conftest import objective_values, per_line_load_keyset
+from conftest import load_table_fixtures, per_line_load_keyset
 
 
 def oracle_component(keyset, shift):
@@ -293,7 +293,7 @@ class TestWorstCharacterSums:
         population = np.random.default_rng(4).integers(0, 16384, size=(64, 129))
         tracemalloc.start()
         try:
-            objective_values(population, 16384, "padded_sq")
+            bias_mod.worst_character_sums(population, 16384, real_only=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -654,6 +654,55 @@ class TestBiasProfile:
         f = fourier_components(n32_keyset, np.arange(n32_keyset.modulus))
         assert np.allclose(np.abs(f.real[1:]), 1.0, atol=1e-9)
         assert bias_profile(n32_keyset).delta == pytest.approx(1 / 15, abs=1e-12)
+
+
+def overlap_floor(modulus, d):
+    """Least possible delta for d keys mod N, from geometry alone.
+
+    The N hash states are real unit vectors in R^D, D = 2d, and delta is
+    their largest overlap |<h(M)|h(M')>| = |Re f(M - M')| / d.  Its
+    square is at least the Welch bound (N - D)/(D(N - 1)) for N > D
+    (L. R. Welch, IEEE Trans. Inf. Theory 20, 397, 1974) and the
+    Levenshtein bound (3N - D^2 - 2D)/((D + 2)(N - D)) for
+    N > D(D + 1)/2; where neither applies the floor is 0.
+    """
+    D = 2 * d
+    bounds = [0.0]
+    if modulus > D:
+        bounds.append((modulus - D) / (D * (modulus - 1)))
+    if modulus > D * (D + 1) // 2:
+        bounds.append((3 * modulus - D * D - 2 * D) / ((D + 2) * (modulus - D)))
+    return math.sqrt(max(bounds))
+
+
+# each bundled row by each method; the direct scans past 2^16 (2^17 to 2^20 shifts) take about 9 s together
+ROW_SCANS = [
+    pytest.param(fixture.keyset, method, id=f"{path.stem}-{method}",
+                 marks=[pytest.mark.slow] if method == "direct" and fixture.keyset.modulus > 1 << 16 else [])
+    for path, fixture in load_table_fixtures() for method in ("fft", "direct")
+]
+
+
+class TestCollisionFloor:
+    """delta against mathematics, not against the other method: a defect
+    shared by both scans that under-reports delta fails here."""
+
+    @pytest.mark.parametrize("keyset, method", ROW_SCANS)
+    def test_table_rows_stay_above_the_floor(self, keyset, method):
+        assert bias_profile(keyset, method=method).delta >= overlap_floor(keyset.modulus, keyset.d) - 1e-12
+
+    @given(keysets)
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    def test_random_sets_stay_above_the_floor(self, method, keyset):
+        assert bias_profile(keyset, method=method).delta >= overlap_floor(keyset.modulus, keyset.d) - 1e-12
+
+    def test_floor_values(self):
+        # n32_d15: Welch only (32 < 30 * 31 / 2); n64_d33: 2d > N, no floor
+        assert overlap_floor(32, 15) == math.sqrt(2 / (30 * 31))
+        assert overlap_floor(64, 33) == 0.0
+        # N = 2^20, d = 257: Levenshtein's 0.073, above Welch's 0.044
+        assert overlap_floor(1 << 20, 257) == pytest.approx(0.0730, abs=5e-4)
 
 
 class TestPaddedStatistic:

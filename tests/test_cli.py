@@ -26,7 +26,7 @@ from qhashlab import (
 )
 from qhashlab import bias as bias_mod
 from qhashlab import signature as sig_mod
-from qhashlab import cli, qsim
+from qhashlab import cli, qhash, qsim
 from qhashlab.cli import main
 
 from conftest import keygen_verify_records, per_message_circuit_deviation, trial_log
@@ -200,15 +200,15 @@ def test_search_takes_its_own_modes_options(runner, tmp_path, mode, args):
 
 
 def test_out_of_memory_exits_two_without_a_traceback():
-    # A 2^23-key circuit check in a child whose address space ends 512 MiB
-    # above its size after the imports: a 128 MiB gate buffer cannot be had.
+    # A 2^21-key circuit check in a child whose address space ends 128 MiB
+    # above its size after the imports: its 64 MiB arrays cannot all be had.
     code = (
         "import resource\n"
         "from qhashlab.cli import main\n"
         "with open('/proc/self/status') as status:\n"
         "    size = next(int(line.split()[1]) << 10 for line in status if line.startswith('VmSize:'))\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
-        "main(['circuit-check', '--n', '2', '--d', '8388608', '--count', '1'])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (128 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "main(['circuit-check', '--n', '2', '--d', '2097152', '--count', '1'])\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -216,6 +216,16 @@ def test_out_of_memory_exits_two_without_a_traceback():
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr
+
+
+def test_a_memory_error_without_a_message_says_so(runner, monkeypatch):
+    # Python raises MemoryError with no message where numpy's names the allocation
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(qhash, "hash_state", exhausted)
+    result = invoke(runner, ["hash", "--keyset", str(N32), "--message", "1"])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("args,name", [
@@ -631,15 +641,36 @@ class TestEqualityTests:
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
 
-    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25)])
-    def test_circuit_check_refuses_an_oversized_register(self, runner, d, qubits):
+    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25), ((1 << 21) + 1, 23)])
+    def test_circuit_check_refuses_an_oversized_register(self, runner, monkeypatch, d, qubits):
         # refused before any key is drawn: 2^40 keys would be 8 TiB
+        monkeypatch.setattr(qsim, "_draw_below", None)
         result = invoke(runner, ["circuit-check", "--n", "8", "--d", str(d), "--count", "1"])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {d} keys need {qubits} qubits; states hold at most MAX_QUBITS = 24\n"
+            f"error: {d} keys need {qubits} qubits; hash states hold at most MAX_HASH_QUBITS = 22\n"
         )
+
+    @pytest.mark.parametrize("args", [
+        ["hash", "--message", "1", "--out", "out.state"],
+        ["swap-test", "--m1", "1", "--m2", "2"],
+        ["reverse-test", "--claim", "1", "--message", "2"],
+        ["reverse-test", "--claim", "1", "--state", "missing.state"],
+        ["sign", "--security-level", "5", "--bit", "1", "--out", "out"],
+        ["verify", "--security-level", "5", "--bit", "1", "--signature", "3", "--public", "missing.pub1"],
+        ["circuit-check"],
+    ], ids=lambda args: " ".join(args[:3:2]))
+    def test_state_commands_refuse_a_register_past_the_cap_first(self, runner, tmp_path, monkeypatch, args):
+        # with the cap at 3 qubits the 15 keys of n32_d15 need 5: refused
+        # before any draw, state read or file written
+        monkeypatch.setattr(qhash, "MAX_HASH_QUBITS", 3)
+        monkeypatch.setattr(qsim, "make_rng", None)
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, [args[0], "--keyset", str(N32), *args[1:]])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: 15 keys need 5 qubits; hash states hold at most MAX_HASH_QUBITS = 3\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bits", [64, 70])
     def test_circuit_check_past_int64(self, runner, tmp_path, bits):

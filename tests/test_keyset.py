@@ -32,7 +32,7 @@ from qhashlab.keyset import (
     table_row_passes,
 )
 
-from conftest import load_table_fixtures, objective_values, per_child_ga_search, same_generator_state
+from conftest import load_table_fixtures, per_child_ga_search, same_generator_state, scan_maxima
 
 
 class TestLemmaSize:
@@ -124,19 +124,18 @@ class TestObjectiveValues:
     def test_matches_per_row_profiles(self):
         rng = make_rng(3)
         population = rng.integers(0, 32, size=(8, 15), dtype=np.int64)
-        deltas = objective_values(population, 32, "delta")
-        padded = objective_values(population, 32, "padded_sq")
         from qhashlab import KeySet
 
-        for row, delta, pad in zip(population, deltas, padded):
+        for row, worst in zip(population, scan_maxima(population, 32)):
             ks = KeySet(modulus=32, keys=tuple(int(k) for k in row))
             profile = bias_profile(ks, method="direct")
             re_abs = np.abs(fourier_components(ks, np.arange(32)).real)
-            worst_re = re_abs[1:].max()
-            assert delta == profile.delta
-            assert pad == (worst_re / padded_branch_count(15)) ** 2
+            assert worst == re_abs[1:].max()
+            assert worst / 15 == profile.delta
+            # the report computes ((max/d) d/D)^2, which may differ from (max/D)^2 in the last bit
+            assert (worst / padded_branch_count(15)) ** 2 == pytest.approx(profile.padded_delta_squared, rel=1e-15)
             # the reported shift ties the maximum within the band
-            assert re_abs[profile.worst_shift_delta] >= worst_re - 1e-12 * 15
+            assert re_abs[profile.worst_shift_delta] >= worst - 1e-12 * 15
 
     def test_unknown_objective(self):
         # refused by ga_search before its first draw, so the kernel need not check
@@ -334,6 +333,25 @@ class TestBreedingOracle:
     def test_early_stop_matches(self):
         out = assert_matches_the_per_child_loop(32, 15, 0.02, SearchConfig(), 3)
         assert 0 < out.generations_used < 500 and out.target_met
+
+
+@pytest.mark.parametrize("population", [64, 37])
+@pytest.mark.parametrize("modulus, d, generations", [
+    (32, 15, 30), (64, 9, 30), (64, 33, 40), (32, 3, 40), (1024, 65, 20), (128, 33, 30),
+])
+def test_the_objective_only_stops_and_reports(modulus, d, generations, population):
+    # With a target no run meets, both objectives rank by the same max
+    # |Re f|, so they breed the same rows from the same draws.
+    config = SearchConfig(population_size=population, generations=generations)
+    for seed in range(10):
+        runs = []
+        for objective in OBJECTIVES:
+            rng = make_rng(seed)
+            out = ga_search(modulus, d, 1e-12, config, rng, objective=objective)
+            runs.append((out.keyset, out.achieved_delta, out.generations_used, rng.bit_generator.state))
+        (keys, delta, used, state), (other_keys, other_delta, other_used, other_state) = runs
+        assert (keys, delta, used) == (other_keys, other_delta, other_used), seed
+        assert same_generator_state(state, other_state), seed
 
 
 def buffered_philox(seed):

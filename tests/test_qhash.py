@@ -74,10 +74,10 @@ class TestHashParams:
             qhash_mod.hash_qubits(d)
 
     def test_register_beyond_max_qubits_raises(self, monkeypatch):
-        assert qhash_mod.hash_qubits(1 << 23) == 24
-        with pytest.raises(ValueError, match="8388609 keys need 25 qubits"):
-            qhash_mod.hash_qubits((1 << 23) + 1)
-        monkeypatch.setattr(qhash_mod, "MAX_QUBITS", 3)
+        assert qhash_mod.hash_qubits(1 << 21) == 22
+        with pytest.raises(ValueError, match="^2097153 keys need 23 qubits; hash states hold at most MAX_HASH_QUBITS = 22$"):
+            qhash_mod.hash_qubits((1 << 21) + 1)
+        monkeypatch.setattr(qhash_mod, "MAX_HASH_QUBITS", 3)
         HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4)))
         with pytest.raises(ValueError, match="5 keys need 4 qubits"):
             HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4, 5)))
