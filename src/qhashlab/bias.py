@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .textfile import TextFile
+from .textfile import TextFile, write_lines
 
 __all__ = [
     "KeySet",
@@ -663,11 +663,15 @@ def load_keyset(path: str | Path) -> KeySetFile:
     return KeySetFile(keyset, epsilon)
 
 
-def save_keyset(
-    keyset: KeySet, path: str | Path, declared_epsilon: float | None = None
-) -> None:
-    """Write the key-set text format; keys keep their stored order."""
+def save_keyset(keyset: KeySet, path: str | Path, declared_epsilon: float | None = None) -> None:
+    """Write the key-set text format; keys keep their stored order.
+
+    What load_keyset would refuse, a d above MAX_SPECTRUM_CELLS or an
+    epsilon that is not finite, raises ValueError before the file is opened.
+    """
+    if keyset.d > MAX_SPECTRUM_CELLS:
+        raise ValueError(f"d = {keyset.d} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}")
+    if declared_epsilon is not None and not math.isfinite(declared_epsilon):
+        raise ValueError(f"epsilon must be finite, got {declared_epsilon!r}")
     eps_text = "-" if declared_epsilon is None else repr(float(declared_epsilon))
-    lines = [f"N {keyset.modulus}", f"d {keyset.d}", f"epsilon {eps_text}"]
-    lines.extend(str(k) for k in keyset.keys)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, (("N", keyset.modulus), ("d", keyset.d), ("epsilon", eps_text)), "%d\n", keyset.keys)

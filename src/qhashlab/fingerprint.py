@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .qsim import MAX_QUBITS, StateVector
-from .textfile import TextFile
+from .textfile import TextFile, write_lines
 
 __all__ = [
     "LinearCode",
@@ -207,6 +207,4 @@ def load_code(path: str | Path) -> LinearCode:
 
 
 def save_code(code: LinearCode, path: str | Path) -> None:
-    lines = [f"n {code.n}", f"m {code.m}"]
-    lines.extend("".join(str(int(b)) for b in row) for row in code.generator)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, (("n", code.n), ("m", code.m)), "%d" * code.n + "\n", code.generator)

@@ -77,10 +77,12 @@ __all__ = [
 ]
 
 
-# The largest register every state command holds in a 2 GB address
-# space (numpy 2.4.6, Python 3.11): at 2^21 keys `sign` peaks at 925 MiB
-# RSS; at 2^22 keys formatting a dump takes it from 0.6 to 1.7 GiB, and
-# it runs out.
+# Memory does not set this cap for hash --out, swap-test, reverse-test,
+# sign and verify: with dumps written a block at a time they hold 2^22
+# keys (23 qubits) in a 2 GB address space too, verify peaking highest at
+# 838 MiB RSS at N = 2^30 (numpy 2.4.6, Python 3.11).  circuit-check keeps
+# one rotation layer per message bit, 48 B per key each, and at N = 2^30
+# runs out of 2 GB at 2^21 keys already; the cap stays until it holds.
 MAX_HASH_QUBITS = 22
 
 

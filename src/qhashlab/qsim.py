@@ -55,13 +55,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .textfile import TextFile
+from .textfile import TextFile, write_lines
 
 __all__ = [
     "MAX_QUBITS",
@@ -85,7 +84,8 @@ __all__ = [
 ]
 
 # Dense storage: 2^24 amplitudes = 256 MiB of complex128 is the ceiling
-# we are willing to allocate.  Hash states here need s <= 10.
+# we are willing to allocate.  Dumps and fingerprints may reach it; hash
+# states stop at qhash.MAX_HASH_QUBITS = 22.
 MAX_QUBITS = 24
 
 NORM_TOL = 1e-10
@@ -393,11 +393,9 @@ def dump_state(psi: StateVector, path: str | Path) -> None:
     """Write one line per basis index: ``<index> <re> <im>``.
 
     Floats are rendered with repr (%r), so a dump/load round trip is
-    exact; the whole file is formatted in one pass.
+    exact; textfile writes the lines a block at a time.
     """
-    amp = psi.amplitudes
-    flat = chain.from_iterable(zip(range(amp.size), amp.real.tolist(), amp.imag.tolist()))
-    Path(path).write_text("%d %r %r\n" * amp.size % tuple(flat))
+    write_lines(path, (), "%d %r %r\n", range(psi.amplitudes.size), psi.amplitudes.real, psi.amplitudes.imag)
 
 
 def load_state(path: str | Path) -> StateVector:

@@ -1,4 +1,4 @@
-"""The one line reader under the key-set, code and state-dump loaders.
+"""The one module that reads and writes the key-set, code and state-dump line formats.
 
 Blank lines and lines whose first non-blank character is ``#`` are
 skipped; named ``<name> <value>`` header lines come first, in order.
@@ -7,7 +7,8 @@ loader checks the sizes its header declares before it converts or
 stores any data line.  TextFile.fill() converts a block of data
 lines at once, and otherwise runs the loader's per-line rule over the
 block for its first bad line's diagnostic.  Files must be UTF-8 text;
-number() refuses a float that is not finite.
+number() refuses a float that is not finite.  write_lines() writes a
+file's header, then formats and writes its rows a block at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator
 
-# Characters per block: a block's lines and fields stay near 0.1 MiB.
+# Characters per block read, and format characters per block written:
+# a block's lines and fields stay near 0.1 MiB.
 BLOCK_CHARS = 1 << 13
 
 
@@ -130,3 +132,22 @@ class TextFile:
         if kind is float and not math.isfinite(value):
             raise self.fail(f"{name} must be finite, got {text!r}", lineno)
         return value
+
+
+def write_lines(path: str | Path, header: tuple[tuple[str, object], ...], line: str, *columns) -> None:
+    """Write ``<name> <value>`` header lines, then ``line % row`` for each row of the columns.
+
+    Row i holds entry i of each column in turn; a lone 2-D column gives
+    its whole row i.  Rows are formatted and written max(1, BLOCK_CHARS
+    // len(line)) at a time.  A numpy column is read through tolist() a
+    block at a time, so %r prints Python floats; other columns (a tuple
+    of Python ints, a range) are sliced as they are.
+    """
+    rows = max(1, BLOCK_CHARS // len(line))
+    with Path(path).open("w", encoding="utf-8") as file:
+        file.writelines(f"{name} {value}\n" for name, value in header)
+        for start in range(0, len(columns[0]), rows):
+            block = [column[start : start + rows] for column in columns]
+            values = [part.ravel().tolist() if hasattr(part, "ravel") else part for part in block]
+            flat = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
+            file.write(line * len(block[0]) % tuple(flat))

@@ -813,6 +813,35 @@ class TestKeySetFiles:
         assert path.read_text() == "N 8\nd 2\nepsilon -\n1\n2\n"
         assert load_keyset(path).declared_epsilon is None
 
+    @pytest.mark.parametrize("epsilon", [1e-300, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+    def test_finite_epsilon_round_trips(self, tmp_path, epsilon):
+        path = tmp_path / "k.txt"
+        save_keyset(KeySet(modulus=8, keys=(1, 2)), path, declared_epsilon=epsilon)
+        assert repr(load_keyset(path).declared_epsilon) == repr(epsilon)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_epsilon_refused_before_the_file_is_opened(self, tmp_path, epsilon):
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("N 8\nd 1\nepsilon -\n3\n")
+        for path in (kept, fresh):
+            with pytest.raises(ValueError, match=r"^epsilon must be finite, got "):
+                save_keyset(KeySet(modulus=8, keys=(1, 2)), path, declared_epsilon=epsilon)
+        assert kept.read_text() == "N 8\nd 1\nepsilon -\n3\n"
+        assert not fresh.exists()
+
+    def test_d_beyond_the_spectrum_limit_refused_before_the_file_is_opened(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 4)
+        kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+        kept.write_text("N 8\nd 1\nepsilon -\n3\n")
+        save_keyset(KeySet(modulus=8, keys=(1, 2, 3, 4)), fresh)  # at the limit: written
+        assert load_keyset(fresh).keyset.d == 4
+        fresh.unlink()
+        for path in (kept, fresh):
+            with pytest.raises(ValueError, match=r"^d = 5 keys exceeds MAX_SPECTRUM_CELLS = 4$"):
+                save_keyset(KeySet(modulus=8, keys=(1, 2, 3, 4, 5)), path)
+        assert kept.read_text() == "N 8\nd 1\nepsilon -\n3\n"
+        assert not fresh.exists()
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "k.txt"
         path.write_text("# table row\nN 8\n\nd 2\nepsilon 0.5\n1\n# middle\n2\n")
