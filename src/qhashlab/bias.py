@@ -301,15 +301,20 @@ def _gather(
     of at most 2 MiB) the table is also built once the gathers through
     one set of buffers have read N roots in all, as a search's
     generations and draws do, and later gathers look their roots up.
-    A gather of fewer than N terms reads its roots, computed or looked
-    up, in blocks down the key axis, and add.accumulate sums them one
-    term after another, the order of the column loop, so every path
-    gives the same bits.
+    A gather of fewer than N terms, or of fewer than min(d, 64) shifts,
+    reads its roots, computed or looked up, in blocks down the key axis,
+    and add.accumulate sums them one term after another, the order of
+    the column loop, so every path gives the same bits.  Timed with the
+    table at N = 2^14 .. 2^20 and d = 2357 .. 2^16: a column costs some
+    2 us plus a few ns a shift, a block 10-30 ns a term, so the blocks
+    win below 64 shifts (0.07-0.6x the loop's time, a one-row scan of
+    2^20 keys 2.2 s -> 0.09 s) and lose from 128 on (1.0-2.7x, a
+    64-row GA population at d = 2357).
     """
     d = key_rows.shape[1]
     table = buffers.roots(modulus, d * shifts.size)
     f = np.zeros(shifts.size, dtype=np.complex128)
-    if d * shifts.size >= modulus and (owner.size == 1 or d * shifts.size > GATHER_TERMS):
+    if d * shifts.size >= modulus and (owner.size == 1 or d * shifts.size > GATHER_TERMS) and shifts.size >= min(d, 64):
         for column in key_rows.T:
             f += table[_angle_index(column[owner], shifts, modulus)]
         return f

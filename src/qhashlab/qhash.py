@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -77,13 +76,13 @@ __all__ = [
 ]
 
 
-# Memory does not set this cap for hash --out, swap-test, reverse-test,
-# sign and verify: with dumps written a block at a time they hold 2^22
-# keys (23 qubits) in a 2 GB address space too, verify peaking highest at
-# 838 MiB RSS at N = 2^30 (numpy 2.4.6, Python 3.11).  circuit-check keeps
-# one rotation layer per message bit, 48 B per key each, and at N = 2^30
-# runs out of 2 GB at 2^21 keys already; the cap stays until it holds.
-MAX_HASH_QUBITS = 22
+# Every state command holds 2^22 keys (23 qubits) in a 2 GB address
+# space at N = 2^30 (numpy 2.4.6, Python 3.11), circuit-check --count 3
+# peaking highest, at about 1.1 GiB RSS: no command keeps anything per
+# message bit.  At 2^23 keys circuit-check still runs out of 2 GB (exit 2
+# at about 1.8 GiB RSS) while KeySet holds its keys as a tuple of Python
+# ints, so the cap stays one qubit below qsim.MAX_QUBITS.
+MAX_HASH_QUBITS = 23
 
 
 @dataclass(frozen=True)
@@ -94,13 +93,13 @@ class HashParams:
     for any modulus: the circuit has a rotation layer for each set bit
     of an n-bit message.  s = ceil(log2 d) + 1 qubits:
     one target plus an index register wide enough for d branches.
-    Each message bit's RotationLayer is made once, on first use.
+    Nothing is kept per message bit: a layer's angles are computed from
+    the keys where a circuit or a simulation uses them.
     """
 
     keyset: KeySet
     n: int = field(init=False)
     s: int = field(init=False)
-    _layers: dict[int, RotationLayer] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", (self.keyset.modulus - 1).bit_length())
@@ -110,13 +109,6 @@ class HashParams:
     def branch_capacity(self) -> int:
         """Index-register capacity 2^ceil(log2 d); branches >= d stay empty."""
         return padded_branch_count(self.keyset.d)
-
-    def rotation_layer(self, j: int) -> RotationLayer:
-        """The layer of message bit j (1-based): thetas 4 pi (k_i 2^{j-1} mod N) / N."""
-        if j not in self._layers:
-            thetas = 2.0 * phase_angles(self.keyset.key_array(), 1 << (j - 1), self.keyset.modulus)
-            self._layers[j] = RotationLayer(message_bit=j, thetas=tuple(thetas.tolist()))
-        return self._layers[j]
 
 
 @dataclass(frozen=True)
@@ -135,12 +127,6 @@ class RotationLayer:
 
     message_bit: int
     thetas: tuple[float, ...]
-
-    @cached_property
-    def turns(self) -> tuple[np.ndarray, np.ndarray]:
-        """math.cos and math.sin of each theta / 2, made once: simulation turns branch pairs by them."""
-        return (np.array([math.cos(theta / 2.0) for theta in self.thetas]),
-                np.array([math.sin(theta / 2.0) for theta in self.thetas]))
 
 
 @dataclass(frozen=True)
@@ -201,10 +187,16 @@ def _preparation(params: HashParams) -> list[Gate]:
 
 
 def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
-    """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first."""
-    _check_message(params.keyset.modulus, m)
+    """Emit the rotation circuit of message m: one rotation layer per set bit, LSB first.
+
+    Bit j's layer turns branch i by theta = 4 pi (k_i 2^{j-1} mod N) / N.
+    """
+    modulus = params.keyset.modulus
+    _check_message(modulus, m)
+    keys = params.keyset.key_array()
     gates = _preparation(params)
-    gates += [params.rotation_layer(j) for j in range(1, params.n + 1) if m >> (j - 1) & 1]
+    gates += [RotationLayer(j, tuple((2.0 * phase_angles(keys, 1 << (j - 1), modulus)).tolist()))
+              for j in range(1, params.n + 1) if m >> (j - 1) & 1]
     return CircuitDescription(qubit_count=params.s, gates=tuple(gates))
 
 
@@ -225,7 +217,8 @@ def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
     elif isinstance(gate, RotationLayer):
         if len(gate.thetas) > pairs.shape[0]:
             raise ValueError(f"rotation layer turns {len(gate.thetas)} branches; the register holds {pairs.shape[0]}")
-        _turn_pairs(pairs, *gate.turns)
+        half = np.array(gate.thetas) / 2.0
+        _turn_pairs(pairs, np.cos(half), np.sin(half))
     elif isinstance(gate, PrepareUniform):
         return reflect_to_uniform(pairs, gate.branch_count).reshape(-1)
     else:
@@ -234,7 +227,7 @@ def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def simulate_circuit(circuit: CircuitDescription) -> StateVector:
-    """Run the gates on |0...0> one at a time (layers turn by their cos/sin of theta/2, made once); validated once."""
+    """Run the gates on |0...0> one at a time (layers turn by the cos/sin of theta/2); validated once."""
     s = circuit.qubit_count
     amp = np.zeros(1 << s, dtype=np.complex128)
     amp[0] = 1.0
@@ -245,16 +238,19 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
 
 def simulate_circuits(params: HashParams, messages: list[int]) -> np.ndarray:
     """simulate_circuit(build_hash_circuit(params, m)).amplitudes for each m, as the rows of one array:
-    the preparation runs once, and layer j turns the rows whose message has bit j set."""
+    the preparation runs once, and layer j turns the rows whose message has bit j set by
+    the cos and sin of its theta/2, the phase angle of 2^{j-1}."""
+    keys, modulus = params.keyset.key_array(), params.keyset.modulus
     for m in messages:
-        _check_message(params.keyset.modulus, m)
+        _check_message(modulus, m)
     prepared = simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params))))
     rows = np.tile(prepared.amplitudes, (len(messages), 1))
     for j in range(1, params.n + 1):
         turned = [r for r, m in enumerate(messages) if m >> (j - 1) & 1]
         if turned:
             block = rows[turned]
-            _turn_pairs(block.reshape(len(turned), -1, 2), *params.rotation_layer(j).turns)
+            half = phase_angles(keys, 1 << (j - 1), modulus)
+            _turn_pairs(block.reshape(len(turned), -1, 2), np.cos(half), np.sin(half))
             rows[turned] = block
     return rows
 

@@ -85,7 +85,7 @@ __all__ = [
 
 # Dense storage: 2^24 amplitudes = 256 MiB of complex128 is the ceiling
 # we are willing to allocate.  Dumps and fingerprints may reach it; hash
-# states stop at qhash.MAX_HASH_QUBITS = 22.
+# states stop at qhash.MAX_HASH_QUBITS = 23.
 MAX_QUBITS = 24
 
 NORM_TOL = 1e-10

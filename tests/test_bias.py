@@ -311,6 +311,21 @@ class TestWorstCharacterSums:
             for value, want in zip(worst_rows(row[None, :], 65536), reference):
                 assert np.array_equal(value, want[i : i + 1])
 
+    @given(data=st.data(), modulus=st.integers(min_value=2, max_value=4096))
+    @settings(max_examples=100, deadline=None)
+    def test_few_shifts_of_many_keys_gather_as_the_column_loop(self, data, modulus):
+        # S <= 8 shifts of d >= 66 keys take the blocks; the same shifts
+        # repeated to max(d, N) entries take the column loop, and an
+        # entry's bits do not depend on the rest
+        keys = data.draw(st.lists(st.integers(0, modulus - 1), min_size=64, max_size=400))
+        row = np.array([0, modulus // 2, *keys])[None, :]
+        shifts = np.array(data.draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=8)))
+        one = np.zeros(1, dtype=np.intp)
+        blocks = bias_mod._gather(row, one, shifts, modulus, bias_mod._ScanBuffers())
+        columns = bias_mod._gather(row, one, np.resize(shifts, max(row.shape[1], modulus)), modulus,
+                                   bias_mod._ScanBuffers())
+        assert blocks.tobytes() == columns[: shifts.size].tobytes()
+
     def test_wide_band_gather_memory_stays_per_pair(self):
         # One key repeated 257 times ties at every shift, so the fft path
         # gathers every (row, shift) pair.  Its temporaries must stay a

@@ -488,8 +488,9 @@ class TestHashAndInner:
         assert lines[:2] == ["qubits 3", "PREP 3"]
         # bits 1, 2 and 4 of M = 11 over the n = 4 bits of N = 12: three layers of 3 branches
         assert sum(1 for line in lines if line.startswith("CRY ")) == 9
-        assert lines[2:11] == [f"CRY {i} 0 {theta!r}" for j in (1, 2, 4) for i, theta in enumerate(
-            HashParams(KeySet(12, (1, 2, 5))).rotation_layer(j).thetas)]
+        # theta = 2 * (2 pi (k 2^{j-1} mod N) / N), in phase_angles' order of operations
+        assert lines[2:11] == [f"CRY {i} 0 {2.0 * (2.0 * math.pi * ((k << (j - 1)) % 12) / 12)!r}"
+                               for j in (1, 2, 4) for i, k in enumerate((1, 2, 5))]
 
     def test_message_out_of_range(self, runner):
         assert invoke(runner, [
@@ -641,7 +642,7 @@ class TestEqualityTests:
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
 
-    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25), ((1 << 21) + 1, 23)])
+    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25), ((1 << 22) + 1, 24)])
     def test_circuit_check_refuses_an_oversized_register(self, runner, monkeypatch, d, qubits):
         # refused before any key is drawn: 2^40 keys would be 8 TiB
         monkeypatch.setattr(qsim, "_draw_below", None)
@@ -649,7 +650,7 @@ class TestEqualityTests:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {d} keys need {qubits} qubits; hash states hold at most MAX_HASH_QUBITS = 22\n"
+            f"error: {d} keys need {qubits} qubits; hash states hold at most MAX_HASH_QUBITS = 23\n"
         )
 
     @pytest.mark.parametrize("args", [

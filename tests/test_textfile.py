@@ -199,14 +199,14 @@ def test_blocks_hold_block_chars_of_format_and_one_row_at_least(tmp_path, monkey
 WRITERS = {
     "dump_state": ("from qhashlab import dump_state\n"
                    "from qhashlab.qsim import StateVector\n"
-                   "amp = np.exp(1j * np.arange(1 << 20)) * (np.arange(1 << 20) % 3 != 1)\n"
-                   "psi = StateVector(20, amp / np.linalg.norm(amp))\n"
+                   "amp = np.exp(1j * np.arange(1 << 17)) * (np.arange(1 << 17) % 3 != 1)\n"
+                   "psi = StateVector(17, amp / np.linalg.norm(amp))\n"
                    "write = lambda path: dump_state(psi, path)\n"),
     "save_keyset": ("from qhashlab import KeySet, save_keyset\n"
                     "keyset = KeySet(1 << 30, tuple(range(7, 1 << 30, 1 << 10)))\n"
                     "write = lambda path: save_keyset(keyset, path, declared_epsilon=0.5)\n"),
     "save_code": ("from qhashlab import make_rng, random_linear_code, save_code\n"
-                  "code = random_linear_code(4096, 4096, make_rng(1))\n"
+                  "code = random_linear_code(1024, 2048, make_rng(1))\n"
                   "write = lambda path: save_code(code, path)\n"),
 }
 
@@ -214,8 +214,9 @@ WRITERS = {
 @pytest.mark.slow
 @pytest.mark.parametrize("writer", WRITERS)
 def test_writers_hold_one_block_not_the_file(tmp_path, writer):
-    # 2^20 amplitudes, 2^20 keys, a 4096 x 4096 code: formatted whole, the
-    # first two peaked at 140.5 and 95.1 MiB traced, the code at 48 MiB.
+    # 2^17 amplitudes, 2^20 keys, a 2048-row code of 1024 bits: formatted
+    # whole, they peaked at 19.5, 86.0 and 6.1 MiB traced; a block at a
+    # time, at 0.16 MiB at most.
     code = (
         "import sys, tracemalloc\n"
         "import numpy as np\n"
@@ -229,4 +230,4 @@ def test_writers_hold_one_block_not_the_file(tmp_path, writer):
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.txt")], capture_output=True,
                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) <= 4 << 20
+    assert int(run.stdout) <= 1 << 20
