@@ -482,10 +482,9 @@ class TestSimulateCircuits:
             assert np.max(np.abs(row - hash_state(params, m).amplitudes)) < 1e-10, m
 
     def test_simulation_keeps_nothing_per_message_bit(self):
-        # 4096 keys at N = 2^62: message N - 1 sets all 62 bits.  A cache
-        # of each bit's layer held about 11.7 MiB here after the call and
-        # peaked at 12.4 MiB traced; the turns of one layer are some
-        # 32 KiB arrays and the state 128 KiB.
+        # 4096 keys at N = 2^62: message N - 1 sets all 62 bits.  Layers
+        # kept per message bit, thetas and turns, would hold about 12 MiB
+        # here; one layer's turns are 32 KiB arrays and the state 128 KiB.
         keys = tuple(int(k) for k in make_rng(62).integers(0, 1 << 62, size=4096))
         keyset = KeySet(1 << 62, keys)
         simulate_circuits(HashParams(keyset), [(1 << 62) - 1])  # warm-up: first-use allocations are not counted
