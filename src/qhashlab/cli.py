@@ -251,7 +251,7 @@ def cmd_hash(keyset_path: str, message: int, out_path: str | None, show_circuit:
     state = qhash.hash_state(params, message)
     records = None
     if show_circuit:
-        records = {"circuit": qhash.dump_circuit(qhash.build_hash_circuit(params, message)).splitlines()}
+        records = {"circuit": qhash.dump_circuit(qhash.build_hash_circuit(params, message))}
     if out_path is not None:
         qsim.dump_state(state, out_path)
     pairs: list[tuple[str, object]] = [
@@ -359,8 +359,8 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
         params = fixed or qhash.HashParams(bias_mod.KeySet(modulus, qsim._draw_below(rng, modulus, d)))
         size = 1 if fixed is None else max(1, min(CIRCUIT_BLOCK, count - done, (1 << 16) >> params.s))
         messages = [int(qsim._draw_below(rng, params.keyset.modulus)) for _ in range(size)]
-        for m, simulated in zip(messages, qhash.simulate_circuits(params, messages)):
-            worst = max(worst, float(np.max(np.abs(simulated - qhash.hash_state(params, m).amplitudes))))
+        worst = max(worst, *(float(np.max(np.abs(simulated - qhash.hash_state(params, m).amplitudes)))
+                             for m, simulated in zip(messages, qhash.simulate_circuits(params, messages))))
         done += size
     ok = worst < 1e-10
     _emit(fmt, [

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
+from . import qsim
 from .bias import KeySet, _check_message, padded_branch_count, phase_angles
 from .qsim import (
     StateVector,
@@ -76,23 +77,15 @@ __all__ = [
 ]
 
 
-# Every state command holds 2^22 keys (23 qubits) in a 2 GB address
-# space at N = 2^30 (numpy 2.4.6, Python 3.11), circuit-check --count 3
-# peaking highest, at about 1.1 GiB RSS: no command keeps anything per
-# message bit.  At 2^23 keys circuit-check still runs out of 2 GB (exit 2
-# at about 1.8 GiB RSS) while KeySet holds its keys as a tuple of Python
-# ints, so the cap stays one qubit below qsim.MAX_QUBITS.
-MAX_HASH_QUBITS = 23
-
-
 @dataclass(frozen=True)
 class HashParams:
     """Hash configuration derived from a key set.
 
     n = (N - 1).bit_length() is the bit length of the largest message,
     for any modulus: the circuit has a rotation layer for each set bit
-    of an n-bit message.  s = ceil(log2 d) + 1 qubits:
-    one target plus an index register wide enough for d branches.
+    of an n-bit message.  s = ceil(log2 d) + 1 qubits, at most
+    qsim.MAX_QUBITS: one target plus an index register wide enough for
+    d branches.
     Nothing is kept per message bit: a layer's angles are computed from
     the keys where a circuit or a simulation uses them.
     """
@@ -153,16 +146,14 @@ class CircuitDescription:
 
 
 def hash_qubits(d: int) -> int:
-    """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most MAX_HASH_QUBITS.
+    """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most qsim.MAX_QUBITS.
 
     The one register rule of the state commands: HashParams applies it,
     so each refuses an oversized set before it draws or reads a state.
     """
     s = padded_branch_count(d).bit_length()
-    if s > MAX_HASH_QUBITS:
-        raise ValueError(
-            f"{d} keys need {s} qubits; hash states hold at most MAX_HASH_QUBITS = {MAX_HASH_QUBITS}"
-        )
+    if s > qsim.MAX_QUBITS:
+        raise ValueError(f"{d} keys need {s} qubits; states hold at most MAX_QUBITS = {qsim.MAX_QUBITS}")
     return s
 
 
@@ -203,10 +194,16 @@ def build_hash_circuit(params: HashParams, m: int) -> CircuitDescription:
 def _turn_pairs(pairs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     """Turn row i < len(cos) of an (..., M, 2) branch-pair view by [[cos_i, -sin_i], [sin_i, cos_i]], in place."""
     rows = pairs[..., : cos.size, :]
-    a0 = rows[..., 0].copy()
-    a1 = rows[..., 1].copy()
-    rows[..., 0] = cos * a0 + (-sin) * a1  # m00 a0 + m01 a1, summed as a gate's matrix product is
-    rows[..., 1] = sin * a0 + cos * a1
+    a0, a1 = rows[..., 0], rows[..., 1]
+    # No product is written over its own operand: numpy then takes another
+    # loop, which gave an underflowing one-key product the other zero sign.
+    first = a0.copy()
+    product = (-sin) * a1
+    np.multiply(cos, first, out=a0)
+    a0 += product  # m00 a0 + m01 a1, summed as a gate's matrix product is
+    np.multiply(cos, a1, out=product)
+    np.multiply(sin, first, out=a1)
+    a1 += product  # m10 a0 + m11 a1
 
 
 def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:
@@ -239,39 +236,40 @@ def simulate_circuit(circuit: CircuitDescription) -> StateVector:
 def simulate_circuits(params: HashParams, messages: list[int]) -> np.ndarray:
     """simulate_circuit(build_hash_circuit(params, m)).amplitudes for each m, as the rows of one array:
     the preparation runs once, and layer j turns the rows whose message has bit j set by
-    the cos and sin of its theta/2, the phase angle of 2^{j-1}."""
+    the cos and sin of its theta/2, the phase angle of 2^{j-1} (all rows in place, a strict
+    subset as a copy), so a block holds one register per message."""
     keys, modulus = params.keyset.key_array(), params.keyset.modulus
     for m in messages:
         _check_message(modulus, m)
-    prepared = simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params))))
-    rows = np.tile(prepared.amplitudes, (len(messages), 1))
+    rows = np.tile(simulate_circuit(CircuitDescription(params.s, tuple(_preparation(params)))).amplitudes,
+                   (len(messages), 1))
     for j in range(1, params.n + 1):
         turned = [r for r, m in enumerate(messages) if m >> (j - 1) & 1]
         if turned:
-            block = rows[turned]
+            block = rows if len(turned) == len(messages) else rows[turned]
             half = phase_angles(keys, 1 << (j - 1), modulus)
             _turn_pairs(block.reshape(len(turned), -1, 2), np.cos(half), np.sin(half))
-            rows[turned] = block
+            if block is not rows:
+                rows[turned] = block
     return rows
 
 
-def dump_circuit(circuit: CircuitDescription) -> str:
-    """Text form: ``qubits <s>`` then one gate per line.
+def dump_circuit(circuit: CircuitDescription) -> Iterator[str]:
+    """Text form, one line at a time without its line end: ``qubits <s>`` then one gate per line.
 
-    A rotation layer prints one ``CRY <branch> 0 <theta>`` line per
+    A rotation layer yields one ``CRY <branch> 0 <theta>`` line per
     branch, in branch order.
     """
-    lines = [f"qubits {circuit.qubit_count}"]
+    yield f"qubits {circuit.qubit_count}"
     for gate in circuit.gates:
         if isinstance(gate, Hadamard):
-            lines.append(f"H {gate.target}")
+            yield f"H {gate.target}"
         elif isinstance(gate, RotationLayer):
-            lines.extend(f"CRY {i} 0 {theta!r}" for i, theta in enumerate(gate.thetas))
+            yield from (f"CRY {i} 0 {theta!r}" for i, theta in enumerate(gate.thetas))
         elif isinstance(gate, PrepareUniform):
-            lines.append(f"PREP {gate.branch_count}")
+            yield f"PREP {gate.branch_count}"
         else:
             raise ValueError(f"unknown gate {gate!r}")
-    return "\n".join(lines) + "\n"
 
 
 def uncompute_hash(params: HashParams, v: int, psi: StateVector) -> StateVector:

@@ -84,8 +84,8 @@ __all__ = [
 ]
 
 # Dense storage: 2^24 amplitudes = 256 MiB of complex128 is the ceiling
-# we are willing to allocate.  Dumps and fingerprints may reach it; hash
-# states stop at qhash.MAX_HASH_QUBITS = 23.
+# we are willing to allocate.  Dumps, fingerprints and hash states may
+# reach it; qhash.hash_qubits reads it when it checks a key set.
 MAX_QUBITS = 24
 
 NORM_TOL = 1e-10

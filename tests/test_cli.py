@@ -642,7 +642,7 @@ class TestEqualityTests:
     def test_circuit_check_needs_parameters(self, runner):
         assert invoke(runner, ["circuit-check"]).exit_code == 2
 
-    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25), ((1 << 22) + 1, 24)])
+    @pytest.mark.parametrize("d,qubits", [(1 << 40, 41), ((1 << 23) + 1, 25)])
     def test_circuit_check_refuses_an_oversized_register(self, runner, monkeypatch, d, qubits):
         # refused before any key is drawn: 2^40 keys would be 8 TiB
         monkeypatch.setattr(qsim, "_draw_below", None)
@@ -650,7 +650,7 @@ class TestEqualityTests:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            f"error: {d} keys need {qubits} qubits; hash states hold at most MAX_HASH_QUBITS = 23\n"
+            f"error: {d} keys need {qubits} qubits; states hold at most MAX_QUBITS = 24\n"
         )
 
     @pytest.mark.parametrize("args", [
@@ -665,12 +665,12 @@ class TestEqualityTests:
     def test_state_commands_refuse_a_register_past_the_cap_first(self, runner, tmp_path, monkeypatch, args):
         # with the cap at 3 qubits the 15 keys of n32_d15 need 5: refused
         # before any draw, state read or file written
-        monkeypatch.setattr(qhash, "MAX_HASH_QUBITS", 3)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 3)
         monkeypatch.setattr(qsim, "make_rng", None)
         monkeypatch.chdir(tmp_path)
         result = invoke(runner, [args[0], "--keyset", str(N32), *args[1:]])
         assert (result.exit_code, result.stdout) == (2, "")
-        assert result.stderr == "error: 15 keys need 5 qubits; hash states hold at most MAX_HASH_QUBITS = 3\n"
+        assert result.stderr == "error: 15 keys need 5 qubits; states hold at most MAX_QUBITS = 3\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bits", [64, 70])

@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qhashlab import qhash as qhash_mod
+from qhashlab import qsim
 from qhashlab import (
     CircuitDescription,
     Hadamard,
@@ -75,10 +78,10 @@ class TestHashParams:
             qhash_mod.hash_qubits(d)
 
     def test_register_beyond_max_qubits_raises(self, monkeypatch):
-        assert qhash_mod.hash_qubits(1 << 22) == 23
-        with pytest.raises(ValueError, match="^4194305 keys need 24 qubits; hash states hold at most MAX_HASH_QUBITS = 23$"):
-            qhash_mod.hash_qubits((1 << 22) + 1)
-        monkeypatch.setattr(qhash_mod, "MAX_HASH_QUBITS", 3)
+        assert qhash_mod.hash_qubits(1 << 23) == 24
+        with pytest.raises(ValueError, match="^8388609 keys need 25 qubits; states hold at most MAX_QUBITS = 24$"):
+            qhash_mod.hash_qubits((1 << 23) + 1)
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 3)
         HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4)))
         with pytest.raises(ValueError, match="5 keys need 4 qubits"):
             HashParams(KeySet(modulus=8, keys=(1, 2, 3, 4, 5)))
@@ -197,7 +200,7 @@ class TestCircuit:
 
 class TestDumpCircuit:
     def test_text_form(self, tiny_keyset):
-        text = dump_circuit(build_hash_circuit(HashParams(tiny_keyset), 1))
+        text = "\n".join(dump_circuit(build_hash_circuit(HashParams(tiny_keyset), 1))) + "\n"
         assert text == "qubits 2\nH 1\nCRY 0 0 1.5707963267948966\nCRY 1 0 3.141592653589793\n"
 
     @pytest.mark.parametrize("fixture,m,head", [
@@ -214,12 +217,12 @@ class TestDumpCircuit:
             for j, bit in enumerate(reversed(format(m, f"0{params.n}b")), start=1) if bit == "1"
             for i, k in enumerate(keyset.keys)
         ]
-        assert dump_circuit(build_hash_circuit(params, m)) == (
+        assert "\n".join(dump_circuit(build_hash_circuit(params, m))) + "\n" == (
             "\n".join(expected) + "\n"
         )
 
     def test_preparation_line(self, n32_keyset):
-        text = dump_circuit(build_hash_circuit(HashParams(n32_keyset), 0))
+        text = "\n".join(dump_circuit(build_hash_circuit(HashParams(n32_keyset), 0))) + "\n"
         assert text == "qubits 5\nPREP 15\n"
 
 
@@ -324,6 +327,37 @@ def reference_uncompute(params, v, amp, gate):
     return out
 
 
+def copied_turn(pairs, cos, sin):
+    """The branch-pair turn from fresh copies of both halves: the expression whose bits _turn_pairs keeps."""
+    rows = pairs[..., : cos.size, :]
+    a0 = rows[..., 0].copy()
+    a1 = rows[..., 1].copy()
+    rows[..., 0] = cos * a0 + (-sin) * a1
+    rows[..., 1] = sin * a0 + cos * a1
+
+
+# Amplitude parts and turn entries: signed zeros (key 0 turns by sin = 0
+# exactly), subnormals, and any other float of at most unit size.
+turn_values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+                        st.floats(min_value=-1.0, max_value=1.0))
+
+
+@st.composite
+def turn_cases(draw):
+    """A (rows, M, 2) block as simulate_circuits turns it, or the (M, 2) view of one state,
+    and d <= M turns, forward (circuit) or back (uncompute's -sin)."""
+    rows = draw(st.sampled_from([None, 1, 2, 3]))
+    m = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=m))
+    size = 2 * m * (rows or 1)
+    amp = np.empty(size, dtype=np.complex128)
+    amp.real = draw(st.lists(turn_values, min_size=size, max_size=size))
+    amp.imag = draw(st.lists(turn_values, min_size=size, max_size=size))
+    cos = np.array(draw(st.lists(turn_values, min_size=d, max_size=d)))
+    sin = np.array(draw(st.lists(turn_values, min_size=d, max_size=d)))
+    return (m, 2) if rows is None else (rows, m, 2), amp, cos, -sin if draw(st.booleans()) else sin
+
+
 def criterion_3_draws(rng, count):
     """Random key sets and messages as criterion 3 draws them, plus d = 64 and two N not powers of two."""
     for modulus, d in [(8, 2), (32, 15), (1024, 65), (8, 15), (1024, 2),
@@ -335,6 +369,19 @@ def criterion_3_draws(rng, count):
 
 class TestFastPathsMatchGateByGate:
     """Batched and in-place paths against the one-gate-at-a-time formula."""
+
+    @given(turn_cases())
+    # one key on an (M, 2) view: an underflowing product written over its
+    # own operand came out +0.0 where the copied turn gives -0.0
+    @example(((2, 2), np.array([complex(-5e-324, -0.0), complex(-0.0, 0.0)] + [0j] * 2),
+              np.array([5e-324]), np.array([-0.0])))
+    @settings(max_examples=100, deadline=None)
+    def test_turn_in_place_keeps_every_bit(self, case):
+        shape, amp, cos, sin = case
+        turned, expected = amp.copy(), amp.copy()
+        qhash_mod._turn_pairs(turned.reshape(shape), cos, sin)
+        copied_turn(expected.reshape(shape), cos, sin)
+        assert turned.tobytes() == expected.tobytes()
 
     def test_simulate_circuit(self, fancy_index_gate):
         for params, m in criterion_3_draws(make_rng(303), 4):
@@ -495,3 +542,22 @@ class TestSimulateCircuits:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_simulation_holds_one_register(self):
+        # 2^16 keys at N = 2^62, message N - 1: a 2 MiB state turned by
+        # all 62 layers.  The rows and the turn's copy and product peaked
+        # at 6.6 MiB; the prepared state kept beside the rows, a copy of
+        # the rows for a layer that turns them all, or two copies and
+        # their sums in the turn each added 2 MiB.
+        def keyset(seed):
+            return KeySet(1 << 62, tuple(int(k) for k in make_rng(seed).integers(0, 1 << 62, size=1 << 16)))
+
+        simulate_circuits(HashParams(keyset(1)), [(1 << 62) - 1])  # warm-up: first-use allocations are not counted
+        params = HashParams(keyset(62))
+        tracemalloc.start()
+        try:
+            simulate_circuits(params, [(1 << 62) - 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * (1 << 20)
