@@ -376,13 +376,10 @@ def _class_spectra(keys: np.ndarray, modulus: int, step: int, buffers: _ScanBuff
         classes = np.arange(low, min(low + per_block, step // 2 + 1), dtype=np.int64)
         angles = (-2.0 * np.pi / modulus) * _angle_index(keys[:, None, :], classes[:, None], modulus)
         cells = first[:, :, None] * len(classes) + span * np.arange(len(classes))[:, None] + bins[:, None, :]
-        # The phasors' (cos, sin) pairs summed into interleaved floats: complex128 bins.
-        slots = (2 * cells[..., None] + [0, 1]).ravel()
-        folded = buffers.take("folded", (2 * rows * len(classes) * span,), np.float64)
-        np.add.at(folded, slots, np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel())
-        spectrum = folded.view(np.complex128).reshape(rows, len(classes), span)
-        np.fft.fft(spectrum, out=spectrum)
-        yield classes, 0, spectrum
+        folded = buffers.take("folded", (rows, len(classes), span), np.complex128)
+        np.add.at(folded.reshape(-1), cells.ravel(), (np.cos(angles) + 1j * np.sin(angles)).ravel())
+        np.fft.fft(folded, out=folded)
+        yield classes, 0, folded
         folded.fill(0.0)
 
 

@@ -31,6 +31,7 @@ from . import bias as bias_mod
 from . import fingerprint as fp_mod
 from . import keyset as keyset_mod
 from . import qhash, qsim, signature as sig_mod
+from .textfile import TextFile
 
 
 def _fmt(value) -> str:
@@ -84,6 +85,21 @@ def _one_of(first: str, value, second: str, *parts) -> bool:
     if any(part is not None for part in parts) if value is not None else None in parts:
         raise ValueError(f"need exactly one of {first} or {second}")
     return value is not None
+
+
+def _hash_params(keyset_path: str) -> qhash.HashParams:
+    """The HashParams of a key-set file, whose register is checked at its d header line, before any key is read.
+
+    An N or d line load_keyset refuses is refused first, in its words,
+    and so is a d below 1; an oversized register is refused before the
+    epsilon line and MAX_SPECTRUM_CELLS are checked.
+    """
+    lines = TextFile(keyset_path, bias_mod.KeySetFormatError)
+    (n_at, n_text), (d_at, d_text) = lines.header("N", "d")
+    lines.number("N", n_text, n_at)
+    if (d := lines.number("d", d_text, d_at)) >= 1:
+        qhash.hash_qubits(d)
+    return qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
 
 
 class _ErrorMappingGroup(click.Group):
@@ -246,8 +262,7 @@ def cmd_search(mode: str, modulus: int, d: int | None, epsilon: float | None, ob
 @format_option
 def cmd_hash(keyset_path: str, message: int, out_path: str | None, show_circuit: bool, fmt: str) -> None:
     """Build the hash state of a message."""
-    loaded = bias_mod.load_keyset(keyset_path)
-    params = qhash.HashParams(loaded.keyset)
+    params = _hash_params(keyset_path)
     state = qhash.hash_state(params, message)
     records = None
     if show_circuit:
@@ -255,8 +270,8 @@ def cmd_hash(keyset_path: str, message: int, out_path: str | None, show_circuit:
     if out_path is not None:
         qsim.dump_state(state, out_path)
     pairs: list[tuple[str, object]] = [
-        ("N", loaded.keyset.modulus),
-        ("d", loaded.keyset.d),
+        ("N", params.keyset.modulus),
+        ("d", params.keyset.d),
         ("qubits", params.s),
         ("message", message),
     ]
@@ -293,7 +308,7 @@ def cmd_inner(keyset_path: str, m1: int, m2: int, fmt: str) -> None:
 @format_option
 def cmd_swap_test(keyset_path: str, m1: int, m2: int, shots: int, seed: int, fmt: str) -> None:
     """SWAP-test the hash states of two messages."""
-    params = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
+    params = _hash_params(keyset_path)
     psi = qhash.hash_state(params, m1)
     phi = qhash.hash_state(params, m2)
     counts = qsim.swap_test(psi, phi, shots, qsim.make_rng(seed))
@@ -319,7 +334,7 @@ def cmd_reverse_test(keyset_path: str, claim: int, message: int | None, state_pa
                      shots: int, seed: int, fmt: str) -> None:
     """Uncompute a claimed message against a held hash state."""
     hashed = _one_of("--message", message, "--state", state_path)
-    params = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
+    params = _hash_params(keyset_path)
     if hashed:
         psi, source = qhash.hash_state(params, message), ("message", message)
     else:
@@ -349,7 +364,7 @@ def cmd_circuit_check(keyset_path: str | None, modulus: int | None, d: int | Non
     qsim.check_count("count", count)
     fixed = None
     if _one_of("--keyset", keyset_path, "--n/--d", modulus, d):
-        fixed = qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
+        fixed = _hash_params(keyset_path)
     else:  # refuse a bad N, d < 1 or an oversized register before drawing keys
         bias_mod._check_modulus(modulus)
         qhash.hash_qubits(d)
@@ -426,16 +441,15 @@ def cmd_fingerprint(code_path: str | None, n_bits: int | None, m_bits: int | Non
 @format_option
 def cmd_sign(keyset_path: str, security_level: int, bit: int, out_prefix: str, seed: int, fmt: str) -> None:
     """Generate a keypair, publish its states, reveal the signature for one bit."""
-    loaded = bias_mod.load_keyset(keyset_path)
-    params = sig_mod.ProtocolParams(qhash.HashParams(loaded.keyset), security_level)
+    params = sig_mod.ProtocolParams(_hash_params(keyset_path), security_level)
     keypair = sig_mod.keygen(params, qsim.make_rng(seed))
     pub0 = f"{out_prefix}.pub0"
     pub1 = f"{out_prefix}.pub1"
     qsim.dump_state(keypair.public[0], pub0)
     qsim.dump_state(keypair.public[1], pub1)
     _emit(fmt, [
-        ("N", loaded.keyset.modulus),
-        ("d", loaded.keyset.d),
+        ("N", params.hash_params.keyset.modulus),
+        ("d", params.hash_params.keyset.d),
         ("security_level", security_level),
         ("bit", bit),
         ("seed", seed),
@@ -457,8 +471,7 @@ def cmd_sign(keyset_path: str, security_level: int, bit: int, out_prefix: str, s
 def cmd_verify(keyset_path: str, security_level: int, bit: int, signature: int,
                public_path: str, seed: int, fmt: str) -> None:
     """Check a revealed signature against a held public state."""
-    loaded = bias_mod.load_keyset(keyset_path)
-    params = sig_mod.ProtocolParams(qhash.HashParams(loaded.keyset), security_level)
+    params = sig_mod.ProtocolParams(_hash_params(keyset_path), security_level)
     state = qsim.load_state(public_path)
     accepted = sig_mod.verify(params, state, bit, signature, qsim.make_rng(seed))
     _emit(fmt, [
@@ -482,9 +495,7 @@ def cmd_verify(keyset_path: str, security_level: int, bit: int, signature: int,
 def cmd_forge_experiment(keyset_path: str, security_level: int, trials: int,
                          show_log: bool, seed: int, fmt: str) -> None:
     """Uniform-guessing forgery attack; compare against the exact prediction."""
-    params = sig_mod.ProtocolParams(
-        qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset), security_level
-    )
+    params = sig_mod.ProtocolParams(_hash_params(keyset_path), security_level)
     report = sig_mod.forgery_experiment(params, trials, qsim.make_rng(seed))
     records = {"trials_detail": report.log_lines()} if show_log else None
     _emit(fmt, [

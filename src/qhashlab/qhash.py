@@ -149,7 +149,8 @@ def hash_qubits(d: int) -> int:
     """Qubits of a d-branch hash state, ceil(log2 d) + 1 for d >= 1, at most qsim.MAX_QUBITS.
 
     The one register rule of the state commands: HashParams applies it,
-    so each refuses an oversized set before it draws or reads a state.
+    so each refuses an oversized set before it draws or reads a state,
+    and the CLI applies it to a key file's d header line before the keys.
     """
     s = padded_branch_count(d).bit_length()
     if s > qsim.MAX_QUBITS:
@@ -201,9 +202,9 @@ def _turn_pairs(pairs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     product = (-sin) * a1
     np.multiply(cos, first, out=a0)
     a0 += product  # m00 a0 + m01 a1, summed as a gate's matrix product is
-    np.multiply(cos, a1, out=product)
-    np.multiply(sin, first, out=a1)
-    a1 += product  # m10 a0 + m11 a1
+    np.multiply(sin, first, out=product)
+    np.multiply(cos, a1, out=first)
+    np.add(product, first, out=a1)  # m10 a0 + m11 a1
 
 
 def _apply_gate(amp: np.ndarray, gate: Gate) -> np.ndarray:

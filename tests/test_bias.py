@@ -400,6 +400,38 @@ CLASS_SIZES = {
 }
 
 
+def interleaved_class_spectra(keys, modulus, step):
+    """_class_spectra's blocks from (cos, sin) pairs summed into interleaved floats: the fold whose bits it keeps."""
+    rows, d = keys.shape
+    span = modulus // step
+    bins = keys % span
+    first = np.arange(rows)[:, None] * span
+    counts = np.zeros(rows * span)
+    np.add.at(counts, (first + bins).ravel(), 1.0)
+    yield np.zeros(1, dtype=np.int64), 1, np.fft.rfft(counts.reshape(rows, span))[:, None, 1:]
+    per_block = max(1, bias_mod.CLASS_CELLS // (rows * span))
+    for low in range(1, step // 2 + 1, per_block):
+        classes = np.arange(low, min(low + per_block, step // 2 + 1), dtype=np.int64)
+        angles = (-2.0 * np.pi / modulus) * bias_mod._angle_index(keys[:, None, :], classes[:, None], modulus)
+        cells = first[:, :, None] * len(classes) + span * np.arange(len(classes))[:, None] + bins[:, None, :]
+        folded = np.zeros(2 * rows * len(classes) * span)
+        np.add.at(folded, (2 * cells[..., None] + [0, 1]).ravel(),
+                  np.stack([np.cos(angles), np.sin(angles)], axis=-1).ravel())
+        spectrum = folded.view(np.complex128).reshape(rows, len(classes), span)
+        np.fft.fft(spectrum, out=spectrum)
+        yield classes, 0, spectrum
+
+
+@st.composite
+def class_fold_cases(draw):
+    """1-3 rows at N = 2^16 .. 2^18 whose keys repeat and take 0 and N/2, with a step P of the bundled rows."""
+    modulus = draw(st.sampled_from([1 << 16, 1 << 17, 1 << 18]))
+    rows, d = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=40))
+    pool = [0, modulus // 2, *draw(st.lists(st.integers(min_value=0, max_value=modulus - 1), min_size=1, max_size=6))]
+    keys = draw(st.lists(st.lists(st.sampled_from(pool), min_size=d, max_size=d), min_size=rows, max_size=rows))
+    return modulus, draw(st.sampled_from([16, 64, 256])), np.array(keys, dtype=np.int64)
+
+
 def check_split_locate(modulus, step, population):
     """Under class step P, fft matches direct bit for bit, real_only both ways, and a row alone matches it in the batch."""
     with pytest.MonkeyPatch.context() as patch:
@@ -427,6 +459,20 @@ class TestResidueClassLocate:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bias_mod, "CLASS_CELLS", CLASS_SIZES[cells](modulus // step))
             check_split_locate(modulus, step, population)
+
+    # Classes per block: one, three (of P/2 = 8, 32 or 128: a partial last block) and all.
+    @pytest.mark.parametrize("per_block", [lambda step: 1, lambda step: 3, lambda step: step // 2],
+                             ids=["one", "three", "all"])
+    @given(case=class_fold_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_class_blocks_are_the_interleaved_fold(self, per_block, case):
+        modulus, step, keys = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bias_mod, "CLASS_CELLS", per_block(step) * keys.shape[0] * (modulus // step))
+            blocks = bias_mod._class_spectra(keys, modulus, step, bias_mod._ScanBuffers())
+            got = [(c.tolist(), t0, s.shape, s.tobytes()) for c, t0, s in blocks]
+            want = [(c.tolist(), t0, s.shape, s.tobytes()) for c, t0, s in interleaved_class_spectra(keys, modulus, step)]
+        assert got == want
 
     def test_step_choice(self, table_rows):
         # The benchmark's GA and random-draw shapes keep the row rfft;

@@ -375,6 +375,9 @@ class TestFastPathsMatchGateByGate:
     # own operand came out +0.0 where the copied turn gives -0.0
     @example(((2, 2), np.array([complex(-5e-324, -0.0), complex(-0.0, 0.0)] + [0j] * 2),
               np.array([5e-324]), np.array([-0.0])))
+    # and on a (1, 2) view: sin * a0 multiplied in place over a copy of a0
+    # gave a1 = -0+0j where the copied turn gives -0-0j
+    @example(((1, 2), np.array([complex(5e-324, 5e-324)] * 2), np.array([-5e-324]), np.array([-5e-324])))
     @settings(max_examples=100, deadline=None)
     def test_turn_in_place_keeps_every_bit(self, case):
         shape, amp, cos, sin = case
