@@ -662,23 +662,21 @@ class TestEqualityTests:
         ["verify", "--security-level", "5", "--bit", "1", "--signature", "3", "--public", "missing.pub1"],
         ["circuit-check"],
     ], ids=lambda args: " ".join(args[:3:2]))
-    @pytest.mark.parametrize("listed", [None, 2], ids=["n32_d15", "d 15 over 2 keys"])
-    def test_state_commands_refuse_a_register_past_the_cap_first(self, runner, tmp_path, monkeypatch, args, listed):
+    def test_state_commands_refuse_a_register_past_the_cap_first(self, runner, tmp_path, monkeypatch, args):
         # with the cap at 3 qubits the 15 keys of n32_d15 need 5: refused
         # before any draw, state read or file written, and at the d header
-        # line, before a file that lists fewer keys is read to its end
-        keys = N32
-        if listed is not None:
-            keys = tmp_path / "over.txt"
-            keys.write_text("N 32\nd 15\nepsilon -\n" + "".join(f"{k}\n" for k in range(listed)))
+        # line, before a file that declares 15 keys over 2 lines is read on
+        over = tmp_path / "over.txt"
+        over.write_text("N 32\nd 15\nepsilon -\n1\n2\n")
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.setattr(qsim, "MAX_QUBITS", 3)
         monkeypatch.setattr(qsim, "make_rng", None)
         monkeypatch.chdir(work)
-        result = invoke(runner, [args[0], "--keyset", str(keys), *args[1:]])
-        assert (result.exit_code, result.stdout) == (2, "")
-        assert result.stderr == "error: 15 keys need 5 qubits; states hold at most MAX_QUBITS = 3\n"
+        for keys in (N32, over):
+            result = invoke(runner, [args[0], "--keyset", str(keys), *args[1:]])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == "error: 15 keys need 5 qubits; states hold at most MAX_QUBITS = 3\n"
         assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("bits", [64, 70])
