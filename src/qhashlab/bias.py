@@ -64,7 +64,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,13 +123,20 @@ def _check_modulus(modulus: int) -> None:
     """Refuse an N that no key set may have: below 2, or from 2^1021 up.
 
     Every residue 0 .. N - 1 is a key, and the phase 2*pi*j of a key
-    stays a finite float64 for j < N < 2^1021.  KeySet checks this, and
-    the searches and circuit-check call it before they draw anything.
+    stays a finite float64 for j < N < 2^1021.  KeySet checks this,
+    load_keyset at the N header line, and the searches and circuit-check
+    before they draw anything.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if modulus >= 1 << 1021:
         raise ValueError(f"modulus must be below 2^1021, got a {modulus.bit_length()}-bit one")
+
+
+def _check_count(d: int) -> None:
+    """Refuse more than MAX_SPECTRUM_CELLS keys: load_keyset at the d header line, save_keyset before it opens the file."""
+    if d > MAX_SPECTRUM_CELLS:
+        raise ValueError(f"d = {d} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -629,19 +636,25 @@ class KeySetFile(NamedTuple):
     declared_epsilon: float | None
 
 
-def load_keyset(path: str | Path) -> KeySetFile:
+def load_keyset(path: str | Path, admit: Callable[[int], object] | None = None) -> KeySetFile:
     """Parse the key-set text format.
 
     Layout: ``N <modulus>``, ``d <count>``, ``epsilon <bound-or-dash>``,
-    then one key per line, filled into int64 while N - 1 fits one.  A d
-    above MAX_SPECTRUM_CELLS, and the first key line past d, are refused.
+    then one key per line, filled into int64 while N - 1 fits one.
+    Before any key line is read, an N that no KeySet may have and a d
+    below 1 are refused at their lines, then admit(d) runs, its error
+    raised as it is, then a d above MAX_SPECTRUM_CELLS is refused and
+    the epsilon value read.  The first key line past d is refused.
     """
     lines = TextFile(path, KeySetFormatError)
     (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
     modulus = lines.number("N", n_text, n_at)
+    lines.check(n_at, _check_modulus, modulus)
     count = lines.number("d", d_text, d_at)
-    if count > MAX_SPECTRUM_CELLS:
-        raise lines.fail(f"d = {count} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}", d_at)
+    lines.check(d_at, padded_branch_count, count)  # d >= 1
+    if admit is not None:
+        admit(count)
+    lines.check(d_at, _check_count, count)
     epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
 
     def key_line(stored: int, lineno: int, fields: list[str], raw: str) -> None:
@@ -658,11 +671,7 @@ def load_keyset(path: str | Path) -> KeySetFile:
     lines.fill((int,), count, modulus, (keys.fromlist if isinstance(keys, array) else keys.extend,), key_line)
     if len(keys) != count:
         raise lines.fail(f"header declares d={count} but file lists {len(keys)} keys")
-    try:
-        keyset = KeySet(modulus=modulus, keys=keys)
-    except ValueError as exc:
-        raise lines.fail(str(exc)) from None
-    return KeySetFile(keyset, epsilon)
+    return KeySetFile(KeySet(modulus=modulus, keys=keys), epsilon)
 
 
 def save_keyset(keyset: KeySet, path: str | Path, declared_epsilon: float | None = None) -> None:
@@ -671,8 +680,7 @@ def save_keyset(keyset: KeySet, path: str | Path, declared_epsilon: float | None
     What load_keyset would refuse, a d above MAX_SPECTRUM_CELLS or an
     epsilon that is not finite, raises ValueError before the file is opened.
     """
-    if keyset.d > MAX_SPECTRUM_CELLS:
-        raise ValueError(f"d = {keyset.d} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}")
+    _check_count(keyset.d)
     if declared_epsilon is not None and not math.isfinite(declared_epsilon):
         raise ValueError(f"epsilon must be finite, got {declared_epsilon!r}")
     eps_text = "-" if declared_epsilon is None else repr(float(declared_epsilon))

@@ -31,7 +31,6 @@ from . import bias as bias_mod
 from . import fingerprint as fp_mod
 from . import keyset as keyset_mod
 from . import qhash, qsim, signature as sig_mod
-from .textfile import TextFile
 
 
 def _fmt(value) -> str:
@@ -88,18 +87,13 @@ def _one_of(first: str, value, second: str, *parts) -> bool:
 
 
 def _hash_params(keyset_path: str) -> qhash.HashParams:
-    """The HashParams of a key-set file, whose register is checked at its d header line, before any key is read.
+    """The HashParams of a key-set file, whose register load_keyset admits at the d header line, before any key is read.
 
-    An N or d line load_keyset refuses is refused first, in its words,
-    and so is a d below 1; an oversized register is refused before the
-    epsilon line and MAX_SPECTRUM_CELLS are checked.
+    An N or d line load_keyset refuses is refused first, in its words;
+    an oversized register then comes before the MAX_SPECTRUM_CELLS and
+    epsilon checks.
     """
-    lines = TextFile(keyset_path, bias_mod.KeySetFormatError)
-    (n_at, n_text), (d_at, d_text) = lines.header("N", "d")
-    lines.number("N", n_text, n_at)
-    if (d := lines.number("d", d_text, d_at)) >= 1:
-        qhash.hash_qubits(d)
-    return qhash.HashParams(bias_mod.load_keyset(keyset_path).keyset)
+    return qhash.HashParams(bias_mod.load_keyset(keyset_path, qhash.hash_qubits).keyset)
 
 
 class _ErrorMappingGroup(click.Group):

@@ -179,31 +179,34 @@ def load_code(path: str | Path) -> LinearCode:
     """Parse the code text format: ``n <n>``, ``m <m>``, then m rows of n bits.
 
     Read through textfile.  The shape is checked from the header, rows
-    fill one m x n array, and the first row past m is refused.
+    fill one m x n array a block at a time, and the first row past m is
+    refused.
     """
     lines = TextFile(path, CodeFormatError)
     (n_at, n_text), (m_at, m_text) = lines.header("n", "m")
     n = lines.number("n", n_text, n_at)
     m = lines.number("m", m_text, m_at)
-    try:
-        _check_size(n, m)
-    except ValueError as exc:
-        raise lines.fail(str(exc), m_at) from None
-    generator = np.empty((m, n), dtype=np.uint8)
-    row = 0
-    for lineno, fields, raw in lines:
-        if row == m:
+    lines.check(m_at, _check_size, n, m)
+
+    def bit_row(text: str) -> str:
+        if len(text) != n or text.strip("01"):  # a non-bit is left
+            raise ValueError(text)
+        return text
+
+    def row_line(stored: int, lineno: int, fields: list[str], raw: str) -> None:
+        if stored >= m:
             raise lines.fail(f"more rows than the header's m={m}", lineno)
-        if len(fields) != 1 or fields[0].strip("01"):  # a non-bit is left
+        if len(fields) != 1 or fields[0].strip("01"):
             raise lines.fail("expected a row of bits", lineno, raw)
         if len(fields[0]) != n:
             raise lines.fail(f"row has {len(fields[0])} bits, header declares n={n}", lineno)
-        generator[row] = np.frombuffer(fields[0].encode(), dtype=np.uint8)
-        row += 1
-    if row != m:
-        raise lines.fail(f"header declares m={m} but file lists {row} rows")
-    generator -= ord("0")
-    return LinearCode(n=n, m=m, generator=generator)
+
+    bits = bytearray()
+    lines.fill((bit_row,), m, None, (lambda rows: bits.extend("".join(rows).encode()),), row_line)
+    if len(bits) != m * n:
+        raise lines.fail(f"header declares m={m} but file lists {len(bits) // n} rows")
+    # LinearCode keeps each byte's low bit: 1 of "1" (0x31), 0 of "0" (0x30)
+    return LinearCode(n=n, m=m, generator=np.frombuffer(bits, dtype=np.uint8).reshape(m, n))
 
 
 def save_code(code: LinearCode, path: str | Path) -> None:

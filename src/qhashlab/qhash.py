@@ -150,7 +150,8 @@ def hash_qubits(d: int) -> int:
 
     The one register rule of the state commands: HashParams applies it,
     so each refuses an oversized set before it draws or reads a state,
-    and the CLI applies it to a key file's d header line before the keys.
+    and the CLI hands it to load_keyset as the admit of a key file's d
+    header line, checked before the keys are read.
     """
     s = padded_branch_count(d).bit_length()
     if s > qsim.MAX_QUBITS:

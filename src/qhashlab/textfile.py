@@ -35,15 +35,16 @@ class Block:
             if (fields := raw.split()) and fields[0][0] != "#":
                 yield lineno, fields, raw
 
-    def columns(self, kinds: tuple[type, ...], room: int, high: int) -> list[list] | None:
-        """The rows' columns, each converted by its kind in one map; None unless every row has one
-        field per kind and each converts, there are at most room rows and column 0 lies in [0, high)."""
+    def columns(self, kinds: tuple[Callable, ...], room: int, high: int | None) -> list[list] | None:
+        """The rows' columns, each converted by its kind in one map; None unless every row has one field
+        per kind and each converts, there are at most room rows and column 0 lies in [0, high), if high is given."""
         try:
             fields = zip(kinds, zip(*self.rows, strict=True), strict=True)
             columns = [list(map(kind, column)) for kind, column in fields]
         except ValueError:
             return None
-        return columns if len(self.rows) <= room and min(columns[0]) >= 0 and max(columns[0]) < high else None
+        in_range = high is None or min(columns[0]) >= 0 and max(columns[0]) < high
+        return columns if len(self.rows) <= room and in_range else None
 
 
 class TextFile:
@@ -77,12 +78,13 @@ class TextFile:
         # line, or blank lines and then one), so the lines decoded before the bad chunk come first.
         yield from (block for block in self._read_blocks(1) if block.start + len(block.raws) > start)
 
-    def fill(self, kinds: tuple[type, ...], limit: int, high: int, stores: tuple[Callable, ...], rule: Callable):
+    def fill(self, kinds: tuple[Callable, ...], limit: int, high: int | None, stores: tuple[Callable, ...], rule: Callable):
         """Hand each data block's columns after the header to stores, one list per kind.
 
-        A block goes whole when Block.columns accepts it: every line has
-        one field per kind and converts, at most limit lines in all, and
-        column 0 in [0, high).  Otherwise rule(stored, lineno, fields, raw)
+        A kind converts a field or raises ValueError.  A block goes whole
+        when Block.columns accepts it: every line has one field per kind
+        and converts, at most limit lines in all, and column 0 in
+        [0, high) unless high is None.  Otherwise rule(stored, lineno, fields, raw)
         runs over that block's lines, stored counting the lines before
         each; the rule must raise the first bad line's diagnostic.
         """
@@ -105,6 +107,13 @@ class TextFile:
         where = self.path if lineno is None else f"{self.path}:{lineno}"
         got = "" if raw is None else ", got " + repr(raw.rstrip("\n"))
         return self.error(f"{where}: {message}{got}")
+
+    def check(self, lineno: int, rule: Callable, *args) -> None:
+        """Run rule(*args); a ValueError it raises becomes the loader's error at lineno, in its words."""
+        try:
+            rule(*args)
+        except ValueError as exc:
+            raise self.fail(str(exc), lineno) from None
 
     def header(self, *names: str) -> list[tuple[int, str]]:
         """(lineno, value) of each named header line, in the given order; data lines follow."""

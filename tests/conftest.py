@@ -1,7 +1,7 @@
 """Shared fixtures and oracles: bundled table key sets, a tiny worked example,
 the trial-by-trial forgery protocol run, the rotation matrix, the gate
-formula the kernel replaced, the per-line state and key-set loaders and
-line-by-line state dump the block readers replaced, the one-message-at-a-time
+formula the kernel replaced, the per-line state, key-set and code loaders
+and line-by-line state dump the block readers replaced, the one-message-at-a-time
 circuit check the block simulation replaced, the full codeword table the
 weight sweep replaced, and the GA whose breeding built arrays per child."""
 
@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhashlab import HashParams, KeySet, KeySetFile, KeySetFormatError, MAX_SPECTRUM_CELLS, StateVector
+from qhashlab import CodeFormatError, HashParams, KeySet, KeySetFile, KeySetFormatError, LinearCode, MAX_SPECTRUM_CELLS
+from qhashlab import StateVector
 from qhashlab import build_hash_circuit, bundled_table_dir, hash_state, keygen, load_keyset, qsim
 from qhashlab import bias_profile, simulate_circuit, verify
 from qhashlab.bias import worst_character_sums
+from qhashlab.fingerprint import _check_size
 from qhashlab.qsim import _draw_below
 from qhashlab.textfile import TextFile
 
@@ -143,11 +145,22 @@ def per_line_load_state(path):
 
 
 def per_line_load_keyset(path):
-    """load_keyset one key line at a time."""
+    """load_keyset one key line at a time.
+
+    Whatever KeySet would refuse is refused first at its header or key
+    line, so the rewrap of a KeySet error, which load_keyset no longer
+    has, is never reached here either.
+    """
     lines = TextFile(path, KeySetFormatError)
     (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")
     modulus = lines.number("N", n_text, n_at)
+    if modulus < 2:
+        raise lines.fail(f"modulus must be >= 2, got {modulus}", n_at)
+    if modulus >= 1 << 1021:
+        raise lines.fail(f"modulus must be below 2^1021, got a {modulus.bit_length()}-bit one", n_at)
     count = lines.number("d", d_text, d_at)
+    if count < 1:
+        raise lines.fail(f"d must be >= 1, got {count}", d_at)
     if count > MAX_SPECTRUM_CELLS:
         raise lines.fail(f"d = {count} keys exceeds MAX_SPECTRUM_CELLS = {MAX_SPECTRUM_CELLS}", d_at)
     epsilon = None if eps_text == "-" else lines.number("epsilon", eps_text, eps_at, float)
@@ -168,6 +181,33 @@ def per_line_load_keyset(path):
     except ValueError as exc:
         raise lines.fail(str(exc)) from None
     return KeySetFile(keyset, epsilon)
+
+
+def per_line_load_code(path):
+    """load_code one row line at a time, each row written into the generator on its own."""
+    lines = TextFile(path, CodeFormatError)
+    (n_at, n_text), (m_at, m_text) = lines.header("n", "m")
+    n = lines.number("n", n_text, n_at)
+    m = lines.number("m", m_text, m_at)
+    try:
+        _check_size(n, m)
+    except ValueError as exc:
+        raise lines.fail(str(exc), m_at) from None
+    generator = np.empty((m, n), dtype=np.uint8)
+    row = 0
+    for lineno, fields, raw in lines:
+        if row == m:
+            raise lines.fail(f"more rows than the header's m={m}", lineno)
+        if len(fields) != 1 or fields[0].strip("01"):  # a non-bit is left
+            raise lines.fail("expected a row of bits", lineno, raw)
+        if len(fields[0]) != n:
+            raise lines.fail(f"row has {len(fields[0])} bits, header declares n={n}", lineno)
+        generator[row] = np.frombuffer(fields[0].encode(), dtype=np.uint8)
+        row += 1
+    if row != m:
+        raise lines.fail(f"header declares m={m} but file lists {row} rows")
+    generator -= ord("0")
+    return LinearCode(n=n, m=m, generator=generator)
 
 
 def per_line_dump_text(psi):

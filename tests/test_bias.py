@@ -919,6 +919,12 @@ class TestKeySetFiles:
             ("N 8\nd 2\nepsilon -\n1\n9\n", "out of range"),
             ("N 8\nd 2\nepsilon -\n1 2\n", "one key per line"),
             ("N 8 16\nd 2\nepsilon -\n1\n2\n", "header"),
+            # N and d are refused at their own lines, before the epsilon line or any key
+            ("N 1\nd 2\nepsilon oops\n0\n0\n", r"bad\.txt:1: modulus must be >= 2, got 1$"),
+            pytest.param(f"N {1 << 1021}\nd 1\nepsilon -\n1\n",
+                         r"bad\.txt:1: modulus must be below 2\^1021, got a 1022-bit one$", id="N 2^1021"),
+            ("N 8\nd 0\nepsilon oops\n", r"bad\.txt:2: d must be >= 1, got 0$"),
+            ("N 8\nd -1\nepsilon -\n1\n", r"bad\.txt:2: d must be >= 1, got -1$"),
         ],
     )
     def test_diagnostics(self, tmp_path, text, message):
@@ -940,6 +946,30 @@ class TestKeySetFiles:
         with pytest.raises(KeySetFormatError,
                            match=r"big\.txt:2: d = 1099511627776 keys exceeds MAX_SPECTRUM_CELLS"):
             load_keyset(path)
+
+    def test_admit_runs_after_the_n_and_d_lines_and_before_the_rest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bias_mod, "MAX_SPECTRUM_CELLS", 4)
+        seen = []
+
+        def admit(d):
+            seen.append(d)
+            if d > 2:
+                raise ValueError(f"{d} keys refused")
+
+        path = tmp_path / "k.txt"
+        # past MAX_SPECTRUM_CELLS, with a bad epsilon and one key: admit's error comes first, as it is
+        path.write_text("N 8\nd 5\nepsilon oops\n1\n")
+        with pytest.raises(ValueError) as refused:
+            load_keyset(path, admit)
+        assert (type(refused.value), str(refused.value)) == (ValueError, "5 keys refused")
+        for text in ("N 1\nd 5\nepsilon -\n", "N 8\nd 0\nepsilon -\n"):
+            path.write_text(text)
+            with pytest.raises(KeySetFormatError):
+                load_keyset(path, admit)
+        assert seen == [5]
+        path.write_text("N 8\nd 2\nepsilon 0.5\n1\n2\n")
+        assert load_keyset(path, admit) == load_keyset(path)
+        assert seen == [5, 2]
 
     @pytest.mark.parametrize("modulus", [2**63, 2**63 + 1], ids=["int64-keys", "int-keys"])
     def test_keys_up_to_n_minus_one_in_either_store(self, tmp_path, modulus):

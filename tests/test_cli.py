@@ -26,7 +26,7 @@ from qhashlab import (
 )
 from qhashlab import bias as bias_mod
 from qhashlab import signature as sig_mod
-from qhashlab import cli, qhash, qsim
+from qhashlab import cli, qhash, qsim, textfile
 from qhashlab.cli import main
 
 from conftest import keygen_verify_records, per_message_circuit_deviation, trial_log
@@ -287,6 +287,20 @@ class TestBias:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith(f"error: {big}:2: d = 1099511627776 keys exceeds")
+
+
+@pytest.mark.parametrize("header,line,message", [
+    ("N 1\nd 2", 1, "modulus must be >= 2, got 1"),
+    ("N 8\nd 0", 2, "d must be >= 1, got 0"),
+    ("N 8\nd -1", 2, "d must be >= 1, got -1"),
+], ids=["N 1", "d 0", "d -1"])
+@pytest.mark.parametrize("command", [["bias"], ["hash", "--message", "1"]], ids=lambda command: command[0])
+def test_a_bad_n_or_d_is_refused_at_its_header_line(runner, tmp_path, command, header, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\nepsilon -\n1\n2\n")
+    result = invoke(runner, [command[0], "--keyset", str(path), *command[1:]])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"error: {path}:{line}: {message}\n"
 
 
 class TestUnrepresentableNumbers:
@@ -678,6 +692,33 @@ class TestEqualityTests:
             assert (result.exit_code, result.stdout) == (2, "")
             assert result.stderr == "error: 15 keys need 5 qubits; states hold at most MAX_QUBITS = 3\n"
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["hash", "--message", "1"],
+        ["swap-test", "--m1", "1", "--m2", "2"],
+        ["reverse-test", "--claim", "1", "--message", "2"],
+        ["circuit-check", "--count", "2"],
+        ["sign", "--security-level", "5", "--bit", "1", "--out", "again"],
+        ["verify", "--security-level", "5", "--bit", "1", "--public", "signed.pub1"],
+        ["forge-experiment", "--security-level", "5", "--trials", "10"],
+    ], ids=lambda args: args[0])
+    def test_state_commands_read_their_key_file_once(self, runner, tmp_path, monkeypatch, args):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(N32.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        signed = invoke(runner, ["sign", "--keyset", str(keys), "--security-level", "5", "--bit", "1", "--out", "signed"])
+        if args[0] == "verify":
+            args = [*args, "--signature", parse_report(signed.output)["signature"]]
+        reads, opened = [], textfile.TextFile.__init__
+
+        def counted(self, path, *rest):
+            reads.append(Path(path))
+            opened(self, path, *rest)
+
+        monkeypatch.setattr(textfile.TextFile, "__init__", counted)
+        result = invoke(runner, [args[0], "--keyset", str(keys), *args[1:]])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert reads.count(keys) == 1
 
     @pytest.mark.parametrize("bits", [64, 70])
     def test_circuit_check_past_int64(self, runner, tmp_path, bits):

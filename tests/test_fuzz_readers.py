@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhashlab import HashParams, bundled_table_dir, dump_state, hash_state, load_keyset, load_state, make_rng
-from qhashlab import qsim, random_linear_code, save_code
+from qhashlab import load_code, qsim, random_linear_code, save_code
 from qhashlab import textfile
 from qhashlab.cli import main
 
-from conftest import per_line_load_keyset, per_line_load_state
+from conftest import per_line_load_code, per_line_load_keyset, per_line_load_state
 
 N32 = bundled_table_dir() / "n32_d15.txt"
 HUGE = ["1" + "0" * 400, "18446744073709551616", "4294967296", "65536", "-7", "0"]
@@ -131,12 +131,13 @@ def interleaved(draw, data):
 
 @st.composite
 def edged(draw, data):
-    """data with one token set to a value at the edge of a range the loaders check."""
+    """data with one token set to a value at the edge of a range the loaders check, such as a code row of n +- 1 bits."""
     lines = data.split(b"\n")
     i = draw(st.integers(0, len(lines) - 1))
     fields = lines[i].split()
     if fields:
-        edge = [b"-1", b"0", b"31", b"32", b"15", b"16", b"9223372036854775808", b"1_0", b"0x1f"]
+        edge = [b"-1", b"0", b"31", b"32", b"15", b"16", b"9223372036854775808", b"1_0", b"0x1f",
+                b"101", b"0110", b"10011"]
         fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(edge))
         lines[i] = b" ".join(fields)
     return b"\n".join(lines)
@@ -150,22 +151,28 @@ def outcome(loader, path):
         return type(exc), str(exc)
     if loader in (load_state, per_line_load_state):
         return loaded.num_qubits, loaded.amplitudes.tobytes()
+    if loader in (load_code, per_line_load_code):
+        return loaded.n, loaded.m, loaded.generator.tobytes()
     return loaded.keyset.modulus, loaded.keyset.keys, repr(loaded.declared_epsilon)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+LOADERS = {"keyset": (load_keyset, per_line_load_keyset), "state": (load_state, per_line_load_state),
+           "code": (load_code, per_line_load_code)}
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(data=st.data())
 def test_block_loaders_match_the_per_line_loaders(files, data):
     base, originals = files
-    kind = data.draw(st.sampled_from(["keyset", "state"]))
+    kind = data.draw(st.sampled_from(sorted(LOADERS)))
     content = originals[kind]
     for change in (mutated, edged, interleaved):
         if data.draw(st.booleans()):
             content = data.draw(change(content))
     path = base / "differential.txt"
     path.write_bytes(content)
-    block, per_line = (load_keyset, per_line_load_keyset) if kind == "keyset" else (load_state, per_line_load_state)
-    # blocks of one line up to the default; 12 and 60 characters hold 2-3 key or state lines
+    block, per_line = LOADERS[kind]
+    # blocks of one line up to the default; 12 and 60 characters hold 2-3 key, code or state lines
     chars = data.draw(st.sampled_from([1, 12, 60, textfile.BLOCK_CHARS]))
     # a register of 2^4 amplitudes holds half the 2^5 lines of a dump
     max_qubits = data.draw(st.sampled_from([4, 5, qsim.MAX_QUBITS]))
