@@ -148,8 +148,9 @@ def per_line_load_keyset(path):
     """load_keyset one key line at a time.
 
     Whatever KeySet would refuse is refused first at its header or key
-    line, so the rewrap of a KeySet error, which load_keyset no longer
-    has, is never reached here either.
+    line.  The KeySet rewrap below, which load_keyset does without, is
+    never reached: a refusal that got as far as KeySet there would show
+    here as a different error.
     """
     lines = TextFile(path, KeySetFormatError)
     (n_at, n_text), (d_at, d_text), (eps_at, eps_text) = lines.header("N", "d", "epsilon")

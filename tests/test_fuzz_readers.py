@@ -172,7 +172,7 @@ def test_block_loaders_match_the_per_line_loaders(files, data):
     path = base / "differential.txt"
     path.write_bytes(content)
     block, per_line = LOADERS[kind]
-    # blocks of one line up to the default; 12 and 60 characters hold 2-3 key, code or state lines
+    # blocks of one line up to the default; 12 and 60 characters hold 2-3 key or state lines
     chars = data.draw(st.sampled_from([1, 12, 60, textfile.BLOCK_CHARS]))
     # a register of 2^4 amplitudes holds half the 2^5 lines of a dump
     max_qubits = data.draw(st.sampled_from([4, 5, qsim.MAX_QUBITS]))
